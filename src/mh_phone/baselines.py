@@ -3,28 +3,26 @@
 Both treat frames as exchangeable, so neither can model the order of holds
 within a sign; they exist as ablations of the sequence model. Padding rows
 count as ordinary data, which lets a mixture component take on the role of
-the end token. The emission updates (prototype means, shared variances) are
-the same estimation-module code paths the sequence model uses.
+the end token. Seeding, the emission M-step and the hard-EM loop with its
+stop rule (`estimation.hard_em`) are the sequence model's own code paths.
 
 The GMM draws every frame's component independently. The GMM-LDA draws one
 topic per sign and then frames i.i.d. from that topic's distribution over
 prototypes (a mixture of unigrams).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, SignSequence
-from .errors import InvariantViolation, NotEnoughData
-from .estimation import (dirichlet_logpdf, dirichlet_map, emission_loglik,
-                         lognormal_logpdf, map_means, map_sigma, normal_logpdf,
-                         relative_change, safe_log)
-from .model import _farthest_points
-from .params import FitReport, Hyperparams, _check_stochastic, _frozen_array
-
-SIGMA_INIT_FLOOR = 1e-3
+from .corpus import Corpus, sampled_corpus
+from .errors import InvariantViolation
+from .estimation import map_sigma  # noqa: F401 -- kept importable from this module
+from .estimation import (dirichlet_logpdf, dirichlet_map, draw_categorical,
+                         emission_loglik, hard_em, lognormal_logpdf, normal_logpdf,
+                         safe_log, seed_emissions)
+from .model import emission_means, emission_sigma
+from .params import Hyperparams, _check_stochastic, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -124,32 +122,6 @@ class GmmLdaParams:
                    mu=data["mu"], sigma=data["sigma"])
 
 
-def _init_emissions(rng, frames, n_components):
-    if frames.shape[0] < n_components:
-        raise NotEnoughData(
-            f"{frames.shape[0]} frames cannot seed {n_components} components")
-    mu = frames[_farthest_points(rng, frames, n_components)].copy()
-    sigma = np.maximum(frames.std(axis=0), SIGMA_INIT_FLOOR)
-    return mu, sigma
-
-
-def _gmm_update(frames, labels, n_components, sigma_prev, hyper):
-    """One MAP M-step of the GMM given hard frame labels.
-
-    Mean rows use the previous sigma (updates run weights, mu, sigma in
-    order); this is the shared-machinery path the sequence model also takes.
-    """
-    counts = np.bincount(labels, minlength=n_components).astype(float)
-    weights = dirichlet_map(counts, hyper.alpha)
-    sums = np.zeros((n_components, frames.shape[1]))
-    np.add.at(sums, labels, frames)
-    mu = map_means(sums, counts, sigma_prev, hyper.mu_mu, hyper.sigma_mu)
-    residuals = frames - mu[labels]
-    sq_sums = (residuals * residuals).sum(axis=0)
-    sigma = map_sigma(sq_sums, frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
-    return weights, mu, sigma
-
-
 def _gmm_log_joint(weights, mu, sigma, frames, labels, hyper):
     total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
     total += dirichlet_logpdf(weights, hyper.alpha)
@@ -162,34 +134,30 @@ def _gmm_log_joint(weights, mu, sigma, frames, labels, hyper):
 
 def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams | None = None,
             seed=0, *, max_iters=200, tol=1e-6):
-    """Hard-EM MAP fit of a GMM over all frames. Returns (params, report)."""
+    """Hard-EM MAP fit of a GMM over all frames. Returns (params, report).
+
+    Each iteration labels every frame with its best component, then updates
+    weights, mu (with the previous sigma) and sigma, in that order.
+    """
     if hyper is None:
         hyper = Hyperparams()
     if n_components < 1:
         raise InvariantViolation("n_components must be at least 1")
     _, _, d = corpus.dims
     frames = corpus.features.reshape(-1, d)
-    rng = np.random.default_rng(seed)
-    mu, sigma = _init_emissions(rng, frames, n_components)
+    mu, sigma = seed_emissions(np.random.default_rng(seed), frames, n_components)
     weights = np.full(n_components, 1.0 / n_components)
 
-    trace: list[float] = []
-    previous = None
-    rel = math.inf
-    iterations = 0
-    while iterations < max_iters:
+    def step():
+        nonlocal weights, mu, sigma
         scores = emission_loglik(frames, mu, sigma) + safe_log(weights)
         labels = np.argmax(scores, axis=1)
-        weights, mu, sigma = _gmm_update(frames, labels, n_components, sigma, hyper)
-        value = _gmm_log_joint(weights, mu, sigma, frames, labels, hyper)
-        trace.append(value)
-        iterations += 1
-        rel = math.inf if previous is None else relative_change(value, previous)
-        previous = value
-        if not (rel > tol):
-            break
-    report = FitReport(iterations=iterations, log_joint_trace=trace,
-                       converged=bool(rel < tol))
+        counts, mu = emission_means(frames, labels, n_components, sigma, hyper)
+        weights = dirichlet_map(counts, hyper.alpha)
+        sigma = emission_sigma(frames, labels, mu, hyper)
+        return _gmm_log_joint(weights, mu, sigma, frames, labels, hyper)
+
+    report = hard_em(step, max_iters, tol)
     return GmmParams(weights=weights, mu=mu, sigma=sigma), report
 
 
@@ -226,29 +194,22 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
     frames3 = corpus.features
     frames = frames3.reshape(-1, d)
     rng = np.random.default_rng(seed)
-    mu, sigma = _init_emissions(rng, frames, n_components)
+    mu, sigma = seed_emissions(rng, frames, n_components)
 
     labels = np.argmax(emission_loglik(frames3, mu, sigma), axis=2)
     topics = rng.integers(0, n_topics, size=m)
+    psi = tau = None
 
-    trace: list[float] = []
-    previous = None
-    rel = math.inf
-    iterations = 0
-    while iterations < max_iters:
+    def step():
+        nonlocal labels, topics, psi, tau, mu, sigma
         # M-step from the current hard assignment
         topic_counts = np.bincount(topics, minlength=n_topics).astype(float)
         tau = dirichlet_map(topic_counts, doc_prior)
         word_counts = np.zeros((n_topics, n_components))
         np.add.at(word_counts, (np.repeat(topics, p), labels.ravel()), 1.0)
-        psi = np.stack([dirichlet_map(row, word_pr) for row in word_counts])
-        counts = np.bincount(labels.ravel(), minlength=n_components).astype(float)
-        sums = np.zeros((n_components, d))
-        np.add.at(sums, labels.ravel(), frames)
-        mu = map_means(sums, counts, sigma, hyper.mu_mu, hyper.sigma_mu)
-        residuals = frames - mu[labels.ravel()]
-        sigma = map_sigma((residuals * residuals).sum(axis=0), frames.shape[0],
-                          hyper.mu_sigma, hyper.sigma_sigma)
+        psi = dirichlet_map(word_counts, word_pr)
+        _, mu = emission_means(frames, labels.ravel(), n_components, sigma, hyper)
+        sigma = emission_sigma(frames, labels.ravel(), mu, hyper)
 
         # E-step with the fresh parameters
         loglik = emission_loglik(frames3, mu, sigma)
@@ -257,43 +218,23 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
         topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
         labels = np.argmax(scored[np.arange(m), :, topics, :], axis=2)
 
-        value = _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics,
-                               hyper, doc_prior, word_pr)
-        trace.append(value)
-        iterations += 1
-        rel = math.inf if previous is None else relative_change(value, previous)
-        previous = value
-        if not (rel > tol):
-            break
-    report = FitReport(iterations=iterations, log_joint_trace=trace,
-                       converged=bool(rel < tol))
+        return _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics,
+                              hyper, doc_prior, word_pr)
+
+    report = hard_em(step, max_iters, tol)
     params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=doc_prior,
                           word_prior=word_pr, mu=mu, sigma=sigma)
     return params, report
 
 
-def _categorical_matrix(rng, probs, shape):
-    cdf = np.cumsum(np.asarray(probs, dtype=float))
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(shape), side="right")
-
-
-def _build_corpus(feats, prefix):
-    n_signs, p, _ = feats.shape
-    width = max(5, len(str(n_signs - 1)))
-    signs = [SignSequence(gloss=f"{prefix}-{i:0{width}d}", features=feats[i],
-                          true_length=p, signer="sampler", noise="none")
-             for i in range(n_signs)]
-    return Corpus(signs)
-
-
 def sample_gmm(params: GmmParams, n_signs, n_frames=25, seed=0, return_labels=False):
     """Draw signs whose frames are i.i.d. mixture draws (no temporal structure)."""
     rng = np.random.default_rng(seed)
-    labels = _categorical_matrix(rng, params.weights, (int(n_signs), int(n_frames)))
+    n_signs, n_frames = int(n_signs), int(n_frames)
+    labels = draw_categorical(rng, params.weights, (n_signs, n_frames))
     noise = rng.standard_normal(labels.shape + (params.mu.shape[1],))
     feats = params.mu[labels] + noise * np.sqrt(params.sigma)
-    corpus = _build_corpus(feats, "gmm")
+    corpus = sampled_corpus(feats, np.full(n_signs, n_frames), "gmm")
     if return_labels:
         return corpus, labels
     return corpus
@@ -304,14 +245,11 @@ def sample_gmm_lda(params: GmmLdaParams, n_signs, n_frames=25, seed=0,
     """Draw one topic per sign, then frames i.i.d. from that topic's prototypes."""
     rng = np.random.default_rng(seed)
     n_signs, n_frames = int(n_signs), int(n_frames)
-    topics = _categorical_matrix(rng, params.topic_freq, (n_signs,))
-    cdf = np.cumsum(params.topic_word, axis=1)
-    cdf[:, -1] = 1.0
-    rows = cdf[topics]
-    labels = (rows[:, None, :] <= rng.random((n_signs, n_frames))[:, :, None]).sum(axis=2)
+    topics = draw_categorical(rng, params.topic_freq, (n_signs,))
+    labels = draw_categorical(rng, params.topic_word[topics][:, None, :], (n_signs, n_frames))
     noise = rng.standard_normal(labels.shape + (params.mu.shape[1],))
     feats = params.mu[labels] + noise * np.sqrt(params.sigma)
-    corpus = _build_corpus(feats, "gmm-lda")
+    corpus = sampled_corpus(feats, np.full(n_signs, n_frames), "gmm-lda")
     if return_labels:
         return corpus, topics, labels
     return corpus

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error (bad flags or bad input files),
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -113,9 +114,12 @@ def cmd_train(args):
         fitted, report = baselines.fit_gmm_lda(corp, args.n_states, args.topics,
                                                hyper, seed=seed,
                                                max_iters=args.max_iters, tol=args.tol)
+    final = report.log_joint_trace[-1]
     log.info("%s fit: %d iterations, converged=%s, final objective %.6f",
-             args.model, report.iterations, report.converged,
-             report.log_joint_trace[-1])
+             args.model, report.iterations, report.converged, final)
+    if not math.isfinite(final):
+        log.warning("%s fit stopped at iteration %d on a non-finite objective (%s)",
+                    args.model, report.iterations, final)
     save_model(args.out, fitted, hyper, config=config)
     return EXIT_OK
 

@@ -324,10 +324,16 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
         lengths = np.clip(first_end, 1, p)
     else:
         lengths = np.full(m_signs, p)
+    return sampled_corpus(feats, lengths, gloss_prefix), Assignment(labels=labels)
+
+
+def sampled_corpus(features, lengths, gloss_prefix) -> Corpus:
+    """Sampled (M, P, D) features as a corpus: sign i has lengths[i] data
+    rows, gloss `<gloss_prefix>-<i>` (i zero-padded to at least five digits),
+    signer "sampler" and noise "none"."""
+    m_signs = features.shape[0]
     width = max(5, len(str(m_signs - 1)))
-    signs = [
-        SignSequence(gloss=f"{gloss_prefix}-{i:0{width}d}", features=feats[i],
+    return Corpus(
+        SignSequence(gloss=f"{gloss_prefix}-{i:0{width}d}", features=features[i],
                      true_length=int(lengths[i]), signer="sampler", noise="none")
-        for i in range(m_signs)
-    ]
-    return Corpus(signs), Assignment(labels=labels)
+        for i in range(m_signs))

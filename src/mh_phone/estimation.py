@@ -1,9 +1,10 @@
 """Shared MAP estimation primitives.
 
 The sequence model and the frame-mixture baselines use the same conjugate
-updates for categorical weights and Gaussian prototype means, and the same
-1-D search for the shared diagonal variances. Keeping them here means the
-ablations differ from the full model only in how frames are assigned.
+updates for categorical weights and Gaussian prototype means, the same 1-D
+search for the shared diagonal variances, the same prototype seeding and the
+same hard-EM driver (`hard_em`). Keeping them here means the ablations differ
+from the full model only in how frames are assigned.
 
 Conventions: `sigma` vectors hold per-dimension *variances* of the diagonal
 emission Gaussian, and Dirichlet concentrations are scalar (symmetric).
@@ -12,6 +13,11 @@ emission Gaussian, and Dirichlet concentrations are scalar (symmetric).
 import math
 
 import numpy as np
+
+from .errors import NotEnoughData
+from .params import FitReport
+
+SIGMA_INIT_FLOOR = 1e-3
 
 # Search bracket for log-variance; doubles as a numerical floor/ceiling.
 LOG_SIGMA_LO = -8.0
@@ -52,16 +58,17 @@ def safe_log(p):
 def dirichlet_map(counts, alpha):
     """Posterior mode of a categorical distribution under a Dir(alpha) prior.
 
-    Weights are (counts + alpha - 1) clipped at zero and renormalized. When
-    every weight clips to zero (no observations at alpha = 1) the mode is
+    counts is one row of observation counts, or a (K, N) table of K rows that
+    are each treated as their own distribution. Weights are
+    (counts + alpha - 1) clipped at zero and renormalized. When every weight
+    of a row clips to zero (no observations at alpha = 1) that row's mode is
     taken as uniform.
     """
-    counts = np.asarray(counts, dtype=float)
-    w = np.maximum(counts + alpha - 1.0, 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        return np.full(counts.shape, 1.0 / counts.shape[-1])
-    return w / total
+    w = np.maximum(np.asarray(counts, dtype=float) + alpha - 1.0, 0.0)
+    total = w.sum(axis=-1, keepdims=True)
+    out = np.full(w.shape, 1.0 / w.shape[-1])
+    np.divide(w, total, out=out, where=total > 0.0)
+    return out
 
 
 def dirichlet_logpdf(probs, alpha):
@@ -139,20 +146,67 @@ def map_sigma(sq_sums, n_obs, mu_sigma, sigma_sigma, tol=1e-8):
     return out
 
 
+def seed_emissions(rng, data, k):
+    """(mu, sigma) seeded from an (F, D) block of frames: k rows of data by
+    farthest-point picks from a random start, and the per-dimension std of
+    data floored at SIGMA_INIT_FLOOR. Raises NotEnoughData when F < k."""
+    if data.shape[0] < k:
+        raise NotEnoughData(f"{data.shape[0]} frames cannot seed {k} prototypes")
+    chosen = [int(rng.integers(len(data)))]
+    d2 = ((data - data[chosen[0]]) ** 2).sum(axis=1)
+    d2[chosen[0]] = -1.0
+    for _ in range(k - 1):
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((data - data[nxt]) ** 2).sum(axis=1))
+        d2[nxt] = -1.0
+    return data[chosen], np.maximum(data.std(axis=0), SIGMA_INIT_FLOOR)
+
+
+def draw_categorical(rng, probs, shape):
+    """An array of `shape` of category draws, one uniform u each.
+
+    probs (..., N) broadcasts against shape + (1,), so draws may share one
+    distribution or take a row each. u picks the number of cdf entries <= u;
+    the last entry is pinned to 1 so rounding cannot push u past the end.
+    """
+    cdf = np.cumsum(np.asarray(probs, dtype=float), axis=-1)
+    cdf[..., -1] = 1.0
+    return (cdf <= rng.random(shape)[..., None]).sum(axis=-1)
+
+
 def markov_chain_sample(rng, pi, trans, n_chains, length):
     """Ancestral sampling of n_chains state chains of the given length."""
+    trans = np.asarray(trans, dtype=float)
     states = np.empty((n_chains, length), dtype=np.int64)
-    cdf0 = np.cumsum(np.asarray(pi, dtype=float))
-    cdf0[-1] = 1.0
-    states[:, 0] = np.searchsorted(cdf0, rng.random(n_chains), side="right")
-    cdf = np.cumsum(np.asarray(trans, dtype=float), axis=1)
-    cdf[:, -1] = 1.0
+    states[:, 0] = draw_categorical(rng, pi, n_chains)
     for f in range(1, length):
-        rows = cdf[states[:, f - 1]]
-        states[:, f] = (rows <= rng.random(n_chains)[:, None]).sum(axis=1)
+        states[:, f] = draw_categorical(rng, trans[states[:, f - 1]], n_chains)
     return states
 
 
 def relative_change(new, old):
     """|new - old| scaled by max(1, |old|); used by the EM stopping rule."""
     return abs(new - old) / max(1.0, abs(old))
+
+
+def hard_em(step, max_iters, tol) -> FitReport:
+    """The hard-EM loop of the sequence model and the baselines.
+
+    step() runs one iteration in the fitter's own order and returns the new
+    objective. The loop stops after max_iters iterations, at a non-finite
+    objective, or once the relative change from the previous objective is at
+    most tol; only the last stop reports converged=True. With no previous
+    objective, the first iteration stops only for tol = inf.
+    """
+    trace: list[float] = []
+    converged = False
+    while len(trace) < max_iters:
+        trace.append(step())
+        if not math.isfinite(trace[-1]):
+            break
+        rel = math.inf if len(trace) == 1 else relative_change(trace[-1], trace[-2])
+        if not rel > tol:
+            converged = len(trace) > 1
+            break
+    return FitReport(iterations=len(trace), log_joint_trace=trace, converged=converged)

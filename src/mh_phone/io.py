@@ -19,6 +19,11 @@ from .params import Hyperparams, ModelParams
 MODEL_FORMAT = "mh-model"
 MODEL_VERSION = 1
 
+# The one place model kinds are named: the `kind` field of a model file and
+# the parameter class it loads into.
+_MODEL_CLASSES = {"dbn": ModelParams, "gmm": GmmParams, "gmm-lda": GmmLdaParams}
+_KIND_OF_CLASS = {cls: kind for kind, cls in _MODEL_CLASSES.items()}
+
 _SCHEMA_FILES = {
     "corpus-header": "corpus-header.schema.json",
     "model": "model.schema.json",
@@ -61,27 +66,17 @@ def load_json(path):
 
 
 def model_kind(model) -> str:
-    if isinstance(model, ModelParams):
-        return "dbn"
-    if isinstance(model, GmmParams):
-        return "gmm"
-    if isinstance(model, GmmLdaParams):
-        return "gmm-lda"
-    raise InvariantViolation(f"unknown model type {type(model).__name__}")
+    try:
+        return _KIND_OF_CLASS[type(model)]
+    except KeyError:
+        raise InvariantViolation(f"unknown model type {type(model).__name__}") from None
 
 
 def model_to_dict(model, hyper: Hyperparams, config=None) -> dict:
     kind = model_kind(model)
     out = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
-    if kind == "dbn":
-        out["N"] = model.n_states
-        out["D"] = model.n_features
-    elif kind == "gmm":
-        out["N"] = model.n_components
-        out["D"] = model.mu.shape[1]
-    else:
-        out["N"] = model.n_components
-        out["D"] = model.mu.shape[1]
+    out["N"], out["D"] = model.mu.shape
+    if kind == "gmm-lda":
         out["T"] = model.n_topics
     out.update(model.to_dict())
     out["hyper"] = hyper.to_dict()
@@ -104,12 +99,6 @@ def load_model(path):
     if "kind" not in obj:
         obj = dict(obj, kind="dbn")
     validate_artifact("model", obj)
-    kind = obj["kind"]
     hyper = Hyperparams.from_dict(obj["hyper"])
-    if kind == "dbn":
-        model = ModelParams.from_dict(obj)
-    elif kind == "gmm":
-        model = GmmParams.from_dict(obj)
-    else:
-        model = GmmLdaParams.from_dict(obj)
+    model = _MODEL_CLASSES[obj["kind"]].from_dict(obj)
     return model, hyper, obj.get("config", {})

@@ -12,34 +12,23 @@ assignments and frames under the priors:
     pi, T rows ~ Dir(alpha)
     mu_n (n > 0) ~ N(mu_mu, sigma_mu^2 I)
     c_0 ~ Cat(pi),  c_f ~ Cat(T[c_{f-1}]),  x_f ~ N(mu_{c_f}, diag(sigma))
+
+The baselines share the hard-EM loop (`estimation.hard_em`: stop at
+max_iters, at a non-finite objective, or converged once the relative change
+is at most tol) and the emission M-step (`emission_means`, `emission_sigma`).
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .corpus import Corpus, synth_corpus
-from .errors import InvariantViolation, NotEnoughData
-from .estimation import (dirichlet_logpdf, dirichlet_map, emission_loglik,
+from .errors import InvariantViolation
+from .estimation import SIGMA_INIT_FLOOR  # noqa: F401 -- kept importable from this module
+from .estimation import (dirichlet_logpdf, dirichlet_map, emission_loglik, hard_em,
                          lognormal_logpdf, map_means, map_sigma, normal_logpdf,
-                         relative_change, safe_log)
-from .params import Assignment, FitReport, Hyperparams, ModelParams
-
-SIGMA_INIT_FLOOR = 1e-3
-
-
-def _farthest_points(rng, data, k):
-    """Indices of k spread-out rows: a random start, then farthest-point picks."""
-    chosen = [int(rng.integers(len(data)))]
-    d2 = ((data - data[chosen[0]]) ** 2).sum(axis=1)
-    d2[chosen[0]] = -1.0
-    for _ in range(k - 1):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((data - data[nxt]) ** 2).sum(axis=1))
-        d2[nxt] = -1.0
-    return np.asarray(chosen)
+                         safe_log, seed_emissions)
+from .params import Assignment, Hyperparams, ModelParams
 
 
 def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
@@ -47,7 +36,7 @@ def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
 
     Prototype rows 1..N-1 are distinct non-padding frames chosen by
     farthest-point seeding; sigma starts at the per-dimension empirical std
-    of the non-padding frames, floored at 1e-3.
+    of the non-padding frames, floored at SIGMA_INIT_FLOOR (`seed_emissions`).
     """
     if n_states < 2:
         raise InvariantViolation("n_states must be at least 2 (end state plus one prototype)")
@@ -55,13 +44,9 @@ def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
     if d != n_features:
         raise InvariantViolation(f"corpus has {d} features, expected {n_features}")
     mask = np.arange(p)[None, :] < corpus.true_lengths[:, None]
-    data = corpus.features[mask]
-    if data.shape[0] < n_states - 1:
-        raise NotEnoughData(
-            f"{data.shape[0]} non-padding frames cannot seed {n_states - 1} prototypes")
-    rng = np.random.default_rng(seed)
-    mu = np.vstack([np.zeros(d), data[_farthest_points(rng, data, n_states - 1)]])
-    sigma = np.maximum(data.std(axis=0), SIGMA_INIT_FLOOR)
+    protos, sigma = seed_emissions(np.random.default_rng(seed), corpus.features[mask],
+                                   n_states - 1)
+    mu = np.vstack([np.zeros(d), protos])
     pi = np.full(n_states, 1.0 / n_states)
     trans = np.full((n_states, n_states), 1.0 / n_states)
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
@@ -126,6 +111,24 @@ def e_step_viterbi(params: ModelParams, corpus: Corpus, threads=1) -> Assignment
     return Assignment(labels=_chunked(_viterbi_labels, params, corpus.features, threads))
 
 
+def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
+    """Emission M-step, first half: frame counts (n,) and MAP means (n, D)
+    of n prototypes from (F, D) frames, their (F,) labels and the previous
+    sigma. A prototype with no frames lands exactly on mu_mu."""
+    counts = np.bincount(labels, minlength=n).astype(float)
+    sums = np.zeros((n, frames.shape[1]))
+    np.add.at(sums, labels, frames)
+    return counts, map_means(sums, counts, sigma, hyper.mu_mu, hyper.sigma_mu)
+
+
+def emission_sigma(frames, labels, mu, hyper: Hyperparams):
+    """Emission M-step, second half: MAP shared variances of the residuals
+    of the frames about their prototypes in mu."""
+    residuals = frames - mu[labels]
+    sq_sums = (residuals * residuals).sum(axis=0)
+    return map_sigma(sq_sums, frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
+
+
 def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
            prev: ModelParams) -> ModelParams:
     """Closed-form MAP coordinate updates in the order pi, T, mu, sigma.
@@ -147,19 +150,13 @@ def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
 
     pair_index = (labels[:, :-1] * n + labels[:, 1:]).ravel()
     pair_counts = np.bincount(pair_index, minlength=n * n).reshape(n, n).astype(float)
-    trans = np.stack([dirichlet_map(row, hyper.alpha) for row in pair_counts])
+    trans = dirichlet_map(pair_counts, hyper.alpha)
 
     flat_labels = labels.ravel()
     flat_frames = corpus.features.reshape(-1, d)
-    counts = np.bincount(flat_labels, minlength=n).astype(float)
-    sums = np.zeros((n, d))
-    np.add.at(sums, flat_labels, flat_frames)
-    mu = map_means(sums, counts, prev.sigma, hyper.mu_mu, hyper.sigma_mu)
+    _, mu = emission_means(flat_frames, flat_labels, n, prev.sigma, hyper)
     mu[0] = 0.0
-
-    residuals = flat_frames - mu[flat_labels]
-    sq_sums = (residuals * residuals).sum(axis=0)
-    sigma = map_sigma(sq_sums, flat_frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
+    sigma = emission_sigma(flat_frames, flat_labels, mu, hyper)
 
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
@@ -195,34 +192,27 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams | None = None, *,
            max_iters=200, tol=1e-6, e_step="greedy", seed=0, threads=1):
     """Hard-EM MAP estimation. Returns (params, assignment, report).
 
-    Stops when the relative change of the log joint drops below tol or after
-    max_iters iterations. The report's trace holds one log-joint value per
-    iteration; with the exact Viterbi E-step it is non-decreasing.
+    Stops (in `hard_em`) after max_iters iterations, at a non-finite log
+    joint, or converged once its relative change is at most tol. The
+    report's trace holds one log-joint value per iteration; with the exact
+    Viterbi E-step it is non-decreasing.
     """
     if hyper is None:
         hyper = Hyperparams()
     if e_step not in _E_STEPS:
         raise InvariantViolation(f"e_step must be one of {sorted(_E_STEPS)}, got '{e_step}'")
-    step = _E_STEPS[e_step]
+    assign = _E_STEPS[e_step]
     _, _, d = corpus.dims
     params = init_params(n_states, d, corpus, seed=seed)
     assignment = None
-    trace: list[float] = []
-    previous = None
-    rel = math.inf
-    iterations = 0
-    while iterations < max_iters:
-        assignment = step(params, corpus, threads=threads)
+
+    def step():
+        nonlocal params, assignment
+        assignment = assign(params, corpus, threads=threads)
         params = m_step(corpus, assignment, hyper, params)
-        value = log_joint(params, corpus, assignment, hyper)
-        trace.append(value)
-        iterations += 1
-        rel = math.inf if previous is None else relative_change(value, previous)
-        previous = value
-        if not (rel > tol):
-            break
-    report = FitReport(iterations=iterations, log_joint_trace=trace,
-                       converged=bool(rel < tol))
+        return log_joint(params, corpus, assignment, hyper)
+
+    report = hard_em(step, max_iters, tol)
     return params, assignment, report
 
 

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import hashlib
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -35,6 +37,11 @@ def corpus_from_features(feats):
     m, p, _ = feats.shape
     return Corpus([SignSequence(gloss=f"w{i:03d}", features=feats[i], true_length=p)
                    for i in range(m)])
+
+
+def label_digest(labels):
+    """SHA-256 of an integer label array, independent of platform int width."""
+    return hashlib.sha256(np.ascontiguousarray(labels, dtype="<i8").tobytes()).hexdigest()
 
 
 def raw_frame(head=(0.0, 0.0), rsh=(1.0, 0.0), lsh=(-1.0, 0.0), relb=(2.0, 1.0),

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from mh_phone.baselines import (GmmLdaParams, GmmParams, _gmm_update, fit_gmm,
-                                fit_gmm_lda, sample_gmm, sample_gmm_lda)
+from mh_phone.baselines import (GmmLdaParams, GmmParams, fit_gmm, fit_gmm_lda,
+                                sample_gmm, sample_gmm_lda)
 from mh_phone.errors import InvariantViolation, NotEnoughData
-from mh_phone.model import m_step
+from mh_phone.estimation import dirichlet_map
+from mh_phone.model import emission_means, emission_sigma, m_step
 from mh_phone.params import Assignment, Hyperparams
 
-from helpers import corpus_from_features, random_params
+from helpers import corpus_from_features, label_digest, random_params
+
+
+def _gmm_update(frames, labels, n_components, sigma_prev, hyper):
+    """One GMM M-step (weights, mu, sigma) through the shared emission path."""
+    counts, mu = emission_means(frames, labels, n_components, sigma_prev, hyper)
+    sigma = emission_sigma(frames, labels, mu, hyper)
+    return dirichlet_map(counts, hyper.alpha), mu, sigma
 
 
 def _cluster_corpus(rng, centers, spread, m, p):
@@ -214,3 +222,22 @@ def test_sample_gmm_lda_deterministic():
     b = sample_gmm_lda(params, 5, n_frames=4, seed=51)
     np.testing.assert_array_equal(a.features, b.features)
     assert a.signs[0].gloss == "gmm-lda-00000"
+
+
+def test_mixture_sample_draws_are_pinned():
+    # Exact component and topic draws at fixed seeds, zero-probability
+    # entries included; any change to how uniforms map to categories changes
+    # the digests.
+    gmm = GmmParams(weights=[0.1, 0.0, 0.6, 0.3], mu=np.zeros((4, 2)), sigma=[1.0, 1.0])
+    _, labels = sample_gmm(gmm, 50, n_frames=12, seed=8, return_labels=True)
+    assert label_digest(labels) == (
+        "0e10a71e97e8428d5a5250ab7fca4814bd0c987464154b6e33fc65c432426965")
+    lda = GmmLdaParams(topic_word=[[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                                   [0.1, 0.2, 0.3, 0.4]],
+                       topic_freq=[0.3, 0.0, 0.7], doc_topic_prior=1.0, word_prior=1.0,
+                       mu=np.zeros((4, 2)), sigma=[1.0, 1.0])
+    _, topics, labels = sample_gmm_lda(lda, 50, n_frames=12, seed=9, return_labels=True)
+    assert label_digest(topics) == (
+        "4bc8b4cf8c5d40a8ffae91415050ca503f58d73c71d45f38c72931f4313c4fb5")
+    assert label_digest(labels) == (
+        "886a04f3f590f966a6621addd30d9c33b2368c4c30534ecd9d06689710817466")

@@ -12,6 +12,8 @@ from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO, dirichlet_logpdf,
                                  map_means, map_sigma, markov_chain_sample,
                                  normal_logpdf, relative_change, safe_log)
 
+from helpers import label_digest
+
 
 def test_golden_section_finds_quadratic_vertex():
     for vertex in (-2.0, 0.3, 4.7):
@@ -238,3 +240,14 @@ def test_safe_log():
     assert out[0] == -np.inf
     assert out[1] == 0.0
     assert out[2] == pytest.approx(1.0)
+
+
+def test_markov_chain_sample_draws_are_pinned():
+    # Exact draws at a fixed seed, zero-probability entries included; any
+    # change to how uniforms map to states changes the digest.
+    pi = np.array([0.0, 0.5, 0.3, 0.2])
+    trans = np.array([[1.0, 0.0, 0.0, 0.0], [0.1, 0.6, 0.3, 0.0],
+                      [0.2, 0.0, 0.5, 0.3], [0.25, 0.25, 0.0, 0.5]])
+    chains = markov_chain_sample(np.random.default_rng(7), pi, trans, 500, 30)
+    assert label_digest(chains) == (
+        "7fe6c985b8895f935319928e212b7fdedb165280f50a7fba67b7d5e2bec94fbb")

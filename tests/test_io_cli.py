@@ -160,6 +160,17 @@ def test_cli_full_pipeline(tiny_pipeline, capsys):
     assert rows.shape == (6, 10 * 14)
 
 
+def test_cli_train_warns_on_non_finite_objective(tiny_pipeline, caplog):
+    # alpha < 1 drives the log joint to +inf once a transition row has zeros
+    tmp_path, corpus = tiny_pipeline
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
+                "--n-states", "3", "--alpha", "0.5", "--seed", "7") == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "non-finite objective (inf)" in warnings[0]
+    load_model(model_path)
+
+
 def test_cli_trains_baseline_kinds(tiny_pipeline):
     tmp_path, corpus = tiny_pipeline
     gmm_path = tmp_path / "gmm.json"
