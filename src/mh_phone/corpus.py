@@ -5,6 +5,11 @@ named 2-D points which normalization flattens to a 14-vector: the head is
 moved to the origin and the unit of length is the mean of the two
 head-to-shoulder distances. Signs are padded to a fixed frame count with the
 all-zero end token, and zero rows always form a contiguous suffix.
+
+A Corpus is columnar: read-only `features` (M, P, D), `true_lengths` (M,) and
+(M,) `glosses`, `signers` and `noises` arrays, and nothing else. Every corpus is
+built by its one validating constructor, `Corpus.from_arrays`, which checks all
+signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
 """
 
 import json
@@ -66,6 +71,30 @@ def normalize_pose(raw_frame) -> np.ndarray:
     return out
 
 
+def check_signs(features, lengths, noises):
+    """Check (M, P, D) features, (M,) true lengths and (M,) noise levels at once:
+    finite features, lengths in [1, P], noise levels in NOISE_LEVELS, zero rows
+    past the true length, and zero rows only as a contiguous suffix. Raises on
+    the first bad sign, with its index as the error's `sign`."""
+    p = features.shape[1]
+    zero_rows = ~features.any(axis=2)
+    rules = (
+        (~np.isfinite(features).all(axis=(1, 2)), "features must be finite"),
+        ((lengths < 1) | (lengths > p), "true_length must be in [1, {p}], got {length}"),
+        (~np.isin(noises, NOISE_LEVELS), "noise must be one of {levels}, got '{noise}'"),
+        ((~zero_rows & (np.arange(p) >= lengths[:, None])).any(axis=1),
+         "end token violation: rows past true_length must be exactly zero"),
+        ((zero_rows[:, :-1] & ~zero_rows[:, 1:]).any(axis=1),
+         "end token violation: zero rows must form a contiguous suffix"),
+    )
+    bad = np.stack([mask for mask, _ in rules])
+    if bad.any():
+        sign = int(bad.any(axis=0).argmax())
+        _, message = rules[int(bad[:, sign].argmax())]
+        raise InvariantViolation(message.format(p=p, length=lengths[sign], levels=NOISE_LEVELS,
+                                                noise=noises[sign]), sign=sign)
+
+
 @dataclass(frozen=True)
 class RawSign:
     """A sign as it comes off the keypoint extractor, before normalization."""
@@ -98,34 +127,10 @@ class SignSequence:
         feats = np.array(self.features, dtype=float)
         if feats.ndim != 2:
             raise InvariantViolation("features must be a frames-by-dimensions matrix")
-        if not np.all(np.isfinite(feats)):
-            raise InvariantViolation("features must be finite")
-        n_frames = feats.shape[0]
-        if not (1 <= self.true_length <= n_frames):
-            raise InvariantViolation(
-                f"true_length must be in [1, {n_frames}], got {self.true_length}")
-        if self.noise not in NOISE_LEVELS:
-            raise InvariantViolation(
-                f"noise must be one of {NOISE_LEVELS}, got '{self.noise}'")
-        zero_rows = ~feats.any(axis=1)
-        if not zero_rows[self.true_length:].all():
-            raise InvariantViolation(
-                "end token violation: rows past true_length must be exactly zero")
-        if zero_rows.any():
-            first_zero = int(np.argmax(zero_rows))
-            if not zero_rows[first_zero:].all():
-                raise InvariantViolation(
-                    "end token violation: zero rows must form a contiguous suffix")
+        check_signs(feats[None], np.array([self.true_length]),
+                    np.array([self.noise], dtype=object))
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
-
-    @property
-    def n_frames(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
 
 def pad_sign(frames, n_frames=DEFAULT_FRAMES, *, gloss="", signer="", noise="none") -> SignSequence:
@@ -134,8 +139,6 @@ def pad_sign(frames, n_frames=DEFAULT_FRAMES, *, gloss="", signer="", noise="non
     if arr.ndim != 2:
         raise InvariantViolation("frames must be a 2-D array")
     length = arr.shape[0]
-    if length < 1:
-        raise InvariantViolation("a sign needs at least one frame")
     if length > n_frames:
         raise TooLong(f"sign has {length} frames, more than the padded length {n_frames}")
     out = np.zeros((n_frames, arr.shape[1]))
@@ -152,62 +155,67 @@ def ingest_raw_sign(raw: RawSign, n_frames=DEFAULT_FRAMES) -> SignSequence:
 
 
 class Corpus:
-    """An immutable collection of signs with consistent dimensions."""
+    """An immutable collection of signs with consistent dimensions.
 
-    __slots__ = ("signs", "_features", "_true_lengths")
+    `Corpus(signs)` stacks SignSequence objects of one shape."""
 
-    def __init__(self, signs):
+    __slots__ = ("features", "true_lengths", "glosses", "signers", "noises")
+
+    def __new__(cls, signs):
         signs = tuple(signs)
-        if not signs:
-            raise InvariantViolation("a corpus must contain at least one sign")
-        p, d = signs[0].features.shape
-        for k, sign in enumerate(signs):
-            if sign.features.shape != (p, d):
-                raise InvariantViolation(
-                    f"sign {k} has shape {sign.features.shape}, expected {(p, d)}")
-        features = np.stack([s.features for s in signs])
-        features.flags.writeable = False
-        lengths = np.array([s.true_length for s in signs], dtype=np.int64)
-        lengths.flags.writeable = False
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "_features", features)
-        object.__setattr__(self, "_true_lengths", lengths)
+        shapes = sorted({s.features.shape for s in signs})
+        if len(shapes) != 1:
+            raise InvariantViolation(
+                f"a corpus needs at least one sign and one shape, got shapes {shapes}")
+        return cls.from_arrays(np.stack([s.features for s in signs]),
+                               [s.true_length for s in signs], [s.gloss for s in signs],
+                               [s.signer for s in signs], [s.noise for s in signs])
+
+    @classmethod
+    def from_arrays(cls, features, true_lengths, glosses, signers, noises) -> "Corpus":
+        """The one validating constructor: copy the columns, check every sign
+        with `check_signs`, and store the columns read-only."""
+        features = np.array(features, dtype=float)
+        columns = (np.array(true_lengths, dtype=np.int64),
+                   *(np.array(column, dtype=object) for column in (glosses, signers, noises)))
+        if features.ndim != 3 or not len(features) or any(
+                c.shape != features.shape[:1] for c in columns):
+            raise InvariantViolation("a corpus needs (M, P, D) features with M >= 1 and "
+                                     "one true length, gloss, signer and noise per sign")
+        check_signs(features, columns[0], columns[3])
+        corpus = object.__new__(cls)
+        for name, column in zip(cls.__slots__, (features, *columns)):
+            column.flags.writeable = False
+            object.__setattr__(corpus, name, column)
+        return corpus
 
     def __setattr__(self, name, value):
         raise AttributeError("Corpus objects are immutable")
 
     def __len__(self):
-        return len(self.signs)
+        return len(self.true_lengths)
 
     def __iter__(self):
-        return iter(self.signs)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, idx):
-        return self.signs[idx]
+    def __getitem__(self, i) -> SignSequence:
+        return SignSequence(gloss=self.glosses[i], features=self.features[i],
+                            true_length=int(self.true_lengths[i]),
+                            signer=self.signers[i], noise=self.noises[i])
 
     @property
     def dims(self):
         """(M, P, D): sign count, padded frame count, feature count."""
-        m = len(self.signs)
-        p, d = self.signs[0].features.shape
-        return (m, p, d)
-
-    @property
-    def features(self) -> np.ndarray:
-        """(M, P, D) stacked feature array, padding included."""
-        return self._features
-
-    @property
-    def true_lengths(self) -> np.ndarray:
-        return self._true_lengths
+        return self.features.shape
 
     def without_noise(self, *levels) -> "Corpus":
         """Copy of the corpus with the given noise levels dropped."""
-        kept = [s for s in self.signs if s.noise not in levels]
-        if not kept:
+        kept = ~np.isin(self.noises, levels)
+        if not kept.any():
             raise InvariantViolation(
                 f"corpus is empty after dropping noise levels {levels}")
-        return Corpus(kept)
+        return Corpus.from_arrays(self.features[kept], self.true_lengths[kept],
+                                  self.glosses[kept], self.signers[kept], self.noises[kept])
 
 
 def save_corpus(corpus: Corpus, path, config=None):
@@ -226,77 +234,80 @@ def save_corpus(corpus: Corpus, path, config=None):
         header["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for sign in corpus.signs:
+        for k, length in enumerate(corpus.true_lengths):
             record = {
-                "gloss": sign.gloss,
-                "signer": sign.signer,
-                "noise": sign.noise,
-                "frames": sign.features[:sign.true_length].tolist(),
+                "gloss": corpus.glosses[k],
+                "signer": corpus.signers[k],
+                "noise": corpus.noises[k],
+                "frames": corpus.features[k, :length].tolist(),
             }
             fh.write(json.dumps(record) + "\n")
 
 
+def _parse_json(raw, line, what):
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, nested too deep
+        raise ParseError(f"malformed JSON {what}: {getattr(exc, 'msg', exc)}",
+                         line=line) from None
+
+
 def _parse_record(obj, p, d, line):
+    """(frames, gloss, signer, noise) of one record; `check_signs` checks the values."""
+    if not isinstance(obj, dict):
+        raise ParseError("record must be a JSON object", line=line)
     for key in ("gloss", "signer", "noise", "frames"):
         if key not in obj:
             raise ParseError(f"record is missing key '{key}'", line=line)
-    frames = obj["frames"]
-    if not isinstance(frames, list) or not frames:
-        raise InvariantViolation(f"line {line}: frames must be a non-empty list")
-    arr = np.asarray(frames, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != d:
-        got = arr.shape[1] if arr.ndim == 2 else "ragged"
-        raise InvariantViolation(
-            f"line {line}: expected {d} features per frame, got {got}")
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation(f"line {line}: non-finite feature value")
-    zero_rows = ~arr.any(axis=1)
-    if zero_rows.any():
-        first_zero = int(np.argmax(zero_rows))
-        if not zero_rows[first_zero:].all():
-            raise InvariantViolation(
-                f"line {line}: end token violation, nonzero frame after a zero frame")
     try:
-        return pad_sign(arr, p, gloss=str(obj["gloss"]), signer=str(obj["signer"]),
-                        noise=obj["noise"])
-    except InvariantViolation as exc:
-        raise type(exc)(f"line {line}: {exc}") from None
+        frames = np.array(obj["frames"], dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, values that are not numbers
+        frames = None
+    if frames is None or frames.ndim != 2:
+        raise InvariantViolation(
+            f"line {line}: frames must be a non-empty list of rows of {d} numbers")
+    if frames.shape[1] != d:
+        raise InvariantViolation(
+            f"line {line}: expected {d} features per frame, got {frames.shape[1]}")
+    if len(frames) > p:
+        raise TooLong(f"line {line}: sign has {len(frames)} frames, "
+                      f"more than the padded length {p}")
+    return frames, str(obj["gloss"]), str(obj["signer"]), str(obj["noise"])
 
 
 def load_corpus(path) -> Corpus:
-    """Read a JSONL corpus, repad every sign and validate invariants."""
-    signs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty corpus file", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON header: {exc.msg}", line=1) from None
-    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-        raise ParseError(f"not a {CORPUS_FORMAT} file", line=1)
-    if header.get("version") != CORPUS_VERSION:
-        raise ParseError(f"unsupported corpus version {header.get('version')}", line=1)
-    try:
-        p = int(header["P"])
-        d = int(header["D"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("header must carry integer D and P", line=1) from None
-    order = header.get("feature_order")
-    if order is not None and len(order) != d:
-        raise InvariantViolation(f"line 1: feature_order lists {len(order)} names for D={d}")
-    for i, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON record: {exc.msg}", line=i) from None
-        signs.append(_parse_record(obj, p, d, i))
-    if not signs:
+    """Read a JSONL corpus line by line, repad every sign and validate invariants;
+    every error names the line at fault."""
+    records = []
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty corpus file", line=1)
+        header = _parse_json(first, 1, "header")
+        if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
+            raise ParseError(f"not a {CORPUS_FORMAT} file", line=1)
+        if header.get("version") != CORPUS_VERSION:
+            raise ParseError(f"unsupported corpus version {header.get('version')}", line=1)
+        p, d = header.get("P"), header.get("D")
+        if not all(type(v) is int and v >= 1 for v in (p, d)):
+            raise ParseError("header must carry integers D >= 1 and P >= 1", line=1)
+        order = header.get("feature_order")
+        if order is not None and (not isinstance(order, list) or len(order) != d):
+            raise InvariantViolation(f"line 1: feature_order must be a list of D={d} names")
+        for line, raw in enumerate(fh, start=2):
+            if raw.strip():
+                records.append((line, *_parse_record(_parse_json(raw, line, "record"),
+                                                     p, d, line)))
+    if not records:
         raise InvariantViolation("corpus file contains a header but no signs")
-    return Corpus(signs)
+    lines, blocks, glosses, signers, noises = zip(*records)
+    features = np.zeros((len(blocks), p, d))
+    for k, block in enumerate(blocks):
+        features[k, :len(block)] = block
+    try:
+        return Corpus.from_arrays(features, [len(b) for b in blocks], glosses, signers, noises)
+    except InvariantViolation as exc:  # raised by check_signs, so exc.sign is set
+        raise InvariantViolation(f"line {lines[exc.sign]}: {exc.check}") from None
 
 
 def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
@@ -333,7 +344,6 @@ def sampled_corpus(features, lengths, gloss_prefix) -> Corpus:
     signer "sampler" and noise "none"."""
     m_signs = features.shape[0]
     width = max(5, len(str(m_signs - 1)))
-    return Corpus(
-        SignSequence(gloss=f"{gloss_prefix}-{i:0{width}d}", features=features[i],
-                     true_length=int(lengths[i]), signer="sampler", noise="none")
-        for i in range(m_signs))
+    return Corpus.from_arrays(features, lengths,
+                              [f"{gloss_prefix}-{i:0{width}d}" for i in range(m_signs)],
+                              ["sampler"] * m_signs, ["none"] * m_signs)

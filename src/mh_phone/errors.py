@@ -20,7 +20,13 @@ class ParseError(MhPhoneError):
 
 
 class InvariantViolation(MhPhoneError):
-    """A structural invariant failed; the message names the failed check."""
+    """A structural invariant failed; the message names the failed check, and
+    the sign of a batch it failed on when `sign` is given."""
+
+    def __init__(self, check, sign=None):
+        super().__init__(check if sign is None else f"sign {sign}: {check}")
+        self.check = check
+        self.sign = sign
 
 
 class TooLong(InvariantViolation):

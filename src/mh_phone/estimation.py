@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NotEnoughData
+from .errors import InvariantViolation, NotEnoughData
 from .params import FitReport
 
 SIGMA_INIT_FLOOR = 1e-3
@@ -199,6 +199,8 @@ def hard_em(step, max_iters, tol) -> FitReport:
     most tol; only the last stop reports converged=True. With no previous
     objective, the first iteration stops only for tol = inf.
     """
+    if max_iters < 1:
+        raise InvariantViolation(f"max_iters must be at least 1, got {max_iters}")
     trace: list[float] = []
     converged = False
     while len(trace) < max_iters:

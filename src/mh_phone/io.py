@@ -24,21 +24,14 @@ MODEL_VERSION = 1
 _MODEL_CLASSES = {"dbn": ModelParams, "gmm": GmmParams, "gmm-lda": GmmLdaParams}
 _KIND_OF_CLASS = {cls: kind for kind, cls in _MODEL_CLASSES.items()}
 
-_SCHEMA_FILES = {
-    "corpus-header": "corpus-header.schema.json",
-    "model": "model.schema.json",
-    "eval-report": "eval-report.schema.json",
-    "interpret-report": "interpret-report.schema.json",
-}
+_SCHEMA_KINDS = ("model", "eval-report", "interpret-report")
 
 
 @lru_cache(maxsize=None)
 def load_schema(kind: str) -> dict:
-    try:
-        name = _SCHEMA_FILES[kind]
-    except KeyError:
-        raise InvariantViolation(f"no schema for artifact kind '{kind}'") from None
-    text = resources.files("mh_phone.schemas").joinpath(name).read_text("utf-8")
+    if kind not in _SCHEMA_KINDS:
+        raise InvariantViolation(f"no schema for artifact kind '{kind}'")
+    text = resources.files("mh_phone.schemas").joinpath(f"{kind}.schema.json").read_text("utf-8")
     return json.loads(text)
 
 

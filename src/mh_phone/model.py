@@ -52,31 +52,37 @@ def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
 
+def _frame_loglik(params: ModelParams, frames: np.ndarray, f) -> np.ndarray:
+    """(m, N) emission log densities of frame f of every sign. E-steps take one
+    frame at a time, so worker threads hold no (m, P, N, D) temporaries, whose
+    reuse by the allocator made a threaded fit's peak memory vary between runs."""
+    return emission_loglik(frames[:, f], params.mu, params.sigma)
+
+
 def _greedy_labels(params: ModelParams, frames: np.ndarray) -> np.ndarray:
     m, p, _ = frames.shape
-    loglik = emission_loglik(frames, params.mu, params.sigma)
     log_pi = safe_log(params.pi)
     log_t = safe_log(params.trans)
     labels = np.empty((m, p), dtype=np.int64)
-    labels[:, 0] = np.argmax(loglik[:, 0] + log_pi, axis=1)
+    labels[:, 0] = np.argmax(_frame_loglik(params, frames, 0) + log_pi, axis=1)
     for f in range(1, p):
-        labels[:, f] = np.argmax(loglik[:, f] + log_t[labels[:, f - 1]], axis=1)
+        labels[:, f] = np.argmax(_frame_loglik(params, frames, f) + log_t[labels[:, f - 1]], axis=1)
     return labels
 
 
 def _viterbi_labels(params: ModelParams, frames: np.ndarray) -> np.ndarray:
     m, p, _ = frames.shape
     n = params.n_states
-    loglik = emission_loglik(frames, params.mu, params.sigma)
     log_t = safe_log(params.trans)
     back = np.empty((m, p, n), dtype=np.int64)
-    alpha = safe_log(params.pi) + loglik[:, 0]
+    alpha = safe_log(params.pi) + _frame_loglik(params, frames, 0)
     for f in range(1, p):
         cand = alpha[:, :, None] + log_t[None, :, :]
         # argmax over the previous state; ties go to the lower index
         best_prev = np.argmax(cand, axis=1)
         back[:, f] = best_prev
-        alpha = np.take_along_axis(cand, best_prev[:, None, :], axis=1)[:, 0, :] + loglik[:, f]
+        alpha = (np.take_along_axis(cand, best_prev[:, None, :], axis=1)[:, 0, :]
+                 + _frame_loglik(params, frames, f))
     labels = np.empty((m, p), dtype=np.int64)
     labels[:, -1] = np.argmax(alpha, axis=1)
     rows = np.arange(m)
@@ -89,7 +95,8 @@ def _chunked(label_fn, params, frames, threads):
     m = frames.shape[0]
     if threads <= 1 or m < 2 * threads:
         return label_fn(params, frames)
-    blocks = np.array_split(np.arange(m), threads)
+    # contiguous slices, so each worker reads a view of the frames, not a copy
+    blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), threads)]
     out = np.empty(frames.shape[:2], dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [(block, pool.submit(label_fn, params, frames[block])) for block in blocks]

@@ -4,13 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mh_phone.corpus import (FEATURE_ORDER, KEYPOINTS, N_FEATURES, Corpus,
-                             RawSign, SignSequence, ingest_raw_sign,
+from mh_phone.corpus import (FEATURE_ORDER, KEYPOINTS, N_FEATURES, NOISE_LEVELS,
+                             Corpus, RawSign, SignSequence, ingest_raw_sign,
                              load_corpus, normalize_pose, pad_sign,
                              save_corpus, synth_corpus)
-from mh_phone.errors import (DegenerateScale, InvariantViolation, ParseError,
-                             TooLong)
+from mh_phone.errors import (DegenerateScale, InvariantViolation, MhPhoneError,
+                             ParseError, TooLong)
 from mh_phone.params import ModelParams, make_truth_params
 
 from helpers import random_corpus, raw_frame
@@ -150,6 +152,95 @@ def test_corpus_dims_filter_and_immutability():
         corp.signs = ()
 
 
+COLUMNS = ("features", "true_lengths", "glosses", "signers", "noises")
+
+
+def _mixed_signs(m=6, p=5, d=3):
+    rng = np.random.default_rng(12)
+    return [pad_sign(rng.normal(size=(1 + k % p, d)), p, gloss=f"g{k}",
+                     signer=f"s{k % 2}", noise=NOISE_LEVELS[k % len(NOISE_LEVELS)])
+            for k in range(m)]
+
+
+def _assert_same_sign(got, want):
+    assert (got.gloss, got.signer, got.noise, got.true_length) == (
+        want.gloss, want.signer, want.noise, want.true_length)
+    np.testing.assert_array_equal(got.features, want.features)
+
+
+def test_corpus_from_signs_and_from_arrays_agree():
+    signs = _mixed_signs()
+    corp = Corpus(signs)
+    same = Corpus.from_arrays(np.stack([s.features for s in signs]),
+                              [s.true_length for s in signs], [s.gloss for s in signs],
+                              [s.signer for s in signs], [s.noise for s in signs])
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(corp, name), getattr(same, name))
+    assert corp.dims == same.dims == (6, 5, 3)
+    for k, sign in enumerate(signs):
+        _assert_same_sign(corp[k], sign)
+    for got, want in zip(corp, signs, strict=True):
+        _assert_same_sign(got, want)
+
+
+def test_corpus_columns_are_read_only():
+    corp = Corpus(_mixed_signs())
+    for name in COLUMNS:
+        column = getattr(corp, name)
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+        with pytest.raises(AttributeError):
+            setattr(corp, name, column.copy())
+
+
+def test_without_noise_keeps_the_order_of_the_remaining_signs():
+    signs = _mixed_signs(m=12)
+    kept = Corpus(signs).without_noise("low", "broken")
+    want = [s for s in signs if s.noise not in ("low", "broken")]
+    assert list(kept.glosses) == [s.gloss for s in want]
+    for got, sign in zip(kept, want, strict=True):
+        _assert_same_sign(got, sign)
+
+
+def _spoil_finite(feats, lengths, noises):
+    feats[3, 0, 0] = np.inf
+
+
+def _spoil_length(feats, lengths, noises):
+    lengths[3] = feats.shape[1] + 1
+
+
+def _spoil_noise(feats, lengths, noises):
+    noises[3] = "terrible"
+
+
+def _spoil_padding(feats, lengths, noises):
+    feats[3, -1] = 1.0
+
+
+def _spoil_suffix(feats, lengths, noises):
+    feats[3, 0] = 0.0
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (_spoil_finite, "features must be finite"),
+    (_spoil_length, r"true_length must be in \[1, 4\], got 5"),
+    (_spoil_noise, "noise must be one of"),
+    (_spoil_padding, "end token violation: rows past true_length"),
+    (_spoil_suffix, "end token violation: zero rows must form a contiguous suffix"),
+])
+def test_batch_check_names_the_bad_sign(spoil, match):
+    rng = np.random.default_rng(6)
+    feats = np.zeros((5, 4, 2))
+    feats[:, :2] = rng.normal(size=(5, 2, 2))
+    lengths, noises = [2] * 5, ["none"] * 5
+    Corpus.from_arrays(feats, lengths, ["g"] * 5, ["s"] * 5, noises)
+    spoil(feats, lengths, noises)
+    with pytest.raises(InvariantViolation, match=f"^sign 3: {match}") as err:
+        Corpus.from_arrays(feats, lengths, ["g"] * 5, ["s"] * 5, noises)
+    assert err.value.sign == 3
+
+
 def test_corpus_rejects_mixed_shapes():
     a = pad_sign(np.ones((2, 4)), 5)
     b = pad_sign(np.ones((2, 3)), 5)
@@ -232,6 +323,83 @@ def test_load_rejects_foreign_or_broken_headers(tmp_path):
     _write_corpus_file(path, [])
     with pytest.raises(InvariantViolation, match="no signs"):
         load_corpus(path)
+
+
+def test_load_names_the_line_of_a_bad_third_record(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _write_corpus_file(path, [_record([[1.0, 0.0, 0.0]]),
+                              _record([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+                              _record([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])])
+    with path.open("a") as fh:
+        fh.write(json.dumps(_record([[5.0, 0.0, 0.0]])) + "\n")
+    with pytest.raises(InvariantViolation,
+                       match="^line 4: end token violation: zero rows must form"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("header, record, line", [
+    ({}, _record([[1.0, 2.0, 3.0], [1.0, 2.0]]), 2),  # ragged frames
+    ({}, _record([["a", 1.0, 2.0]]), 2),              # a string value
+    ({}, 5, 2),
+    ({}, None, 2),
+    ({"feature_order": 5}, _record([[1.0, 0.0, 0.0]]), 1),
+    ({"D": 0}, _record([[1.0, 0.0, 0.0]]), 1),
+])
+def test_load_bad_input_names_its_line(tmp_path, header, record, line):
+    path = tmp_path / "c.jsonl"
+    head = {"format": "mh-corpus", "version": 1, "D": 3, "P": 4, **header}
+    path.write_text(json.dumps(head) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises((ParseError, InvariantViolation), match=f"^line {line}: "):
+        load_corpus(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _corpus_files(draw):
+    """A header and records that are valid, or broken in random values, types,
+    nesting and raw bytes."""
+    d, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    header = {"format": "mh-corpus", "version": 1, "D": d, "P": p}
+    if draw(st.integers(0, 3)) == 3:
+        header[draw(st.sampled_from(["format", "version", "D", "P", "feature_order"]))] = (
+            draw(_JSON))
+    lines = [json.dumps(header).encode()]
+    value = st.sampled_from([0.0, 1.0, -2.5]) | st.floats()
+    for _ in range(draw(st.integers(0, 4))):
+        variant = draw(st.integers(0, 4))
+        if variant == 4:
+            lines.append(draw(st.binary(max_size=12)))
+            continue
+        record = {"gloss": "g", "signer": "s", "noise": draw(st.sampled_from(NOISE_LEVELS)),
+                  "frames": draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                          min_size=1, max_size=p))}
+        if variant == 1:
+            record.update(draw(st.dictionaries(
+                st.sampled_from(["gloss", "signer", "noise", "frames"]), _JSON, max_size=2)))
+        elif variant == 2:
+            del record[draw(st.sampled_from(sorted(record)))]
+        elif variant == 3:
+            record = draw(_JSON)
+        lines.append(json.dumps(record).encode())
+    return b"\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpus_files())
+def test_load_fuzzed_files_give_a_corpus_or_an_mh_phone_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_bytes(text)
+    try:
+        corpus = load_corpus(path)
+    except MhPhoneError:
+        return
+    assert isinstance(corpus, Corpus)
 
 
 def test_load_record_longer_than_padded_length(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mh_phone.baselines import fit_gmm, fit_gmm_lda
+from mh_phone.errors import InvariantViolation
 from mh_phone.estimation import hard_em
 from mh_phone.model import fit_em
 from mh_phone.params import Hyperparams
@@ -56,3 +57,10 @@ def test_non_finite_objective_stops_at_once_unconverged(kind):
     assert all(math.isfinite(v) for v in trace[:-1])
     assert report.iterations == len(trace) < 100
     assert not report.converged
+
+
+@pytest.mark.parametrize("kind", sorted(FITTERS))
+def test_max_iters_below_one_is_rejected(kind):
+    corpus = random_corpus(np.random.default_rng(0), 12, 6, 2)
+    with pytest.raises(InvariantViolation, match="max_iters must be at least 1, got 0"):
+        FITTERS[kind](corpus, Hyperparams(), max_iters=0, tol=1e-6)

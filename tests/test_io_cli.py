@@ -171,6 +171,15 @@ def test_cli_train_warns_on_non_finite_objective(tiny_pipeline, caplog):
     load_model(model_path)
 
 
+def test_cli_train_rejects_zero_max_iters(tiny_pipeline, capsys):
+    tmp_path, corpus = tiny_pipeline
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
+                "--max-iters", "0") == 1
+    assert "mh-phone: error: max_iters must be at least 1, got 0" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_cli_trains_baseline_kinds(tiny_pipeline):
     tmp_path, corpus = tiny_pipeline
     gmm_path = tmp_path / "gmm.json"

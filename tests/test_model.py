@@ -398,7 +398,7 @@ def test_sample_delegates_to_chain_sampler():
     got = sample(params, 5, n_frames=8, seed=3)
     want, _ = synth_corpus(params, 5, 3, n_frames=8)
     np.testing.assert_array_equal(got.features, want.features)
-    assert got.signs[0].gloss.startswith("sample-")
+    assert got[0].gloss.startswith("sample-")
 
 
 def test_sample_single_absorbing_prototype():
