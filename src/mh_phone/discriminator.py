@@ -11,8 +11,16 @@ state, all on the concatenated [frame, hidden] input) followed by an affine
 readout of the final hidden state through a logistic output. Training is
 full-batch with Adam-style adaptive steps; gradients are exact
 backpropagation through time.
+
+Each training epoch runs one forward pass, which gives both the trace entry
+(the loss of the net before that epoch's step) and the caches the gradient
+back-propagates through. Every matrix product has the same operands and
+shape as a separate forward and backward would use, so the trained
+parameters, the trace and the reported losses are bit-for-bit those of that
+two-pass schedule.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +32,8 @@ from .seeding import component_seed, rng_for
 _PARAM_FIELDS = ("w_z", "w_r", "w_c", "b_z", "b_r", "b_c", "w_out", "b_out")
 
 LN2 = math.log(2.0)
+
+log = logging.getLogger("mh_phone")
 
 
 @dataclass
@@ -115,12 +125,9 @@ class GruNet:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; for x < 0 the logistic is e / (1 + e)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward(net: GruNet, batch):
@@ -159,6 +166,14 @@ def _as_batch(data):
     return batch
 
 
+def _as_labels(batch, labels):
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (batch.shape[0],):
+        raise InvariantViolation(
+            f"labels must have shape {(batch.shape[0],)}, got {labels.shape}")
+    return labels
+
+
 def gru_forward(net: GruNet, sequence) -> float:
     """Probability that one (P, D) sequence is real, strictly inside (0, 1)."""
     seq = np.asarray(sequence, dtype=float)
@@ -181,23 +196,16 @@ def bce_loss(net: GruNet, batch, labels) -> float:
     batch = _as_batch(batch)
     if batch.shape[0] == 0:
         raise EmptyBatch("cannot score an empty batch")
+    labels = _as_labels(batch, labels)
     logits, _, _ = _forward(net, batch)
     return _bce_from_logits(logits, labels)
 
 
-def gru_grad(net: GruNet, batch, labels) -> GruNet:
-    """Exact gradients of the mean BCE with respect to every parameter block.
-
-    Returned as a GruNet whose fields hold the gradients.
-    """
-    batch = _as_batch(batch)
-    b = batch.shape[0]
-    if b == 0:
-        raise EmptyBatch("cannot take gradients on an empty batch")
-    labels = np.asarray(labels, dtype=float)
+def _backward(net: GruNet, logits, h_last, caches, labels) -> np.ndarray:
+    """Backpropagation through time over one `_forward`'s caches: the
+    gradient of the mean BCE as a flat vector in `as_vector` order."""
+    b = logits.shape[0]
     d = net.input_dim
-    logits, h_last, caches = _forward(net, batch)
-
     dlogits = (_sigmoid(logits) - labels) / b
     g_w_out = h_last.T @ dlogits
     g_b_out = float(dlogits.sum())
@@ -230,29 +238,55 @@ def gru_grad(net: GruNet, batch, labels) -> GruNet:
               + (da_r @ net.w_r.T)[:, d:]
               + (da_z @ net.w_z.T)[:, d:])
 
-    return GruNet(w_z=g_w_z, w_r=g_w_r, w_c=g_w_c, b_z=g_b_z, b_r=g_b_r,
-                  b_c=g_b_c, w_out=g_w_out, b_out=g_b_out)
+    return np.concatenate([g_w_z.ravel(), g_w_r.ravel(), g_w_c.ravel(), g_b_z,
+                           g_b_r, g_b_c, g_w_out, [g_b_out]])
+
+
+def _loss_and_grad(net: GruNet, batch, labels):
+    """(mean BCE, flat gradient) from one forward pass over a checked batch."""
+    logits, h_last, caches = _forward(net, batch)
+    return (_bce_from_logits(logits, labels),
+            _backward(net, logits, h_last, caches, labels))
+
+
+def gru_grad(net: GruNet, batch, labels) -> GruNet:
+    """Exact gradients of the mean BCE with respect to every parameter block.
+
+    Returned as a GruNet whose fields hold the gradients.
+    """
+    batch = _as_batch(batch)
+    if batch.shape[0] == 0:
+        raise EmptyBatch("cannot take gradients on an empty batch")
+    _, grad = _loss_and_grad(net, batch, _as_labels(batch, labels))
+    return net.from_vector(grad)
 
 
 def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2,
               beta1=0.9, beta2=0.999, eps=1e-8):
     """Full-batch Adam-style training. Returns (net, per-epoch train BCE).
 
-    The trace has epochs + 1 entries; entry 0 is the untrained loss.
+    The trace has epochs + 1 entries; entry 0 is the untrained loss and
+    entry t the loss after t steps.
     """
     batch = _as_batch(batch)
+    labels = _as_labels(batch, labels)
+    epochs = int(epochs)
     theta = net.as_vector()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     trace = [bce_loss(net, batch, labels)]
-    for t in range(1, int(epochs) + 1):
-        grad = gru_grad(net, batch, labels).as_vector()
+    for t in range(1, epochs + 1):
+        # the forward behind step t's gradient scores the net after step t-1
+        loss, grad = _loss_and_grad(net, batch, labels)
+        if t > 1:
+            trace.append(loss)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
         net = net.from_vector(theta)
+    if epochs > 0:
         trace.append(bce_loss(net, batch, labels))
     return net, trace
 
@@ -295,6 +329,10 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     test BCE. Returns mean and standard deviation over rounds; every draw is
     derived from `seed`, so results are bit-reproducible.
     """
+    if int(n_seeds) < 1:
+        raise InvariantViolation(f"n_seeds must be at least 1, got {n_seeds}")
+    if int(epochs) < 0:
+        raise InvariantViolation(f"epochs must not be negative, got {epochs}")
     real_batch = _as_batch(real)
     n_real, p, d = real_batch.shape
     if n_real < 10:
@@ -312,9 +350,11 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
         rng = rng_for(seed, f"discriminator/{k}")
         train_idx, test_idx = _stratified_split(rng, labels, split)
         net = GruNet.random(d, hidden_dim, rng)
-        net, _ = train_gru(net, data[train_idx], labels[train_idx],
-                           epochs=epochs, lr=lr)
+        net, trace = train_gru(net, data[train_idx], labels[train_idx],
+                               epochs=epochs, lr=lr)
         per_seed.append(bce_loss(net, data[test_idx], labels[test_idx]))
+        log.info("discriminator seed %d: train bce %.6f -> %.6f, test bce %.6f",
+                 k, trace[0], trace[-1], per_seed[-1])
     mean = float(np.mean(per_seed))
     std = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0
     options = {"n_seeds": int(n_seeds), "split": float(split), "epochs": int(epochs),

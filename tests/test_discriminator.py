@@ -1,5 +1,7 @@
 """GRU discriminator: forward pass, exact gradients, training, evaluation."""
 
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -252,3 +254,106 @@ def test_evaluate_generator_deterministic():
     b = evaluate_generator(real, gen, n_seeds=2, epochs=8, seed=68)
     assert a.per_seed == b.per_seed
     assert a.bce_mean == b.bce_mean
+
+
+# ------------------------------------------------- pinned numbers and checks
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+# Recorded with the two-pass epoch (a separate loss forward after every step)
+# on x86-64, numpy 2.4, OpenBLAS 0.3.31. Width 12 with 24 signs changes in the
+# last bits if the z and r gates share one matmul; width 32 with 10 signs
+# changes if the backward pass multiplies by the hidden rows alone.
+@pytest.mark.parametrize("hidden, signs, params_sha, trace_sha", [
+    (12, 24, "2fb0567f8bd99c1d6e106f81e8acebe979f902d656b8a8e05582e3f388b9b2ba",
+     "79a0c058128f13f25959975fd1969f9f4a9a51db908ffac6798a185cf2d21a1d"),
+    (32, 10, "33061c04bc97431ab8fe6eca4df1c4cab372e2608752ec7499a7423556230ba4",
+     "50b7d07236c74e042186f03f8010489d806236f6093b9a168179d583b2a22f5c"),
+])
+def test_train_gru_output_is_pinned(hidden, signs, params_sha, trace_sha):
+    rng = np.random.default_rng(70)
+    batch = rng.normal(size=(signs, 6, 14))
+    labels = (np.arange(signs) % 2).astype(float)
+    net = GruNet.random(14, hidden, np.random.default_rng(71))
+    trained, trace = train_gru(net, batch, labels, epochs=12)
+    assert _digest(trained.as_vector()) == params_sha
+    assert _digest(trace) == trace_sha
+
+
+def test_evaluate_generator_per_seed_bce_is_pinned():
+    real = corpus_from_features(np.random.default_rng(72).normal(size=(12, 6, 4)))
+
+    def shifted(n, gen_seed):
+        return np.random.default_rng(gen_seed).normal(0.5, 1.0, size=(n, 6, 4))
+
+    report = evaluate_generator(real, shifted, n_seeds=2, epochs=6, hidden_dim=32,
+                                seed=73)
+    assert report.per_seed == [0.6501258044418396, 0.4090483322341986]
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 7])
+def test_train_trace_ends_are_the_nets_losses(epochs):
+    rng = np.random.default_rng(74)
+    batch = rng.normal(size=(9, 4, 3))
+    labels = (np.arange(9) % 2).astype(float)
+    net0 = GruNet.random(3, 5, rng)
+    net, trace = train_gru(net0, batch, labels, epochs=epochs)
+    assert len(trace) == epochs + 1
+    assert trace[0] == bce_loss(net0, batch, labels)
+    assert trace[-1] == bce_loss(net, batch, labels)
+
+
+def test_train_rejects_a_non_finite_step():
+    rng = np.random.default_rng(75)
+    batch = rng.normal(size=(6, 4, 3))
+    labels = (np.arange(6) % 2).astype(float)
+    with pytest.raises(InvariantViolation):
+        train_gru(GruNet.random(3, 2, rng), batch, labels, epochs=2, lr=float("nan"))
+
+
+@pytest.mark.parametrize("labels", [np.ones(1), np.ones((5, 5)), np.ones(3)],
+                         ids=["length-1", "square", "length-3"])
+@pytest.mark.parametrize("fn", [
+    bce_loss, gru_grad, lambda net, batch, labels: train_gru(net, batch, labels, epochs=1),
+], ids=["bce_loss", "gru_grad", "train_gru"])
+def test_labels_must_have_one_entry_per_sign(fn, labels):
+    rng = np.random.default_rng(76)
+    batch = rng.normal(size=(5, 4, 3))
+    with pytest.raises(InvariantViolation, match=r"labels must have shape \(5,\)"):
+        fn(GruNet.random(3, 2, rng), batch, labels)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_seeds": 0}, "n_seeds must be at least 1, got 0"),
+    ({"n_seeds": -1}, "n_seeds must be at least 1, got -1"),
+    ({"epochs": -2}, "epochs must not be negative, got -2"),
+])
+def test_evaluate_generator_rejects_bad_counts_before_drawing(kwargs, message):
+    real = _real_corpus(77, m=12)
+    calls = []
+
+    def recording(n, gen_seed):
+        calls.append(gen_seed)
+        return np.zeros((n, 6, 3))
+
+    with pytest.raises(InvariantViolation, match=message):
+        evaluate_generator(real, recording, **kwargs)
+    assert calls == []
+
+
+def test_evaluate_generator_logs_each_seed(caplog):
+    real = _real_corpus(78, m=12)
+
+    def gen(n, gen_seed):
+        return np.random.default_rng(gen_seed).normal(size=(n, 6, 3))
+
+    with caplog.at_level(logging.INFO, logger="mh_phone"):
+        report = evaluate_generator(real, gen, n_seeds=2, epochs=3, seed=79)
+    lines = [r.getMessage() for r in caplog.records if r.name == "mh_phone"]
+    assert len(lines) == 2
+    for k, (line, test_bce) in enumerate(zip(lines, report.per_seed)):
+        assert line.startswith(f"discriminator seed {k}: train bce ")
+        assert line.endswith(f", test bce {test_bce:.6f}")

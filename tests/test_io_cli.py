@@ -352,3 +352,18 @@ def test_cli_evaluate_rejects_feature_mismatch(tiny_pipeline, capsys):
               "--epochs", "2")
     assert rc == 1
     assert "features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "0", "n_seeds must be at least 1, got 0"),
+    ("--epochs", "-2", "epochs must not be negative, got -2"),
+])
+def test_cli_evaluate_rejects_bad_seed_and_epoch_counts(tiny_pipeline, capsys,
+                                                        flag, value, message):
+    tmp_path, corpus = tiny_pipeline
+    report_path = tmp_path / "report.json"
+    assert _run("evaluate", "--real", str(corpus), "--model",
+                str(tmp_path / "truth.json"), "--report", str(report_path),
+                flag, value) == 1
+    assert f"mh-phone: error: {message}" in capsys.readouterr().err
+    assert not report_path.exists()
