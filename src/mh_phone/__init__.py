@@ -1,7 +1,6 @@
 """Movement-hold sequence modeling for sign language keypoint streams."""
 
-from .baselines import (GmmLdaParams, GmmParams, fit_gmm, fit_gmm_lda,
-                        sample_gmm, sample_gmm_lda)
+from .baselines import fit_gmm, fit_gmm_lda, sample_gmm, sample_gmm_lda
 from .corpus import (Corpus, RawSign, SignSequence, ingest_raw_sign,
                      load_corpus, normalize_pose, pad_sign, save_corpus,
                      synth_corpus)
@@ -15,8 +14,8 @@ from .interpret import (InterpretReport, expected_counts,
 from .io import load_model, save_model
 from .model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
                     log_joint, m_step, sample)
-from .params import (Assignment, FitReport, Hyperparams, ModelParams,
-                     make_truth_params)
+from .params import (Assignment, FitReport, GmmLdaParams, GmmParams,
+                     Hyperparams, ModelParams, make_truth_params)
 from .seeding import component_seed, rng_for
 
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ topic per sign and then frames i.i.d. from that topic's distribution over
 prototypes (a mixture of unigrams).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Corpus, sampled_corpus
@@ -22,104 +20,7 @@ from .estimation import (dirichlet_logpdf, dirichlet_map, draw_categorical,
                          emission_loglik, hard_em, lognormal_logpdf, normal_logpdf,
                          safe_log, seed_emissions)
 from .model import emission_means, emission_sigma
-from .params import Hyperparams, _check_stochastic, _frozen_array
-
-
-@dataclass(frozen=True)
-class GmmParams:
-    """weights: (N,) mixing proportions; mu: (N, D) means; sigma: (D,) variances."""
-
-    weights: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        weights = _frozen_array(self.weights)
-        mu = _frozen_array(self.mu)
-        sigma = _frozen_array(self.sigma)
-        if weights.ndim != 1 or mu.ndim != 2 or mu.shape[0] != weights.shape[0]:
-            raise InvariantViolation("weights and mu must agree on the component count")
-        if sigma.shape != (mu.shape[1],):
-            raise InvariantViolation("sigma must have one entry per feature")
-        _check_stochastic(weights, "weights")
-        if np.any(sigma <= 0):
-            raise InvariantViolation("sigma must be strictly positive")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
-    def to_dict(self):
-        return {"weights": self.weights.tolist(), "mu": self.mu.tolist(),
-                "sigma": self.sigma.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(weights=data["weights"], mu=data["mu"], sigma=data["sigma"])
-
-
-@dataclass(frozen=True)
-class GmmLdaParams:
-    """Topic-mixture GMM parameters.
-
-    topic_word: (T, N) rows are each topic's distribution over prototypes;
-    topic_freq: (T,) learned frequency of topics across signs;
-    doc_topic_prior / word_prior: Dirichlet concentrations used in fitting.
-    """
-
-    topic_word: np.ndarray
-    topic_freq: np.ndarray
-    doc_topic_prior: float
-    word_prior: float
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        topic_word = _frozen_array(self.topic_word)
-        topic_freq = _frozen_array(self.topic_freq)
-        mu = _frozen_array(self.mu)
-        sigma = _frozen_array(self.sigma)
-        if topic_word.ndim != 2 or topic_freq.shape != (topic_word.shape[0],):
-            raise InvariantViolation("topic_word and topic_freq must agree on the topic count")
-        if mu.ndim != 2 or mu.shape[0] != topic_word.shape[1]:
-            raise InvariantViolation("topic_word columns must match the prototype count")
-        if sigma.shape != (mu.shape[1],):
-            raise InvariantViolation("sigma must have one entry per feature")
-        _check_stochastic(topic_freq, "topic_freq")
-        for t in range(topic_word.shape[0]):
-            _check_stochastic(topic_word[t], f"topic_word row {t}")
-        if np.any(sigma <= 0):
-            raise InvariantViolation("sigma must be strictly positive")
-        if not (self.doc_topic_prior > 0 and self.word_prior > 0):
-            raise InvariantViolation("Dirichlet concentrations must be positive")
-        object.__setattr__(self, "topic_word", topic_word)
-        object.__setattr__(self, "topic_freq", topic_freq)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def n_topics(self) -> int:
-        return self.topic_word.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.topic_word.shape[1]
-
-    def to_dict(self):
-        return {"topic_word": self.topic_word.tolist(),
-                "topic_freq": self.topic_freq.tolist(),
-                "doc_topic_prior": float(self.doc_topic_prior),
-                "word_prior": float(self.word_prior),
-                "mu": self.mu.tolist(), "sigma": self.sigma.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(topic_word=data["topic_word"], topic_freq=data["topic_freq"],
-                   doc_topic_prior=data["doc_topic_prior"], word_prior=data["word_prior"],
-                   mu=data["mu"], sigma=data["sigma"])
+from .params import GmmLdaParams, GmmParams, Hyperparams
 
 
 def _gmm_log_joint(weights, mu, sigma, frames, labels, hyper):
@@ -161,11 +62,10 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams | None = None,
     return GmmParams(weights=weights, mu=mu, sigma=sigma), report
 
 
-def _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics, hyper,
-                   doc_prior, word_prior):
+def _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics, hyper):
     total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
-    total += dirichlet_logpdf(tau, doc_prior)
-    total += sum(dirichlet_logpdf(row, word_prior) for row in psi)
+    total += dirichlet_logpdf(tau, hyper.alpha)
+    total += sum(dirichlet_logpdf(row, hyper.alpha) for row in psi)
     total += float(normal_logpdf(mu, hyper.mu_mu, hyper.sigma_mu ** 2).sum())
     total += float(safe_log(tau)[topics].sum())
     total += float(safe_log(psi)[topics[:, None], labels].sum())
@@ -175,8 +75,7 @@ def _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics, hyper,
 
 
 def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | None = None,
-                seed=0, *, doc_topic_prior=None, word_prior=None,
-                max_iters=200, tol=1e-6):
+                seed=0, *, max_iters=200, tol=1e-6):
     """Hard-EM MAP fit of the topic-mixture GMM. Returns (params, report).
 
     The E-step is an exact joint argmax: given the topic, frames decouple, so
@@ -188,8 +87,6 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
         hyper = Hyperparams()
     if n_components < 1 or n_topics < 1:
         raise InvariantViolation("n_components and n_topics must be at least 1")
-    doc_prior = hyper.alpha if doc_topic_prior is None else float(doc_topic_prior)
-    word_pr = hyper.alpha if word_prior is None else float(word_prior)
     m, p, d = corpus.dims
     frames3 = corpus.features
     frames = frames3.reshape(-1, d)
@@ -204,10 +101,10 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
         nonlocal labels, topics, psi, tau, mu, sigma
         # M-step from the current hard assignment
         topic_counts = np.bincount(topics, minlength=n_topics).astype(float)
-        tau = dirichlet_map(topic_counts, doc_prior)
+        tau = dirichlet_map(topic_counts, hyper.alpha)
         word_counts = np.zeros((n_topics, n_components))
         np.add.at(word_counts, (np.repeat(topics, p), labels.ravel()), 1.0)
-        psi = dirichlet_map(word_counts, word_pr)
+        psi = dirichlet_map(word_counts, hyper.alpha)
         _, mu = emission_means(frames, labels.ravel(), n_components, sigma, hyper)
         sigma = emission_sigma(frames, labels.ravel(), mu, hyper)
 
@@ -218,12 +115,11 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
         topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
         labels = np.argmax(scored[np.arange(m), :, topics, :], axis=2)
 
-        return _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics,
-                              hyper, doc_prior, word_pr)
+        return _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics, hyper)
 
     report = hard_em(step, max_iters, tol)
-    params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=doc_prior,
-                          word_prior=word_pr, mu=mu, sigma=sigma)
+    params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=hyper.alpha,
+                          word_prior=hyper.alpha, mu=mu, sigma=sigma)
     return params, report
 
 

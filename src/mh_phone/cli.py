@@ -23,7 +23,7 @@ from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus
 from .discriminator import evaluate_generator
 from .errors import InvariantViolation, MhPhoneError, ParseError
 from .io import dump_json, load_model, save_model, validate_artifact
-from .params import Hyperparams, ModelParams, make_truth_params
+from .params import MODEL_KINDS, Hyperparams, ModelParams, make_truth_params
 from .seeding import component_seed
 
 EXIT_OK = 0
@@ -249,7 +249,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("train", help="fit a model to a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--model", choices=("dbn", "gmm", "gmm-lda"), default="dbn")
+    p.add_argument("--model", choices=tuple(MODEL_KINDS), default="dbn")
     p.add_argument("--n-states", type=int, default=5,
                    help="states (dbn) or mixture components (baselines)")
     p.add_argument("--e-step", choices=("greedy", "viterbi"), default="greedy")

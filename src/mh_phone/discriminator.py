@@ -171,6 +171,8 @@ def _as_labels(batch, labels):
     if labels.shape != (batch.shape[0],):
         raise InvariantViolation(
             f"labels must have shape {(batch.shape[0],)}, got {labels.shape}")
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise InvariantViolation("labels must be 0 or 1")
     return labels
 
 
@@ -271,6 +273,8 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2,
     batch = _as_batch(batch)
     labels = _as_labels(batch, labels)
     epochs = int(epochs)
+    if epochs < 0:
+        raise InvariantViolation(f"epochs must not be negative, got {epochs}")
     theta = net.as_vector()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)

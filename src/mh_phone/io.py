@@ -12,17 +12,13 @@ from importlib import resources
 
 import jsonschema
 
-from .baselines import GmmLdaParams, GmmParams
 from .errors import InvariantViolation, ParseError
-from .params import Hyperparams, ModelParams
+from .params import MODEL_KINDS, Hyperparams
 
 MODEL_FORMAT = "mh-model"
 MODEL_VERSION = 1
 
-# The one place model kinds are named: the `kind` field of a model file and
-# the parameter class it loads into.
-_MODEL_CLASSES = {"dbn": ModelParams, "gmm": GmmParams, "gmm-lda": GmmLdaParams}
-_KIND_OF_CLASS = {cls: kind for kind, cls in _MODEL_CLASSES.items()}
+_KIND_OF_CLASS = {cls: kind for kind, cls in MODEL_KINDS.items()}
 
 _SCHEMA_KINDS = ("model", "eval-report", "interpret-report")
 
@@ -65,12 +61,19 @@ def model_kind(model) -> str:
         raise InvariantViolation(f"unknown model type {type(model).__name__}") from None
 
 
+def _shape_header(model, kind) -> dict:
+    """The N, D (and for gmm-lda T) header fields that the arrays imply."""
+    n, d = model.mu.shape
+    header = {"N": n, "D": d}
+    if kind == "gmm-lda":
+        header["T"] = model.n_topics
+    return header
+
+
 def model_to_dict(model, hyper: Hyperparams, config=None) -> dict:
     kind = model_kind(model)
     out = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
-    out["N"], out["D"] = model.mu.shape
-    if kind == "gmm-lda":
-        out["T"] = model.n_topics
+    out.update(_shape_header(model, kind))
     out.update(model.to_dict())
     out["hyper"] = hyper.to_dict()
     if config is not None:
@@ -93,5 +96,9 @@ def load_model(path):
         obj = dict(obj, kind="dbn")
     validate_artifact("model", obj)
     hyper = Hyperparams.from_dict(obj["hyper"])
-    model = _MODEL_CLASSES[obj["kind"]].from_dict(obj)
+    model = MODEL_KINDS[obj["kind"]].from_dict(obj)
+    for key, value in _shape_header(model, obj["kind"]).items():
+        if obj[key] != value:
+            raise InvariantViolation(f"model header {key} is {obj[key]}, "
+                                     f"but the arrays give {value}")
     return model, hyper, obj.get("config", {})

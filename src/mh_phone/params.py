@@ -21,8 +21,55 @@ def _frozen_array(value, dtype=float):
     return arr
 
 
+def _check_stochastic(arr, what):
+    """Every row of `arr` (or `arr` itself, for a vector) must be a distribution."""
+    for i, vec in enumerate(np.atleast_2d(arr)):
+        name = what if arr.ndim == 1 else f"{what} row {i}"
+        if np.any(vec < 0):
+            raise InvariantViolation(f"{name} has negative entries")
+        if abs(float(vec.sum()) - 1.0) > _SUM_TOL:
+            raise InvariantViolation(f"{name} does not sum to 1 (got {vec.sum():.12f})")
+
+
+class _Params:
+    """Base of the frozen parameter containers.
+
+    Fields typed np.ndarray become read-only float arrays and fields typed
+    float become floats; every value must be finite. Each kind then checks
+    its own rules in `_check`. `to_dict` writes the fields in declaration
+    order, which is the key order of the model file.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            value = _frozen_array(value) if f.type is np.ndarray else float(value)
+            if not np.all(np.isfinite(value)):
+                raise InvariantViolation(f"{f.name} has non-finite entries")
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    def _check_emission(self, rows, what):
+        """mu is (N, D) with (N,) == rows, else raise `what`; sigma holds D
+        strictly positive variances."""
+        if self.mu.ndim != 2 or self.mu.shape[:1] != rows:
+            raise InvariantViolation(what)
+        if self.sigma.shape != (self.mu.shape[1],):
+            raise InvariantViolation("sigma must have one entry per feature")
+        if np.any(self.sigma <= 0):
+            raise InvariantViolation("sigma must be strictly positive")
+
+    def to_dict(self):
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class Hyperparams:
+class Hyperparams(_Params):
     """Prior hyperparameters shared by the model and the baselines.
 
     alpha: symmetric Dirichlet concentration for pi and the rows of T;
@@ -37,31 +84,14 @@ class Hyperparams:
     mu_sigma: float = 1.0
     sigma_sigma: float = 10.0
 
-    def __post_init__(self):
-        if not (self.alpha > 0):
-            raise InvariantViolation("alpha must be positive")
-        if not (self.sigma_mu > 0):
-            raise InvariantViolation("sigma_mu must be positive")
-        if not (self.sigma_sigma > 0):
-            raise InvariantViolation("sigma_sigma must be positive")
-
-    def to_dict(self):
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{f.name: float(data[f.name]) for f in fields(cls)})
-
-
-def _check_stochastic(vec, what):
-    if np.any(vec < 0):
-        raise InvariantViolation(f"{what} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > _SUM_TOL:
-        raise InvariantViolation(f"{what} does not sum to 1 (got {vec.sum():.12f})")
+    def _check(self):
+        for name in ("alpha", "sigma_mu", "sigma_sigma"):
+            if not getattr(self, name) > 0:
+                raise InvariantViolation(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Params):
     """Parameters of the sequence model.
 
     pi: (N,) start distribution; trans: (N, N) row-stochastic transitions;
@@ -74,34 +104,17 @@ class ModelParams:
     mu: np.ndarray
     sigma: np.ndarray
 
-    def __post_init__(self):
-        pi = _frozen_array(self.pi)
-        trans = _frozen_array(self.trans)
-        mu = _frozen_array(self.mu)
-        sigma = _frozen_array(self.sigma)
-        n = pi.shape[0]
-        if pi.ndim != 1 or n < 1:
+    def _check(self):
+        if self.pi.ndim != 1 or self.pi.size < 1:
             raise InvariantViolation("pi must be a non-empty vector")
-        if trans.shape != (n, n):
+        n = self.pi.shape[0]
+        if self.trans.shape != (n, n):
             raise InvariantViolation("trans must be square and match len(pi)")
-        if mu.ndim != 2 or mu.shape[0] != n:
-            raise InvariantViolation("mu must have one row per state")
-        if sigma.shape != (mu.shape[1],):
-            raise InvariantViolation("sigma must have one entry per feature")
-        for arr, what in ((pi, "pi"), (trans, "trans"), (mu, "mu"), (sigma, "sigma")):
-            if not np.all(np.isfinite(arr)):
-                raise InvariantViolation(f"{what} has non-finite entries")
-        _check_stochastic(pi, "pi")
-        for j in range(n):
-            _check_stochastic(trans[j], f"trans row {j}")
-        if np.any(mu[0] != 0.0):
+        self._check_emission((n,), "mu must have one row per state")
+        _check_stochastic(self.pi, "pi")
+        _check_stochastic(self.trans, "trans")
+        if np.any(self.mu[0] != 0.0):
             raise InvariantViolation("mu row 0 (end state) must be exactly zero")
-        if np.any(sigma <= 0):
-            raise InvariantViolation("sigma must be strictly positive")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n_states(self) -> int:
@@ -111,17 +124,63 @@ class ModelParams:
     def n_features(self) -> int:
         return self.mu.shape[1]
 
-    def to_dict(self):
-        return {
-            "pi": self.pi.tolist(),
-            "trans": self.trans.tolist(),
-            "mu": self.mu.tolist(),
-            "sigma": self.sigma.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(pi=data["pi"], trans=data["trans"], mu=data["mu"], sigma=data["sigma"])
+@dataclass(frozen=True)
+class GmmParams(_Params):
+    """weights: (N,) mixing proportions; mu: (N, D) means; sigma: (D,) variances."""
+
+    weights: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    def _check(self):
+        self._check_emission(self.weights.shape,
+                             "weights and mu must agree on the component count")
+        _check_stochastic(self.weights, "weights")
+
+    @property
+    def n_components(self) -> int:
+        return self.weights.shape[0]
+
+
+@dataclass(frozen=True)
+class GmmLdaParams(_Params):
+    """Topic-mixture GMM parameters.
+
+    topic_word: (T, N) rows are each topic's distribution over prototypes;
+    topic_freq: (T,) learned frequency of topics across signs;
+    doc_topic_prior / word_prior: Dirichlet concentrations used in fitting.
+    """
+
+    topic_word: np.ndarray
+    topic_freq: np.ndarray
+    doc_topic_prior: float
+    word_prior: float
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    def _check(self):
+        if self.topic_word.ndim != 2 or self.topic_freq.shape != self.topic_word.shape[:1]:
+            raise InvariantViolation("topic_word and topic_freq must agree on the topic count")
+        self._check_emission(self.topic_word.shape[1:],
+                             "topic_word columns must match the prototype count")
+        _check_stochastic(self.topic_freq, "topic_freq")
+        _check_stochastic(self.topic_word, "topic_word")
+        if not (self.doc_topic_prior > 0 and self.word_prior > 0):
+            raise InvariantViolation("Dirichlet concentrations must be positive")
+
+    @property
+    def n_topics(self) -> int:
+        return self.topic_word.shape[0]
+
+    @property
+    def n_components(self) -> int:
+        return self.topic_word.shape[1]
+
+
+# The one place model kinds are named: the `kind` field of a model file and
+# the parameter class it loads into.
+MODEL_KINDS = {"dbn": ModelParams, "gmm": GmmParams, "gmm-lda": GmmLdaParams}
 
 
 @dataclass(frozen=True)

@@ -314,16 +314,30 @@ def test_train_rejects_a_non_finite_step():
         train_gru(GruNet.random(3, 2, rng), batch, labels, epochs=2, lr=float("nan"))
 
 
-@pytest.mark.parametrize("labels", [np.ones(1), np.ones((5, 5)), np.ones(3)],
-                         ids=["length-1", "square", "length-3"])
+@pytest.mark.parametrize("labels, message", [
+    (np.ones(1), r"labels must have shape \(5,\)"),
+    (np.ones((5, 5)), r"labels must have shape \(5,\)"),
+    (np.ones(3), r"labels must have shape \(5,\)"),
+    ([0, 1, 2, 0, 1], "labels must be 0 or 1"),
+    ([0, 1, -1, 0, 1], "labels must be 0 or 1"),
+    ([0, 1, np.nan, 0, 1], "labels must be 0 or 1"),
+    ([0, 1, 0.5, 0, 1], "labels must be 0 or 1"),
+], ids=["length-1", "square", "length-3", "two", "minus-one", "nan", "half"])
 @pytest.mark.parametrize("fn", [
     bce_loss, gru_grad, lambda net, batch, labels: train_gru(net, batch, labels, epochs=1),
 ], ids=["bce_loss", "gru_grad", "train_gru"])
-def test_labels_must_have_one_entry_per_sign(fn, labels):
+def test_labels_must_have_one_entry_per_sign(fn, labels, message):
     rng = np.random.default_rng(76)
     batch = rng.normal(size=(5, 4, 3))
-    with pytest.raises(InvariantViolation, match=r"labels must have shape \(5,\)"):
+    with pytest.raises(InvariantViolation, match=message):
         fn(GruNet.random(3, 2, rng), batch, labels)
+
+
+def test_train_gru_rejects_negative_epochs():
+    rng = np.random.default_rng(76)
+    batch = rng.normal(size=(4, 3, 2))
+    with pytest.raises(InvariantViolation, match="epochs must not be negative, got -3"):
+        train_gru(GruNet.random(2, 2, rng), batch, np.arange(4) % 2, epochs=-3)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -1,5 +1,6 @@
 """Artifact persistence and the command line pipeline."""
 
+import dataclasses
 import json
 import math
 
@@ -10,9 +11,9 @@ from mh_phone.baselines import GmmLdaParams, GmmParams
 from mh_phone.cli import main
 from mh_phone.corpus import load_corpus
 from mh_phone.errors import InvariantViolation, ParseError
-from mh_phone.io import (dump_json, load_json, load_model, model_kind,
-                         save_model, validate_artifact)
-from mh_phone.params import Hyperparams
+from mh_phone.io import (dump_json, load_json, load_model, load_schema,
+                         model_kind, save_model, validate_artifact)
+from mh_phone.params import MODEL_KINDS, Hyperparams
 
 from helpers import random_params
 
@@ -85,6 +86,27 @@ def test_validate_artifact_catches_missing_and_extra_fields(tmp_path):
         validate_artifact("model", dict(obj, surprise=1))
     with pytest.raises(InvariantViolation):
         validate_artifact("no-such-kind", obj)
+
+
+@pytest.mark.parametrize("fitted, key, value", [
+    (_gmm(), "N", 99), (_gmm(), "D", 7), (_lda(), "T", 5), (_lda(), "N", 3),
+], ids=["gmm-N", "gmm-D", "gmm-lda-T", "gmm-lda-N"])
+def test_load_model_checks_the_header_against_the_arrays(tmp_path, fitted, key, value):
+    path = tmp_path / "m.json"
+    save_model(path, fitted, Hyperparams())
+    dump_json(path, dict(load_json(path), **{key: value}))
+    with pytest.raises(InvariantViolation, match=f"^model header {key} is {value}, "):
+        load_model(path)
+
+
+def test_model_schema_names_every_kind_and_requires_its_fields():
+    schema = load_schema("model")
+    assert schema["properties"]["kind"]["enum"] == list(MODEL_KINDS)
+    required = {rule["if"]["properties"]["kind"]["const"]: rule["then"]["required"]
+                for rule in schema["allOf"]}
+    for kind, cls in MODEL_KINDS.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert names <= set(schema["required"]) | set(required[kind]), kind
 
 
 def test_dump_json_rejects_non_finite(tmp_path):
@@ -224,6 +246,40 @@ def test_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
                         for name in ("corpus.jsonl", "model.json",
                                      "gen.jsonl", "report.json")})
     assert outputs[0] == outputs[1]
+
+
+def test_cli_rejects_a_model_file_with_non_finite_weights(tmp_path, capsys):
+    model_path = tmp_path / "gmm.json"
+    save_model(model_path, _gmm(), Hyperparams())
+    model_path.write_text(json.dumps(dict(load_json(model_path), weights=[math.nan] * 2)))
+    out = tmp_path / "gen.jsonl"
+    assert _run("generate", "--model", str(model_path), "--out", str(out)) == 1
+    assert "mh-phone: error: weights has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_model_file_with_a_wrong_header(tmp_path, capsys):
+    model_path = tmp_path / "gmm.json"
+    save_model(model_path, _gmm(), Hyperparams())
+    dump_json(model_path, dict(load_json(model_path), N=99, D=7))
+    assert _run("generate", "--model", str(model_path), "--out",
+                str(tmp_path / "gen.jsonl")) == 1
+    assert "mh-phone: error: model header N is 99, but the arrays give 2" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, flag, value, field", [
+    ("gmm", "--mu-mu", "nan", "mu_mu"),
+    ("dbn", "--sigma-mu", "inf", "sigma_mu"),
+])
+def test_cli_train_rejects_non_finite_hyperparameters(tiny_pipeline, capsys,
+                                                      kind, flag, value, field):
+    tmp_path, corpus = tiny_pipeline
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
+                "--model", kind, flag, value) == 1
+    assert f"mh-phone: error: {field} has non-finite entries" in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 def test_cli_missing_required_flag_exits_one(capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mh_phone.errors import InvariantViolation
-from mh_phone.params import (Assignment, FitReport, Hyperparams, ModelParams,
-                             make_truth_params)
+from mh_phone.params import (Assignment, FitReport, GmmLdaParams, GmmParams,
+                             Hyperparams, ModelParams, make_truth_params)
 
 from helpers import random_params
 
@@ -26,6 +26,28 @@ def test_hyperparams_round_trip_and_validation():
     for bad in (dict(alpha=0.0), dict(sigma_mu=-1.0), dict(sigma_sigma=0.0)):
         with pytest.raises(InvariantViolation):
             Hyperparams(**bad)
+
+
+_VALID = {
+    GmmParams: dict(weights=[0.25, 0.75], mu=[[0.0, 1.0], [2.0, 3.0]], sigma=[0.5, 0.5]),
+    GmmLdaParams: dict(topic_word=[[0.1, 0.9], [0.6, 0.4]], topic_freq=[0.3, 0.7],
+                       doc_topic_prior=1.0, word_prior=2.0, mu=[[0.0], [1.0]],
+                       sigma=[0.25]),
+    Hyperparams: dict(alpha=1.0, mu_mu=0.0, sigma_mu=10.0, mu_sigma=1.0,
+                      sigma_sigma=10.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("cls, field", [(cls, name) for cls, kwargs in _VALID.items()
+                                        for name in kwargs])
+def test_every_field_rejects_non_finite_values(cls, field, bad):
+    kwargs = dict(_VALID[cls])
+    value = np.array(kwargs[field], dtype=float)
+    value[(-1,) * value.ndim] = bad
+    kwargs[field] = value if value.ndim else float(value)
+    with pytest.raises(InvariantViolation, match=f"^{field} has non-finite entries$"):
+        cls(**kwargs)
 
 
 def test_model_params_accepts_valid_input():
