@@ -14,12 +14,13 @@ signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
 from .estimation import markov_chain_sample
-from .params import Assignment, ModelParams
+from .params import Assignment, ModelParams, json_numbers
 
 KEYPOINTS = (
     "head",
@@ -263,7 +264,7 @@ def _parse_record(obj, p, d, line):
         frames = np.array(obj["frames"], dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged rows, values that are not numbers
         frames = None
-    if frames is None or frames.ndim != 2:
+    if frames is None or frames.ndim != 2 or not json_numbers(chain.from_iterable(obj["frames"])):
         raise InvariantViolation(
             f"line {line}: frames must be a non-empty list of rows of {d} numbers")
     if frames.shape[1] != d:
@@ -286,7 +287,7 @@ def load_corpus(path) -> Corpus:
         header = _parse_json(first, 1, "header")
         if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
             raise ParseError(f"not a {CORPUS_FORMAT} file", line=1)
-        if header.get("version") != CORPUS_VERSION:
+        if not (json_numbers([header.get("version")]) and header["version"] == CORPUS_VERSION):
             raise ParseError(f"unsupported corpus version {header.get('version')}", line=1)
         p, d = header.get("P"), header.get("D")
         if not all(type(v) is int and v >= 1 for v in (p, d)):
@@ -301,13 +302,16 @@ def load_corpus(path) -> Corpus:
     if not records:
         raise InvariantViolation("corpus file contains a header but no signs")
     lines, blocks, glosses, signers, noises = zip(*records)
-    features = np.zeros((len(blocks), p, d))
-    for k, block in enumerate(blocks):
-        features[k, :len(block)] = block
     try:
+        features = np.zeros((len(blocks), p, d))
+        for k, block in enumerate(blocks):
+            features[k, :len(block)] = block
         return Corpus.from_arrays(features, [len(b) for b in blocks], glosses, signers, noises)
     except InvariantViolation as exc:  # raised by check_signs, so exc.sign is set
         raise InvariantViolation(f"line {lines[exc.sign]}: {exc.check}") from None
+    except MemoryError:  # the header's P, not the data, sets the padded size
+        raise InvariantViolation(f"line 1: header P={p} pads {len(blocks)} signs of {d} features "
+                                 "to more frames than fit in memory") from None
 
 
 def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
@@ -320,11 +324,11 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
     frames are zeroed from the first entry into state 0 onward so zero rows
     form a contiguous suffix; otherwise every frame is a Gaussian draw.
     """
-    m_signs = int(m_signs)
-    if m_signs < 1:
-        raise InvariantViolation("m_signs must be at least 1")
+    m_signs, p, d = int(m_signs), int(n_frames), truth.n_features
+    for name, value in (("m_signs", m_signs), ("n_frames", p)):
+        if value < 1:
+            raise InvariantViolation(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
-    p, d = int(n_frames), truth.n_features
     labels = markov_chain_sample(rng, truth.pi, truth.trans, m_signs, p)
     feats = truth.mu[labels] + rng.standard_normal((m_signs, p, d)) * np.sqrt(truth.sigma)
     if exact_end_token:

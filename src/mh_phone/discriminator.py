@@ -337,6 +337,8 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
         raise InvariantViolation(f"n_seeds must be at least 1, got {n_seeds}")
     if int(epochs) < 0:
         raise InvariantViolation(f"epochs must not be negative, got {epochs}")
+    if int(hidden_dim) < 1:
+        raise InvariantViolation(f"hidden_dim must be at least 1, got {hidden_dim}")
     real_batch = _as_batch(real)
     n_real, p, d = real_batch.shape
     if n_real < 10:

@@ -91,8 +91,8 @@ def summarize(params: ModelParams, *, frame_ms=DEFAULT_FRAME_MS,
     averages each joint's two variance dimensions and is only available when
     the feature count matches 2 * len(joint_names).
     """
-    if frame_ms <= 0:
-        raise InvariantViolation("frame_ms must be positive")
+    if not 0 < frame_ms < np.inf:
+        raise InvariantViolation(f"frame_ms must be positive and finite, got {frame_ms}")
     n = params.n_states
     hold = np.empty(n)
     notes = []

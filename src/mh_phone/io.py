@@ -1,42 +1,39 @@
-"""Model and report persistence with schema validation.
+"""Model and report persistence with one strict validator.
 
 Everything is written through json.dumps with default float repr, so a rerun
 of the same pipeline produces byte-identical artifacts. Outputs are checked
-against the shipped JSON schemas before they touch disk; loaded files are
-checked before they are trusted.
+before they touch disk, models are saved and loaded through one strict parse,
+and the JSON schemas in `schemas/` are documentation the library never reads.
 """
 
 import json
-from functools import lru_cache
-from importlib import resources
-
-import jsonschema
+import math
+from dataclasses import fields
 
 from .errors import InvariantViolation, ParseError
-from .params import MODEL_KINDS, Hyperparams
+from .params import MODEL_KINDS, Hyperparams, json_numbers
 
 MODEL_FORMAT = "mh-model"
 MODEL_VERSION = 1
 
-_KIND_OF_CLASS = {cls: kind for kind, cls in MODEL_KINDS.items()}
 
-_SCHEMA_KINDS = ("model", "eval-report", "interpret-report")
-
-
-@lru_cache(maxsize=None)
-def load_schema(kind: str) -> dict:
-    if kind not in _SCHEMA_KINDS:
-        raise InvariantViolation(f"no schema for artifact kind '{kind}'")
-    text = resources.files("mh_phone.schemas").joinpath(f"{kind}.schema.json").read_text("utf-8")
-    return json.loads(text)
+def _check_finite(value, kind, key=""):
+    """Raise InvariantViolation naming the dotted key of a NaN or infinity."""
+    if isinstance(value, (dict, list)):
+        for name, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_finite(item, kind, f"{key}.{name}" if key else name)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise InvariantViolation(f"{kind} artifact: {key} has non-finite entries")
 
 
 def validate_artifact(kind: str, obj) -> None:
-    """Raise InvariantViolation when obj does not match the shipped schema."""
-    try:
-        jsonschema.validate(obj, load_schema(kind))
-    except jsonschema.ValidationError as exc:
-        raise InvariantViolation(f"{kind} artifact failed validation: {exc.message}") from None
+    """Raise InvariantViolation unless obj may be written as an artifact of
+    `kind`: every number finite, and a model passes `load_model`'s parse."""
+    if kind not in ("model", "eval-report", "interpret-report"):
+        raise InvariantViolation(f"unknown artifact kind '{kind}'")
+    _check_finite(obj, kind)
+    if kind == "model":
+        _parse_model(obj)
 
 
 def dump_json(path, obj) -> None:
@@ -50,15 +47,16 @@ def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno) from None
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, nested too deep
+            raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}",
+                             line=getattr(exc, "lineno", None)) from None
 
 
 def model_kind(model) -> str:
-    try:
-        return _KIND_OF_CLASS[type(model)]
-    except KeyError:
-        raise InvariantViolation(f"unknown model type {type(model).__name__}") from None
+    for kind, cls in MODEL_KINDS.items():
+        if type(model) is cls:
+            return kind
+    raise InvariantViolation(f"unknown model type {type(model).__name__}")
 
 
 def _shape_header(model, kind) -> dict:
@@ -70,35 +68,44 @@ def _shape_header(model, kind) -> dict:
     return header
 
 
-def model_to_dict(model, hyper: Hyperparams, config=None) -> dict:
-    kind = model_kind(model)
-    out = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
-    out.update(_shape_header(model, kind))
-    out.update(model.to_dict())
-    out["hyper"] = hyper.to_dict()
-    if config is not None:
-        out["config"] = config
-    return out
-
-
 def save_model(path, model, hyper: Hyperparams, config=None) -> None:
-    obj = model_to_dict(model, hyper, config)
+    kind = model_kind(model)
+    obj = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind,
+           **_shape_header(model, kind), **model.to_dict(), "hyper": hyper.to_dict()}
+    if config is not None:
+        obj["config"] = config
     validate_artifact("model", obj)
     dump_json(path, obj)
 
 
-def load_model(path):
-    """Read a model file. Returns (model, hyper, config)."""
-    obj = load_json(path)
+def _parse_model(obj):
+    """The one check of a model object (no `kind` means dbn): (model, hyper, config)."""
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ParseError(f"not an {MODEL_FORMAT} file", line=1)
-    if "kind" not in obj:
-        obj = dict(obj, kind="dbn")
-    validate_artifact("model", obj)
-    hyper = Hyperparams.from_dict(obj["hyper"])
-    model = MODEL_KINDS[obj["kind"]].from_dict(obj)
-    for key, value in _shape_header(model, obj["kind"]).items():
-        if obj[key] != value:
-            raise InvariantViolation(f"model header {key} is {obj[key]}, "
+    version, kind, config = obj.get("version"), obj.get("kind", "dbn"), obj.get("config", {})
+    if not (json_numbers([version]) and version == MODEL_VERSION):
+        raise InvariantViolation(f"model artifact version must be {MODEL_VERSION}")
+    if not (isinstance(kind, str) and kind in MODEL_KINDS):
+        raise InvariantViolation(f"model artifact kind must be one of {list(MODEL_KINDS)}")
+    if not isinstance(config, dict):
+        raise InvariantViolation("model artifact config must be an object")
+    headers = ("N", "D", "T") if kind == "gmm-lda" else ("N", "D")
+    keys = ("format", "version", *headers, *(f.name for f in fields(MODEL_KINDS[kind])), "hyper")
+    for key in (*keys, *obj):
+        if key not in obj or key not in keys and key not in ("kind", "config"):
+            problem = "has unknown" if key in obj else "is missing"
+            raise InvariantViolation(f"model artifact {problem} key '{key}'")
+    names = [f.name for f in fields(Hyperparams)]
+    if not isinstance(obj["hyper"], dict) or set(obj["hyper"]) != set(names):
+        raise InvariantViolation(f"model artifact hyper must hold exactly the keys {names}")
+    hyper, model = Hyperparams.from_dict(obj["hyper"]), MODEL_KINDS[kind].from_dict(obj)
+    for key, value in _shape_header(model, kind).items():  # integral, never a bool
+        if not (json_numbers([obj[key]]) and obj[key] == value):
+            raise InvariantViolation(f"model header {key} is {obj[key]!r}, "
                                      f"but the arrays give {value}")
-    return model, hyper, obj.get("config", {})
+    return model, hyper, config
+
+
+def load_model(path):
+    """Read a model file. Returns (model, hyper, config)."""
+    return _parse_model(load_json(path))

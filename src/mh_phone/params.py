@@ -13,6 +13,12 @@ import numpy as np
 from .errors import InvariantViolation
 
 _SUM_TOL = 1e-9
+_EXPECTED = {np.ndarray: "a rectangular array of numbers", float: "a number"}
+
+
+def json_numbers(values) -> bool:
+    """Whether every value is a JSON number: an int or a float, never a bool or a str."""
+    return set(map(type, values)) <= {int, float}
 
 
 def _frozen_array(value, dtype=float):
@@ -43,19 +49,22 @@ class _Params:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            value = _frozen_array(value) if f.type is np.ndarray else float(value)
+            try:
+                value = _frozen_array(value) if f.type is np.ndarray else float(value)
+            except (TypeError, ValueError, OverflowError):  # ragged, not a number, too big
+                raise InvariantViolation(f"{f.name} must be {_EXPECTED[f.type]}") from None
             if not np.all(np.isfinite(value)):
                 raise InvariantViolation(f"{f.name} has non-finite entries")
             object.__setattr__(self, f.name, value)
         self._check()
 
     def _check_emission(self, rows, what):
-        """mu is (N, D) with (N,) == rows, else raise `what`; sigma holds D
-        strictly positive variances."""
+        """mu is (N, D) with (N,) == rows, else raise `what`; sigma holds
+        D >= 1 strictly positive variances."""
         if self.mu.ndim != 2 or self.mu.shape[:1] != rows:
             raise InvariantViolation(what)
-        if self.sigma.shape != (self.mu.shape[1],):
-            raise InvariantViolation("sigma must have one entry per feature")
+        if self.sigma.shape != (self.mu.shape[1],) or not self.sigma.size:
+            raise InvariantViolation("sigma must have one entry for each of D >= 1 features")
         if np.any(self.sigma <= 0):
             raise InvariantViolation("sigma must be strictly positive")
 
@@ -65,6 +74,10 @@ class _Params:
 
     @classmethod
     def from_dict(cls, data):
+        """Build from parsed JSON: JSON numbers, or lists of them nested to one depth."""
+        for f in fields(cls):
+            if not json_numbers(np.array(data[f.name], dtype=object).flat):
+                raise InvariantViolation(f"{f.name} must be {_EXPECTED[f.type]}")
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 

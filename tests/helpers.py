@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
 import hashlib
+import json
+from importlib import resources
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -37,6 +39,13 @@ def corpus_from_features(feats):
     m, p, _ = feats.shape
     return Corpus([SignSequence(gloss=f"w{i:03d}", features=feats[i], true_length=p)
                    for i in range(m)])
+
+
+def load_schema(kind):
+    """The JSON schema shipped for an artifact kind: model, eval-report or
+    interpret-report."""
+    text = resources.files("mh_phone.schemas").joinpath(f"{kind}.schema.json")
+    return json.loads(text.read_text("utf-8"))
 
 
 def label_digest(labels):

@@ -1,6 +1,10 @@
 """Corpus tests: pose normalization, padding, JSONL persistence, synthesis."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from mh_phone.corpus import (FEATURE_ORDER, KEYPOINTS, N_FEATURES, NOISE_LEVELS,
                              save_corpus, synth_corpus)
 from mh_phone.errors import (DegenerateScale, InvariantViolation, MhPhoneError,
                              ParseError, TooLong)
-from mh_phone.params import ModelParams, make_truth_params
+from mh_phone.io import load_model
+from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams, make_truth_params
 
 from helpers import random_corpus, raw_frame
 
@@ -344,6 +349,9 @@ def test_load_names_the_line_of_a_bad_third_record(tmp_path):
     ({}, None, 2),
     ({"feature_order": 5}, _record([[1.0, 0.0, 0.0]]), 1),
     ({"D": 0}, _record([[1.0, 0.0, 0.0]]), 1),
+    ({}, _record([["1.5", True, 2]]), 2),            # a numeric string and a bool
+    ({}, _record([[1.0, 0.0, False]]), 2),
+    ({"version": True}, _record([[1.0, 0.0, 0.0]]), 1),
 ])
 def test_load_bad_input_names_its_line(tmp_path, header, record, line):
     path = tmp_path / "c.jsonl"
@@ -400,6 +408,83 @@ def test_load_fuzzed_files_give_a_corpus_or_an_mh_phone_error(tmp_path_factory, 
     except MhPhoneError:
         return
     assert isinstance(corpus, Corpus)
+
+
+_HYPER = Hyperparams().to_dict()
+_MODEL_FILES = (
+    {"format": "mh-model", "version": 1, "kind": "dbn", "N": 2, "D": 1,
+     "pi": [0.5, 0.5], "trans": [[1.0, 0.0], [0.5, 0.5]], "mu": [[0.0], [1.0]],
+     "sigma": [0.5], "hyper": _HYPER},
+    {"format": "mh-model", "version": 1, "kind": "gmm", "N": 2, "D": 2,
+     "weights": [0.25, 0.75], "mu": [[0.0, 1.0], [2.0, 3.0]], "sigma": [0.5, 0.5],
+     "hyper": _HYPER, "config": {"command": "train"}},
+    {"format": "mh-model", "version": 1, "kind": "gmm-lda", "N": 2, "D": 1, "T": 2,
+     "topic_word": [[0.1, 0.9], [0.6, 0.4]], "topic_freq": [0.3, 0.7],
+     "doc_topic_prior": 1.0, "word_prior": 2.0, "mu": [[0.0], [1.0]], "sigma": [0.25],
+     "hyper": _HYPER},
+)
+
+
+@st.composite
+def _model_files(draw):
+    """A valid model object of each kind with up to three of its own or its
+    hyper's keys set to random JSON, dropped or added, or one array entry
+    replaced by random JSON or a list of numbers (a ragged row)."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(_MODEL_FILES))))
+    for _ in range(draw(st.integers(0, 3))):
+        target = obj
+        if isinstance(obj.get("hyper"), dict) and draw(st.booleans()):
+            target = obj["hyper"]
+        key = draw(st.sampled_from(sorted(target) + ["T", "weights", "extra"]))
+        action, value = draw(st.integers(0, 2)), target.get(key)
+        if action == 0:
+            target.pop(key, None)
+        elif action == 1 or not isinstance(value, list) or not value:
+            target[key] = draw(_JSON)
+        else:
+            value[draw(st.integers(0, len(value) - 1))] = draw(
+                _JSON | st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=3))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_files())
+def test_load_fuzzed_model_files_give_a_model_or_an_mh_phone_error(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "fuzz-model.json"
+    path.write_text(json.dumps(obj))
+    try:
+        model, hyper, config = load_model(path)
+    except MhPhoneError:
+        assert obj not in _MODEL_FILES  # an unchanged file must load
+        return
+    assert type(model) in MODEL_KINDS.values()
+    assert isinstance(hyper, Hyperparams) and isinstance(config, dict)
+
+
+def test_load_refuses_a_header_padding_beyond_memory(tmp_path):
+    # The child caps its address space, so the outcome does not depend on how
+    # the host overcommits memory: a P of 10^12 asks for about 22 TiB.
+    path = tmp_path / "huge.jsonl"
+    header = {"format": "mh-corpus", "version": 1, "D": 3, "P": 10 ** 12}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(_record([[1.0, 0.0, 0.0]])) + "\n")
+    child = textwrap.dedent("""
+        import resource, sys
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2 << 30
+        unlimited = hard == resource.RLIM_INFINITY
+        resource.setrlimit(resource.RLIMIT_AS, (cap if unlimited else min(cap, hard), hard))
+        from mh_phone.cli import main
+        sys.exit(main(["train", "--corpus", sys.argv[1], "--out", sys.argv[2]]))
+    """)
+    src = os.path.dirname(os.path.dirname(sys.modules["mh_phone"].__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = tmp_path / "m.json"
+    done = subprocess.run([sys.executable, "-c", child, str(path), str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("mh-phone: error: line 1: header P=1000000000000 "), \
+        done.stderr
+    assert not out.exists()
 
 
 def test_load_record_longer_than_padded_length(tmp_path):

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -11,11 +15,11 @@ from mh_phone.baselines import GmmLdaParams, GmmParams
 from mh_phone.cli import main
 from mh_phone.corpus import load_corpus
 from mh_phone.errors import InvariantViolation, ParseError
-from mh_phone.io import (dump_json, load_json, load_model, load_schema,
-                         model_kind, save_model, validate_artifact)
-from mh_phone.params import MODEL_KINDS, Hyperparams
+from mh_phone.io import (dump_json, load_json, load_model, model_kind, save_model,
+                         validate_artifact)
+from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams
 
-from helpers import random_params
+from helpers import load_schema, random_params
 
 
 # ---------------------------------------------------------------- io
@@ -413,6 +417,7 @@ def test_cli_evaluate_rejects_feature_mismatch(tiny_pipeline, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "0", "n_seeds must be at least 1, got 0"),
     ("--epochs", "-2", "epochs must not be negative, got -2"),
+    ("--hidden", "0", "hidden_dim must be at least 1, got 0"),
 ])
 def test_cli_evaluate_rejects_bad_seed_and_epoch_counts(tiny_pipeline, capsys,
                                                         flag, value, message):
@@ -423,3 +428,167 @@ def test_cli_evaluate_rejects_bad_seed_and_epoch_counts(tiny_pipeline, capsys,
                 flag, value) == 1
     assert f"mh-phone: error: {message}" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+# ------------------------------------------------- one validator, one contract
+
+
+_MODELS = {"dbn": lambda: random_params(np.random.default_rng(86), 3, 2),
+           "gmm": _gmm, "gmm-lda": _lda}
+
+
+def _drop(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _put(key, value):
+    return lambda obj: dict(obj, **{key: value})
+
+
+def _hyper(edit):
+    return lambda obj: dict(obj, hyper=edit(obj["hyper"]))
+
+
+# Each edit makes a model file that the shipped schema rejects; the code must
+# reject it too.
+_SCHEMA_REJECTS = {
+    "dbn-missing-pi": ("dbn", _drop("pi")),
+    "dbn-missing-trans": ("dbn", _drop("trans")),
+    "gmm-missing-weights": ("gmm", _drop("weights")),
+    "gmm-lda-missing-T": ("gmm-lda", _drop("T")),
+    "gmm-lda-missing-topic-freq": ("gmm-lda", _drop("topic_freq")),
+    "missing-hyper": ("gmm", _drop("hyper")),
+    "unknown-key": ("dbn", _put("surprise", 1)),
+    "unknown-hyper-key": ("gmm", _hyper(_put("beta", 1.0))),
+    "missing-hyper-key": ("dbn", _hyper(_drop("alpha"))),
+    "alpha-zero": ("dbn", _hyper(_put("alpha", 0))),
+    "alpha-bool": ("gmm", _hyper(_put("alpha", True))),
+    "sigma-string": ("gmm", lambda obj: dict(obj, sigma=[str(v) for v in obj["sigma"]])),
+    "version-2": ("dbn", _put("version", 2)),
+    "version-bool": ("gmm", _put("version", True)),
+    "kind-hmm": ("dbn", _put("kind", "hmm")),
+    "N-zero": ("gmm", _put("N", 0)),
+    "N-bool": ("gmm", _put("N", True)),
+    "D-string": ("dbn", _put("D", "2")),
+    "config-list": ("dbn", _put("config", [])),
+    "pi-empty": ("dbn", _put("pi", [])),
+    "pi-nested": ("dbn", lambda obj: dict(obj, pi=[[v] for v in obj["pi"]])),
+    "doc-topic-prior-zero": ("gmm-lda", _put("doc_topic_prior", 0)),
+    "dbn-stray-T": ("dbn", _put("T", 3)),
+    "gmm-stray-T": ("gmm", _put("T", 2)),
+    "dbn-stray-weights": ("dbn", _put("weights", [1.0])),
+}
+
+
+@pytest.mark.parametrize("kind, edit", _SCHEMA_REJECTS.values(), ids=_SCHEMA_REJECTS)
+def test_cli_rejects_every_model_file_the_schema_rejects(tmp_path, capsys, kind, edit):
+    path = tmp_path / "m.json"
+    save_model(path, _MODELS[kind](), Hyperparams())
+    obj = edit(load_json(path))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(obj, load_schema("model"))
+    dump_json(path, obj)
+    out = tmp_path / "gen.jsonl"
+    assert _run("generate", "--model", str(path), "--out", str(out)) == 1
+    assert "mh-phone: error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key, message", [
+    ("gmm", "mu", "mu must be a rectangular array of numbers"),
+    ("dbn", "trans", "trans must be a rectangular array of numbers"),
+    ("gmm-lda", "topic_word", "topic_word must be a rectangular array of numbers"),
+])
+def test_cli_rejects_a_model_file_with_a_ragged_matrix(tmp_path, capsys, kind, key, message):
+    path = tmp_path / "m.json"
+    save_model(path, _MODELS[kind](), Hyperparams())
+    obj = load_json(path)
+    obj[key][-1].append(0.0)
+    dump_json(path, obj)
+    out = tmp_path / "gen.jsonl"
+    assert _run("generate", "--model", str(path), "--out", str(out)) == 1
+    assert f"mh-phone: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_schema_allows_each_kind_exactly_the_keys_of_a_written_file(tmp_path):
+    rules = {rule["if"]["properties"]["kind"]["const"]: rule["then"]
+             for rule in load_schema("model")["allOf"]}
+    for kind, make in _MODELS.items():
+        save_model(tmp_path / "m.json", make(), Hyperparams(), config={})
+        assert set(rules[kind]["propertyNames"]["enum"]) == set(load_json(tmp_path / "m.json"))
+
+
+def test_emitted_artifacts_match_the_shipped_schemas(tiny_pipeline):
+    tmp_path, corpus = tiny_pipeline
+    artifacts = {tmp_path / "truth.json": "model"}
+    for kind in MODEL_KINDS:
+        path = tmp_path / f"{kind}.json"
+        assert _run("train", "--corpus", str(corpus), "--out", str(path), "--model", kind,
+                    "--n-states", "3", "--topics", "2", "--max-iters", "3") == 0
+        artifacts[path] = "model"
+    report = tmp_path / "report.json"
+    assert _run("evaluate", "--real", str(corpus), "--model", str(tmp_path / "gmm.json"),
+                "--report", str(report), "--seeds", "2", "--epochs", "2",
+                "--hidden", "3") == 0
+    artifacts[report] = "eval-report"
+    absorbing = ModelParams(pi=[0.0, 0.5, 0.5], trans=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                        [0.2, 0.0, 0.8]],
+                            mu=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], sigma=[0.5, 0.5])
+    save_model(tmp_path / "absorbing.json", absorbing, Hyperparams())
+    interp = tmp_path / "interp.json"
+    assert _run("interpret", "--model", str(tmp_path / "absorbing.json"),
+                "--out", str(interp)) == 0
+    artifacts[interp] = "interpret-report"
+    assert "inf" in load_json(interp)["hold_lengths_frames"]
+    for path, kind in artifacts.items():
+        jsonschema.validate(load_json(path), load_schema(kind))
+
+
+@pytest.mark.parametrize("kind, obj, key", [
+    ("model", {"format": "mh-model", "config": {"tol": math.inf}}, "config.tol"),
+    ("eval-report", {"per_seed": [0.5, math.nan]}, "per_seed.1"),
+    ("interpret-report", {"frame_ms": -math.inf}, "frame_ms"),
+], ids=["model-config", "eval-per-seed", "interpret-frame-ms"])
+def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
+    with pytest.raises(InvariantViolation, match=f"^{kind} artifact: {key} has non-finite"):
+        validate_artifact(kind, obj)
+
+
+@pytest.mark.parametrize("argv, out, message", [
+    (("train", "--corpus", "{corpus}", "--max-iters", "2", "--tol", "inf"), "model.json",
+     "model artifact: config.tol has non-finite entries"),
+    (("train", "--corpus", "{corpus}", "--max-iters", "2", "--tol", "nan"), "model.json",
+     "model artifact: config.tol has non-finite entries"),
+    (("interpret", "--model", "{truth}", "--frame-ms", "nan"), "r.json",
+     "frame_ms must be positive and finite, got nan"),
+    (("interpret", "--model", "{truth}", "--frame-ms", "inf"), "r.json",
+     "frame_ms must be positive and finite, got inf"),
+    (("synth", "--p-frames", "0"), "c.jsonl", "n_frames must be at least 1, got 0"),
+    (("generate", "--model", "{truth}", "--p-frames", "0"), "g.jsonl",
+     "n_frames must be at least 1, got 0"),
+], ids=["tol-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
+        "generate-p-frames-0"])
+def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv, out, message):
+    tmp_path, corpus = tiny_pipeline
+    names = {"corpus": corpus, "truth": tmp_path / "truth.json"}
+    assert _run(*(arg.format(**names) for arg in argv), "--out", str(tmp_path / out)) == 1
+    assert f"mh-phone: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("raw", [b'{"format": "mh-model", "x": "\xff"}\n', b"[" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_load_model_reports_unreadable_json(tmp_path, raw):
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="malformed JSON"):
+        load_model(path)
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    src = os.path.dirname(os.path.dirname(sys.modules["mh_phone"].__file__))
+    code = "import sys, mh_phone.cli; print('jsonschema' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False"

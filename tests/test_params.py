@@ -150,3 +150,42 @@ def test_make_truth_deterministic_and_validated():
     assert np.array_equal(a.trans, b.trans)
     with pytest.raises(InvariantViolation):
         make_truth_params(1, 4)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (GmmParams, "mu", [[0.0, 1.0], [2.0]]),
+    (GmmLdaParams, "topic_word", [[0.1, 0.9], [1.0]]),
+    (Hyperparams, "alpha", [1.0]),
+    (Hyperparams, "sigma_mu", "ten"),
+    (GmmLdaParams, "word_prior", 10 ** 400),
+], ids=["ragged-mu", "ragged-topic-word", "list-for-float", "word-for-float", "huge-int"])
+def test_constructor_reports_values_that_are_not_numbers(cls, field, value):
+    with pytest.raises(InvariantViolation, match=f"^{field} must be a"):
+        cls(**dict(_VALID[cls], **{field: value}))
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (GmmParams, "sigma", ["0.5", "0.5"]),
+    (GmmParams, "weights", [True, 0.0]),
+    (GmmParams, "mu", [[0.0, 1.0], [2.0, [3.0]]]),
+    (GmmParams, "mu", {"rows": 2}),
+    (GmmParams, "mu", [[0.0, 1.0], [2.0]]),
+    (GmmLdaParams, "doc_topic_prior", [1.0]),
+    (GmmLdaParams, "word_prior", None),
+    (Hyperparams, "alpha", True),
+    (Hyperparams, "mu_mu", "0.0"),
+])
+def test_from_dict_takes_json_numbers_only(cls, field, value):
+    with pytest.raises(InvariantViolation, match=f"^{field} must be a"):
+        cls.from_dict(dict(_VALID[cls], **{field: value}))
+
+
+def test_from_dict_takes_integers_as_numbers():
+    back = GmmParams.from_dict(dict(_VALID[GmmParams], mu=[[0, 1], [2, 3]], sigma=[1, 2]))
+    np.testing.assert_array_equal(back.mu, [[0.0, 1.0], [2.0, 3.0]])
+    assert back.sigma.dtype == float
+
+
+def test_emission_needs_at_least_one_feature():
+    with pytest.raises(InvariantViolation, match="sigma must have one entry for each of D >= 1"):
+        GmmParams(weights=[1.0], mu=[[]], sigma=[])
