@@ -23,12 +23,11 @@ from .model import emission_means, emission_sigma
 from .params import GmmLdaParams, GmmParams, Hyperparams
 
 
-def _gmm_log_joint(weights, mu, sigma, frames, labels, hyper):
+def _gmm_log_joint(weights, mu, sigma, loglik, labels, hyper):
     total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
     total += dirichlet_logpdf(weights, hyper.alpha)
     total += float(normal_logpdf(mu, hyper.mu_mu, hyper.sigma_mu ** 2).sum())
     total += float(safe_log(weights)[labels].sum())
-    loglik = emission_loglik(frames, mu, sigma)
     total += float(np.take_along_axis(loglik, labels[:, None], axis=1).sum())
     return total
 
@@ -48,30 +47,44 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams | None = None,
     frames = corpus.features.reshape(-1, d)
     mu, sigma = seed_emissions(np.random.default_rng(seed), frames, n_components)
     weights = np.full(n_components, 1.0 / n_components)
+    # the objective of one iteration and the E-step of the next share a table
+    loglik = emission_loglik(frames, mu, sigma)
 
     def step():
-        nonlocal weights, mu, sigma
-        scores = emission_loglik(frames, mu, sigma) + safe_log(weights)
-        labels = np.argmax(scores, axis=1)
+        nonlocal weights, mu, sigma, loglik
+        labels = np.argmax(loglik + safe_log(weights), axis=1)
         counts, mu = emission_means(frames, labels, n_components, sigma, hyper)
         weights = dirichlet_map(counts, hyper.alpha)
         sigma = emission_sigma(frames, labels, mu, hyper)
-        return _gmm_log_joint(weights, mu, sigma, frames, labels, hyper)
+        loglik = emission_loglik(frames, mu, sigma)
+        return _gmm_log_joint(weights, mu, sigma, loglik, labels, hyper)
 
     report = hard_em(step, max_iters, tol)
     return GmmParams(weights=weights, mu=mu, sigma=sigma), report
 
 
-def _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics, hyper):
+def _lda_log_joint(psi, tau, mu, sigma, loglik, labels, topics, hyper):
     total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
     total += dirichlet_logpdf(tau, hyper.alpha)
     total += sum(dirichlet_logpdf(row, hyper.alpha) for row in psi)
     total += float(normal_logpdf(mu, hyper.mu_mu, hyper.sigma_mu ** 2).sum())
     total += float(safe_log(tau)[topics].sum())
     total += float(safe_log(psi)[topics[:, None], labels].sum())
-    loglik = emission_loglik(frames3, mu, sigma)
     total += float(np.take_along_axis(loglik, labels[:, :, None], axis=2).sum())
     return total
+
+
+def _lda_e_step(loglik, psi, tau):
+    """Exact joint argmax (topics (M,), labels (M, P)) from the (M, P, N)
+    emission table. Each topic is scored in turn, filling an (M, P, T) table
+    of each frame's best prototype score, so no (M, P, T, N) tensor is built."""
+    m, p, _ = loglik.shape
+    log_psi = safe_log(psi)
+    best_frame = np.empty((m, p, len(log_psi)))
+    for t, row in enumerate(log_psi):
+        best_frame[:, :, t] = (loglik + row).max(axis=2)
+    topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
+    return topics, np.argmax(loglik + log_psi[topics][:, None, :], axis=2)
 
 
 def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | None = None,
@@ -80,8 +93,8 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
 
     The E-step is an exact joint argmax: given the topic, frames decouple, so
     each sign scores every topic by the sum of its frames' best prototype
-    scores and keeps the winner. Initial topics are drawn at random (seeded)
-    to break the symmetry of the uniform topic_word rows.
+    scores and keeps the winner (`_lda_e_step`). Initial topics are drawn at
+    random (seeded) to break the symmetry of the uniform topic_word rows.
     """
     if hyper is None:
         hyper = Hyperparams()
@@ -110,12 +123,8 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
 
         # E-step with the fresh parameters
         loglik = emission_loglik(frames3, mu, sigma)
-        scored = loglik[:, :, None, :] + safe_log(psi)[None, None, :, :]
-        best_frame = scored.max(axis=3)
-        topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
-        labels = np.argmax(scored[np.arange(m), :, topics, :], axis=2)
-
-        return _lda_log_joint(psi, tau, mu, sigma, frames3, labels, topics, hyper)
+        topics, labels = _lda_e_step(loglik, psi, tau)
+        return _lda_log_joint(psi, tau, mu, sigma, loglik, labels, topics, hyper)
 
     report = hard_em(step, max_iters, tol)
     params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=hyper.alpha,

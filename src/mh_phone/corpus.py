@@ -302,15 +302,19 @@ def load_corpus(path) -> Corpus:
     if not records:
         raise InvariantViolation("corpus file contains a header but no signs")
     lines, blocks, glosses, signers, noises = zip(*records)
+    lengths = [len(b) for b in blocks]
+    del records
     try:
-        features = np.zeros((len(blocks), p, d))
+        features = np.zeros((len(lines), p, d))
         for k, block in enumerate(blocks):
             features[k, :len(block)] = block
-        return Corpus.from_arrays(features, [len(b) for b in blocks], glosses, signers, noises)
+        # the per-sign blocks go before from_arrays copies the padded array
+        del blocks, block
+        return Corpus.from_arrays(features, lengths, glosses, signers, noises)
     except InvariantViolation as exc:  # raised by check_signs, so exc.sign is set
         raise InvariantViolation(f"line {lines[exc.sign]}: {exc.check}") from None
     except MemoryError:  # the header's P, not the data, sets the padded size
-        raise InvariantViolation(f"line 1: header P={p} pads {len(blocks)} signs of {d} features "
+        raise InvariantViolation(f"line 1: header P={p} pads {len(lines)} signs of {d} features "
                                  "to more frames than fit in memory") from None
 
 

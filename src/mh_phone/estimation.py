@@ -101,12 +101,23 @@ def emission_loglik(frames, mu, sigma):
     """Log density of each frame under each prototype's diagonal Gaussian.
 
     frames: (..., D); mu: (N, D); sigma: (D,) variances. Returns (..., N).
+    The Mahalanobis term is expanded as |x|^2_w - 2 x.(w mu) + |mu|^2_w with
+    w = 1/sigma, so the largest temporary is the (..., N) result itself, not
+    an (..., N, D) difference. The expansion cancels when frames sit near
+    their prototype far from the origin; the error stays within a few ulps of
+    |x|^2_w + |mu|^2_w.
     """
     x = np.asarray(frames, dtype=float)
-    diff = x[..., None, :] - mu
-    maha = np.sum(diff * diff / sigma, axis=-1)
-    log_norm = np.sum(np.log(2.0 * np.pi * sigma))
-    return -0.5 * (log_norm + maha)
+    mu = np.asarray(mu, dtype=float)
+    w = 1.0 / np.asarray(sigma, dtype=float)
+    flat = x.reshape(-1, x.shape[-1])
+    out = flat @ (mu * w).T
+    out *= -2.0
+    out += ((flat * flat) @ w)[:, None]
+    out += (mu * mu) @ w  # out holds the Mahalanobis term
+    out += np.sum(np.log(2.0 * np.pi * sigma))
+    out *= -0.5
+    return out.reshape(x.shape[:-1] + mu.shape[:1])
 
 
 def map_means(sums, counts, sigma, mu_mu, sigma_mu):

@@ -52,37 +52,28 @@ def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
 
-def _frame_loglik(params: ModelParams, frames: np.ndarray, f) -> np.ndarray:
-    """(m, N) emission log densities of frame f of every sign. E-steps take one
-    frame at a time, so worker threads hold no (m, P, N, D) temporaries, whose
-    reuse by the allocator made a threaded fit's peak memory vary between runs."""
-    return emission_loglik(frames[:, f], params.mu, params.sigma)
-
-
-def _greedy_labels(params: ModelParams, frames: np.ndarray) -> np.ndarray:
-    m, p, _ = frames.shape
+def _greedy_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
+    m, p, _ = loglik.shape
     log_pi = safe_log(params.pi)
     log_t = safe_log(params.trans)
     labels = np.empty((m, p), dtype=np.int64)
-    labels[:, 0] = np.argmax(_frame_loglik(params, frames, 0) + log_pi, axis=1)
+    labels[:, 0] = np.argmax(loglik[:, 0] + log_pi, axis=1)
     for f in range(1, p):
-        labels[:, f] = np.argmax(_frame_loglik(params, frames, f) + log_t[labels[:, f - 1]], axis=1)
+        labels[:, f] = np.argmax(loglik[:, f] + log_t[labels[:, f - 1]], axis=1)
     return labels
 
 
-def _viterbi_labels(params: ModelParams, frames: np.ndarray) -> np.ndarray:
-    m, p, _ = frames.shape
-    n = params.n_states
+def _viterbi_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
+    m, p, n = loglik.shape
     log_t = safe_log(params.trans)
     back = np.empty((m, p, n), dtype=np.int64)
-    alpha = safe_log(params.pi) + _frame_loglik(params, frames, 0)
+    alpha = safe_log(params.pi) + loglik[:, 0]
     for f in range(1, p):
         cand = alpha[:, :, None] + log_t[None, :, :]
         # argmax over the previous state; ties go to the lower index
         best_prev = np.argmax(cand, axis=1)
         back[:, f] = best_prev
-        alpha = (np.take_along_axis(cand, best_prev[:, None, :], axis=1)[:, 0, :]
-                 + _frame_loglik(params, frames, f))
+        alpha = np.take_along_axis(cand, best_prev[:, None, :], axis=1)[:, 0, :] + loglik[:, f]
     labels = np.empty((m, p), dtype=np.int64)
     labels[:, -1] = np.argmax(alpha, axis=1)
     rows = np.arange(m)
@@ -91,31 +82,37 @@ def _viterbi_labels(params: ModelParams, frames: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _chunked(label_fn, params, frames, threads):
-    m = frames.shape[0]
+def _chunked(label_fn, params, corpus, threads, loglik):
+    """Assignment of every sign by label_fn over rows of the (M, P, N)
+    emission table, which is computed here when loglik is None."""
+    if loglik is None:
+        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+    m = loglik.shape[0]
     if threads <= 1 or m < 2 * threads:
-        return label_fn(params, frames)
-    # contiguous slices, so each worker reads a view of the frames, not a copy
+        return Assignment(labels=label_fn(params, loglik))
+    # contiguous slices, so each worker reads a view of the table, not a copy
     blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), threads)]
-    out = np.empty(frames.shape[:2], dtype=np.int64)
+    out = np.empty(loglik.shape[:2], dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(block, pool.submit(label_fn, params, frames[block])) for block in blocks]
+        futures = [(block, pool.submit(label_fn, params, loglik[block])) for block in blocks]
         for block, fut in futures:
             out[block] = fut.result()
-    return out
+    return Assignment(labels=out)
 
 
-def e_step_greedy(params: ModelParams, corpus: Corpus, threads=1) -> Assignment:
+def e_step_greedy(params: ModelParams, corpus: Corpus, threads=1, *, loglik=None) -> Assignment:
     """One-pass hard assignment: each frame takes the best state given the
     previous frame's choice (posterior score = emission density times pi or
-    the incoming transition probability). O(M P N) emission dot products."""
-    return Assignment(labels=_chunked(_greedy_labels, params, corpus.features, threads))
+    the incoming transition probability). O(M P N) emission dot products.
+    loglik, if given, is `emission_loglik` of the corpus under params."""
+    return _chunked(_greedy_labels, params, corpus, threads, loglik)
 
 
-def e_step_viterbi(params: ModelParams, corpus: Corpus, threads=1) -> Assignment:
+def e_step_viterbi(params: ModelParams, corpus: Corpus, threads=1, *, loglik=None) -> Assignment:
     """Exact most-probable state path per sign via dynamic programming,
-    O(M P N^2). Ties break toward the lower state index."""
-    return Assignment(labels=_chunked(_viterbi_labels, params, corpus.features, threads))
+    O(M P N^2). Ties break toward the lower state index. loglik as in
+    `e_step_greedy`."""
+    return _chunked(_viterbi_labels, params, corpus, threads, loglik)
 
 
 def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
@@ -130,10 +127,12 @@ def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
 
 def emission_sigma(frames, labels, mu, hyper: Hyperparams):
     """Emission M-step, second half: MAP shared variances of the residuals
-    of the frames about their prototypes in mu."""
-    residuals = frames - mu[labels]
-    sq_sums = (residuals * residuals).sum(axis=0)
-    return map_sigma(sq_sums, frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
+    of the frames about their prototypes in mu. The residuals are squared in
+    place, so the step holds one (F, D) temporary."""
+    residuals = mu[labels]
+    np.subtract(frames, residuals, out=residuals)
+    residuals *= residuals
+    return map_sigma(residuals.sum(axis=0), frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
 
 
 def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
@@ -168,11 +167,14 @@ def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
 
-def joint_path_score(params: ModelParams, corpus: Corpus, assignment: Assignment) -> float:
+def joint_path_score(params: ModelParams, corpus: Corpus, assignment: Assignment, *,
+                     loglik=None) -> float:
     """Assignment-dependent part of the log joint: categorical terms for the
-    state chains plus the emission log densities."""
+    state chains plus the emission log densities. loglik, if given, is
+    `emission_loglik` of the corpus under params."""
     labels = assignment.labels
-    loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+    if loglik is None:
+        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
     emission = np.take_along_axis(loglik, labels[:, :, None], axis=2).sum()
     categorical = safe_log(params.pi)[labels[:, 0]].sum()
     categorical += safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
@@ -180,16 +182,17 @@ def joint_path_score(params: ModelParams, corpus: Corpus, assignment: Assignment
 
 
 def log_joint(params: ModelParams, corpus: Corpus, assignment: Assignment,
-              hyper: Hyperparams) -> float:
+              hyper: Hyperparams, *, loglik=None) -> float:
     """Log density of every factor: priors on sigma, pi, T and mu, plus the
-    categorical and emission terms of each assigned sign."""
+    categorical and emission terms of each assigned sign. loglik as in
+    `joint_path_score`."""
     total = float(lognormal_logpdf(params.sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
     total += dirichlet_logpdf(params.pi, hyper.alpha)
     total += sum(dirichlet_logpdf(row, hyper.alpha) for row in params.trans)
     if params.n_states > 1:
         total += float(normal_logpdf(params.mu[1:], hyper.mu_mu,
                                      hyper.sigma_mu ** 2).sum())
-    return total + joint_path_score(params, corpus, assignment)
+    return total + joint_path_score(params, corpus, assignment, loglik=loglik)
 
 
 _E_STEPS = {"greedy": e_step_greedy, "viterbi": e_step_viterbi}
@@ -212,12 +215,16 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams | None = None, *,
     _, _, d = corpus.dims
     params = init_params(n_states, d, corpus, seed=seed)
     assignment = None
+    # the emission table under the current params: the objective of one
+    # iteration and the E-step of the next read the same table
+    loglik = emission_loglik(corpus.features, params.mu, params.sigma)
 
     def step():
-        nonlocal params, assignment
-        assignment = assign(params, corpus, threads=threads)
+        nonlocal params, assignment, loglik
+        assignment = assign(params, corpus, threads=threads, loglik=loglik)
         params = m_step(corpus, assignment, hyper, params)
-        return log_joint(params, corpus, assignment, hyper)
+        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+        return log_joint(params, corpus, assignment, hyper, loglik=loglik)
 
     report = hard_em(step, max_iters, tol)
     return params, assignment, report

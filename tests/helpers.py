@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import dataclasses
 import hashlib
 import json
 from importlib import resources
@@ -7,8 +8,8 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from mh_phone.corpus import Corpus, SignSequence
-from mh_phone.params import ModelParams
+from mh_phone.corpus import Corpus, SignSequence, synth_corpus
+from mh_phone.params import ModelParams, make_truth_params
 
 
 def random_params(rng, n_states, n_features):
@@ -51,6 +52,32 @@ def load_schema(kind):
 def label_digest(labels):
     """SHA-256 of an integer label array, independent of platform int width."""
     return hashlib.sha256(np.ascontiguousarray(labels, dtype="<i8").tobytes()).hexdigest()
+
+
+def params_digest(params):
+    """SHA-256 of every field of a parameter object as little-endian float64
+    bytes, in declaration order."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(params):
+        h.update(np.ascontiguousarray(getattr(params, f.name), dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def pinned_corpus():
+    """A small synthetic corpus with overlapping prototypes (80 signs x 12
+    frames, 6 states, D=5), the input of the pinned-fit digests."""
+    truth = make_truth_params(6, n_features=5, seed=3, separation=1.0, sigma=0.3)
+    return synth_corpus(truth, 80, seed=4, n_frames=12)[0]
+
+
+def broadcast_emission_loglik(frames, mu, sigma):
+    """Reference emission table: the diagonal-Gaussian log density from the
+    (..., N, D) broadcast difference, which is exact but memory-hungry."""
+    x = np.asarray(frames, dtype=float)
+    diff = x[..., None, :] - mu
+    maha = np.sum(diff * diff / sigma, axis=-1)
+    log_norm = np.sum(np.log(2.0 * np.pi * sigma))
+    return -0.5 * (log_norm + maha)
 
 
 def raw_frame(head=(0.0, 0.0), rsh=(1.0, 0.0), lsh=(-1.0, 0.0), relb=(2.0, 1.0),

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from mh_phone.baselines import (GmmLdaParams, GmmParams, fit_gmm, fit_gmm_lda,
+from mh_phone import baselines
+from mh_phone.baselines import (GmmLdaParams, GmmParams, _lda_e_step, fit_gmm, fit_gmm_lda,
                                 sample_gmm, sample_gmm_lda)
 from mh_phone.errors import InvariantViolation, NotEnoughData
-from mh_phone.estimation import dirichlet_map
+from mh_phone.estimation import dirichlet_map, emission_loglik, safe_log
 from mh_phone.model import emission_means, emission_sigma, m_step
 from mh_phone.params import Assignment, Hyperparams
 
-from helpers import corpus_from_features, label_digest, random_params
+from helpers import (corpus_from_features, label_digest, params_digest, pinned_corpus,
+                     random_params)
 
 
 def _gmm_update(frames, labels, n_components, sigma_prev, hyper):
@@ -174,6 +176,65 @@ def test_fit_gmm_lda_trace_is_monotone_and_deterministic():
     assert np.all(np.diff(trace) >= -1e-9)
     np.testing.assert_array_equal(a.topic_word, b.topic_word)
     np.testing.assert_array_equal(a.mu, b.mu)
+
+
+def _tensor_lda_e_step(loglik, psi, tau):
+    """The GMM-LDA E-step through the full (M, P, T, N) score tensor."""
+    scored = loglik[:, :, None, :] + safe_log(psi)[None, None, :, :]
+    best_frame = scored.max(axis=3)
+    topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
+    labels = np.argmax(scored[np.arange(len(topics)), :, topics, :], axis=2)
+    return topics, labels
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_lda_e_step_per_topic_equals_tensor_form(ties):
+    # zero word and topic probabilities give -inf scores; with ties, integer
+    # emission scores and shared rows make argmax fall to the lower index
+    rng = np.random.default_rng(48)
+    loglik = rng.normal(size=(30, 9, 5))
+    psi = rng.dirichlet(np.ones(5), size=4)
+    psi[1, [0, 3]] = 0.0
+    psi[1] /= psi[1].sum()
+    tau = np.array([0.2, 0.3, 0.0, 0.5])
+    if ties:
+        loglik = np.round(loglik)
+        psi[2] = psi[3]
+    topics, labels = _lda_e_step(loglik, psi, tau)
+    want_topics, want_labels = _tensor_lda_e_step(loglik, psi, tau)
+    np.testing.assert_array_equal(topics, want_topics)
+    np.testing.assert_array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda corpus: fit_gmm(corpus, 3, seed=1, max_iters=4, tol=-1.0),
+    lambda corpus: fit_gmm_lda(corpus, 3, 2, seed=1, max_iters=4, tol=-1.0),
+])
+def test_mixture_fits_build_one_emission_table_per_iteration(monkeypatch, fit):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return emission_loglik(*args)
+
+    monkeypatch.setattr(baselines, "emission_loglik", counted)
+    _, report = fit(corpus_from_features(np.random.default_rng(49).normal(size=(10, 6, 2))))
+    assert report.iterations == 4
+    assert len(calls) == 5  # one at initialisation
+
+
+# Recorded with the broadcast emission kernel and the (M, P, T, N) GMM-LDA
+# E-step; the current code must reproduce every fitted array bit for bit.
+def test_mixture_fit_parameters_are_pinned():
+    corpus = pinned_corpus()
+    gmm, report = fit_gmm(corpus, 6, seed=5, max_iters=30)
+    assert report.converged and report.iterations == 11
+    assert params_digest(gmm) == (
+        "7940230805a6e382bcbb650888fcce2e47a76b9c66873f88e38701211933e925")
+    lda, report = fit_gmm_lda(corpus, 6, 3, seed=5, max_iters=30)
+    assert report.converged and report.iterations == 13
+    assert params_digest(lda) == (
+        "c8b8de5d7334ec942feba62d8b193c2e33b8bd6cf1dadf3d99c180f90954fedb")
 
 
 def test_sample_gmm_component_frequencies_and_moments():

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO, dirichlet_logpdf,
+from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO, SIGMA_INIT_FLOOR,
+                                 dirichlet_logpdf,
                                  dirichlet_map, emission_loglik,
                                  golden_section_max, lognormal_logpdf,
                                  map_means, map_sigma, markov_chain_sample,
                                  normal_logpdf, relative_change, safe_log)
 
-from helpers import label_digest
+from helpers import broadcast_emission_loglik, label_digest
 
 
 def test_golden_section_finds_quadratic_vertex():
@@ -137,6 +138,44 @@ def test_emission_loglik_broadcasts_over_leading_axes():
     got = emission_loglik(frames, mu, sigma)
     assert got.shape == (2, 3, 5)
     np.testing.assert_allclose(got[1, 2], emission_loglik(frames[1, 2], mu, sigma))
+
+
+def _assert_matches_broadcast_kernel(frames, mu, sigma):
+    """The expanded kernel against the broadcast reference, for (F, D) frames.
+
+    Stated tolerance: each entry within 2 (D + 2) ulps of
+    |x|^2_w + |mu|^2_w + |log_norm| (w = 1/sigma), the size of the terms the
+    expansion adds and cancels over D dimensions."""
+    got = emission_loglik(frames, mu, sigma)
+    want = broadcast_emission_loglik(frames, mu, sigma)
+    w = 1.0 / sigma
+    scale = ((frames * frames) @ w)[:, None] + (mu * mu) @ w
+    scale += abs(np.sum(np.log(2.0 * np.pi * sigma)))
+    tol = 2 * (len(sigma) + 2) * np.finfo(float).eps * scale
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= tol)
+    return got, want
+
+
+def test_emission_loglik_matches_broadcast_kernel_near_the_origin():
+    rng = np.random.default_rng(11)
+    frames = rng.normal(size=(500, 14))
+    mu = rng.normal(size=(10, 14))
+    sigma = rng.uniform(0.05, 2.0, size=14)
+    got, want = _assert_matches_broadcast_kernel(frames, mu, sigma)
+    np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_emission_loglik_matches_broadcast_kernel_where_the_expansion_cancels(offset):
+    # Frames a hair from their prototypes, far from the origin, at the
+    # seeding floor of the variances: |x|^2_w is ~1e10 at offset 1e3 while
+    # the Mahalanobis term is ~1.
+    rng = np.random.default_rng(12)
+    mu = offset + rng.normal(size=(6, 14))
+    frames = mu[rng.integers(0, 6, size=300)] + rng.normal(0.0, 0.03, size=(300, 14))
+    sigma = np.full(14, SIGMA_INIT_FLOOR)
+    _assert_matches_broadcast_kernel(frames, mu, sigma)
 
 
 def test_map_means_maximizes_posterior_per_dimension():

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from mh_phone import model
 from mh_phone.corpus import SignSequence, Corpus, synth_corpus
 from mh_phone.errors import InvariantViolation, NotEnoughData
-from mh_phone.estimation import map_sigma
+from mh_phone.estimation import emission_loglik, map_sigma
 from mh_phone.model import (SIGMA_INIT_FLOOR, e_step_greedy, e_step_viterbi,
                             fit_em, init_params, joint_path_score, log_joint,
                             m_step, sample)
 from mh_phone.params import Assignment, Hyperparams, ModelParams, make_truth_params
 
-from helpers import align_states, corpus_from_features, random_corpus, random_params
+from helpers import (align_states, corpus_from_features, params_digest, pinned_corpus,
+                     random_corpus, random_params)
 
 
 # ---------------------------------------------------------------- init
@@ -180,6 +182,21 @@ def test_e_steps_invariant_to_thread_count():
         one = step(params, corpus, threads=1).labels
         four = step(params, corpus, threads=4).labels
         np.testing.assert_array_equal(one, four)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_e_steps_and_objective_same_with_a_precomputed_table(threads):
+    rng = np.random.default_rng(9)
+    params = random_params(rng, 5, 4)
+    corpus = random_corpus(rng, 30, 8, 4)
+    table = emission_loglik(corpus.features, params.mu, params.sigma)
+    hyper = Hyperparams()
+    for step in (e_step_greedy, e_step_viterbi):
+        own = step(params, corpus, threads=threads)
+        given = step(params, corpus, threads=threads, loglik=table)
+        np.testing.assert_array_equal(own.labels, given.labels)
+        assert (log_joint(params, corpus, own, hyper)
+                == log_joint(params, corpus, own, hyper, loglik=table))
 
 
 # ---------------------------------------------------------------- M-step
@@ -372,6 +389,43 @@ def test_fit_em_deterministic_and_thread_invariant():
         np.testing.assert_array_equal(a[0].sigma, other[0].sigma)
         np.testing.assert_array_equal(a[1].labels, other[1].labels)
     assert a[2].log_joint_trace == b[2].log_joint_trace
+
+
+@pytest.mark.parametrize("e_step", ["greedy", "viterbi"])
+def test_fit_em_builds_one_emission_table_per_iteration(monkeypatch, e_step):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return emission_loglik(*args)
+
+    monkeypatch.setattr(model, "emission_loglik", counted)
+    corpus = random_corpus(np.random.default_rng(24), 12, 6, 3)
+    _, _, report = fit_em(corpus, 3, max_iters=5, tol=-1.0, e_step=e_step, seed=1, threads=2)
+    assert report.iterations == 5
+    assert calls == [corpus.features.shape] * 6  # one at initialisation
+
+
+@pytest.mark.parametrize("e_step", ["greedy", "viterbi"])
+def test_fit_em_objective_is_the_log_joint_of_the_fit(e_step):
+    # the shared table must be the one at the params the M-step returned
+    corpus = random_corpus(np.random.default_rng(25), 12, 6, 3)
+    params, assignment, report = fit_em(corpus, 3, max_iters=4, tol=-1.0, e_step=e_step, seed=2)
+    assert report.log_joint_trace[-1] == log_joint(params, corpus, assignment, Hyperparams())
+
+
+# The parameter digests of the fits were recorded with the broadcast emission
+# kernel; the expanded kernel must reproduce every fitted array bit for bit.
+@pytest.mark.parametrize("e_step, iterations, digest", [
+    ("greedy", 18, "a884d806aacc77edb71d15946b4ebdd5e45d50c063a14b266594efa534d2ff48"),
+    ("viterbi", 17, "e3d0ef681ccab0277f34e632532e0a34f5f3ab966f4371455afd381aa5ab849f"),
+])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_em_parameters_are_pinned(e_step, iterations, digest, threads):
+    params, _, report = fit_em(pinned_corpus(), 6, e_step=e_step, seed=5, threads=threads,
+                               max_iters=30)
+    assert report.converged and report.iterations == iterations
+    assert params_digest(params) == digest
 
 
 def test_fit_em_rejects_unknown_e_step():
