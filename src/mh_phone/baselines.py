@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Corpus, sampled_corpus
 from .errors import InvariantViolation
-from .estimation import map_sigma  # noqa: F401 -- kept importable from this module
+from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
 from .estimation import (dirichlet_logpdf, dirichlet_map, draw_categorical,
                          emission_loglik, hard_em, lognormal_logpdf, normal_logpdf,
                          safe_log, seed_emissions)

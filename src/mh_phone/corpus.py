@@ -175,8 +175,14 @@ class Corpus:
     @classmethod
     def from_arrays(cls, features, true_lengths, glosses, signers, noises) -> "Corpus":
         """The one validating constructor: copy the columns, check every sign
-        with `check_signs`, and store the columns read-only."""
-        features = np.array(features, dtype=float)
+        with `check_signs`, and store the columns read-only.
+
+        A float64 `features` array that owns its data and is already
+        read-only is kept without a copy; any other is copied, so a caller's
+        later writes to its array cannot reach the corpus."""
+        if not (type(features) is np.ndarray and features.dtype == np.float64
+                and features.flags.owndata and not features.flags.writeable):
+            features = np.array(features, dtype=float)
         columns = (np.array(true_lengths, dtype=np.int64),
                    *(np.array(column, dtype=object) for column in (glosses, signers, noises)))
         if features.ndim != 3 or not len(features) or any(
@@ -308,8 +314,10 @@ def load_corpus(path) -> Corpus:
         features = np.zeros((len(lines), p, d))
         for k, block in enumerate(blocks):
             features[k, :len(block)] = block
-        # the per-sign blocks go before from_arrays copies the padded array
+        # the per-sign blocks go before check_signs runs; the frozen padded
+        # array becomes the corpus's own, without a copy
         del blocks, block
+        features.flags.writeable = False
         return Corpus.from_arrays(features, lengths, glosses, signers, noises)
     except InvariantViolation as exc:  # raised by check_signs, so exc.sign is set
         raise InvariantViolation(f"line {lines[exc.sign]}: {exc.check}") from None

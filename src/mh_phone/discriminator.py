@@ -12,12 +12,21 @@ readout of the final hidden state through a logistic output. Training is
 full-batch with Adam-style adaptive steps; gradients are exact
 backpropagation through time.
 
+All parameters live in one flat float64 vector, `GruNet.theta`, with the
+input width D and hidden width H fixing its layout. In storage order the
+blocks are the update, reset and candidate gate weights w_z, w_r, w_c, each
+(D+H, H) in row-major order; their (H,) biases b_z, b_r, b_c; the (H,)
+readout weights w_out; and the scalar readout bias b_out, the last entry.
+The named blocks are views of theta, the gradient is a vector in the same
+layout, and Adam updates theta in one piece.
+
 Each training epoch runs one forward pass, which gives both the trace entry
 (the loss of the net before that epoch's step) and the caches the gradient
-back-propagates through. Every matrix product has the same operands and
-shape as a separate forward and backward would use, so the trained
-parameters, the trace and the reported losses are bit-for-bit those of that
-two-pass schedule.
+back-propagates through; one more forward scores the trained net, so a
+training runs epochs + 1 forwards. Every matrix product has the same
+operands and shape as a separate forward and backward would use, so the
+trained parameters, the trace and the reported losses are bit-for-bit those
+of that two-pass schedule.
 """
 
 import logging
@@ -29,99 +38,82 @@ import numpy as np
 from .errors import EmptyBatch, InvariantViolation, NotEnoughData
 from .seeding import component_seed, rng_for
 
-_PARAM_FIELDS = ("w_z", "w_r", "w_c", "b_z", "b_r", "b_c", "w_out", "b_out")
-
 LN2 = math.log(2.0)
 
 log = logging.getLogger("mh_phone")
 
 
-@dataclass
+def _n_params(d, h):
+    """Length of theta: three (d+h, h) gate matrices, four (h,) vectors, b_out."""
+    return 3 * (d + h) * h + 4 * h + 1
+
+
+def _blocks(theta, d, h):
+    """Views of theta's blocks, in storage order, for input width d and hidden width h."""
+    shapes = {"w_z": (d + h, h), "w_r": (d + h, h), "w_c": (d + h, h), "b_z": (h,),
+              "b_r": (h,), "b_c": (h,), "w_out": (h,)}
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = theta[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _block(name):
+    return property(lambda self: self._views[name],
+                    doc=f"The {name} block of theta, a view.")
+
+
 class GruNet:
-    """Parameters of the discriminator.
+    """Parameters of the discriminator: the flat vector `theta`, laid out as
+    the module docstring says. The named blocks are read-only attributes
+    holding views of theta; b_out reads as a float."""
 
-    The three gate blocks are (D+H, H) weight matrices plus (H,) biases; the
-    readout is an (H,) vector and a scalar bias.
-    """
+    w_z, w_r, w_c = _block("w_z"), _block("w_r"), _block("w_c")
+    b_z, b_r, b_c = _block("b_z"), _block("b_r"), _block("b_c")
+    w_out = _block("w_out")
 
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_c: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_c: np.ndarray
-    w_out: np.ndarray
-    b_out: float
-
-    def __post_init__(self):
-        for name in _PARAM_FIELDS[:-1]:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        self.b_out = float(self.b_out)
-        h = self.w_out.shape[0]
+    def __init__(self, theta, input_dim, hidden_dim):
+        d, h = int(input_dim), int(hidden_dim)
         if h < 1:
             raise InvariantViolation("hidden width must be at least 1")
-        d_plus_h = self.w_z.shape[0]
-        if d_plus_h <= h:
-            raise InvariantViolation("gate blocks must take the concatenated [x, h] input")
-        for name in ("w_z", "w_r", "w_c"):
-            if getattr(self, name).shape != (d_plus_h, h):
-                raise InvariantViolation(f"{name} must have shape {(d_plus_h, h)}")
-        for name in ("b_z", "b_r", "b_c"):
-            if getattr(self, name).shape != (h,):
-                raise InvariantViolation(f"{name} must have shape {(h,)}")
-        for name in _PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvariantViolation(f"{name} has non-finite entries")
+        if d < 1:
+            raise InvariantViolation("input width must be at least 1")
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (_n_params(d, h),):
+            raise InvariantViolation("parameter vector has the wrong length")
+        if not np.all(np.isfinite(theta)):
+            raise InvariantViolation("parameter vector has non-finite entries")
+        self.theta, self.input_dim, self.hidden_dim = theta, d, h
+        self._views = _blocks(theta, d, h)
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w_out.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_z.shape[0] - self.hidden_dim
+    def b_out(self) -> float:
+        return float(self.theta[-1])
 
     @classmethod
     def zeros(cls, input_dim, hidden_dim):
         d, h = int(input_dim), int(hidden_dim)
-        return cls(w_z=np.zeros((d + h, h)), w_r=np.zeros((d + h, h)),
-                   w_c=np.zeros((d + h, h)), b_z=np.zeros(h), b_r=np.zeros(h),
-                   b_c=np.zeros(h), w_out=np.zeros(h), b_out=0.0)
+        return cls(np.zeros(_n_params(d, h)), d, h)
 
     @classmethod
     def random(cls, input_dim, hidden_dim, rng):
         """Gaussian fan-in scaled weights, zero biases."""
-        d, h = int(input_dim), int(hidden_dim)
-        gate_scale = 1.0 / math.sqrt(d + h)
-        out_scale = 1.0 / math.sqrt(h)
-        return cls(
-            w_z=rng.normal(0.0, gate_scale, size=(d + h, h)),
-            w_r=rng.normal(0.0, gate_scale, size=(d + h, h)),
-            w_c=rng.normal(0.0, gate_scale, size=(d + h, h)),
-            b_z=np.zeros(h), b_r=np.zeros(h), b_c=np.zeros(h),
-            w_out=rng.normal(0.0, out_scale, size=h), b_out=0.0,
-        )
+        net = cls.zeros(input_dim, hidden_dim)
+        d, h = net.input_dim, net.hidden_dim
+        for block in (net.w_z, net.w_r, net.w_c):
+            block[...] = rng.normal(0.0, 1.0 / math.sqrt(d + h), size=block.shape)
+        net.w_out[...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=h)
+        return net
 
     def as_vector(self) -> np.ndarray:
-        parts = [np.asarray(getattr(self, name), dtype=float).ravel()
-                 for name in _PARAM_FIELDS]
-        return np.concatenate(parts)
+        """A copy of theta."""
+        return self.theta.copy()
 
     def from_vector(self, vec) -> "GruNet":
-        """A new net with this net's shapes and the given flat parameters."""
-        vec = np.asarray(vec, dtype=float)
-        total = sum(np.asarray(getattr(self, name)).size for name in _PARAM_FIELDS)
-        if vec.shape != (total,):
-            raise InvariantViolation("parameter vector has the wrong length")
-        values = {}
-        offset = 0
-        for name in _PARAM_FIELDS:
-            ref = np.asarray(getattr(self, name))
-            size = ref.size
-            values[name] = vec[offset:offset + size].reshape(ref.shape).copy()
-            offset += size
-        values["b_out"] = float(values["b_out"])
-        return GruNet(**values)
+        """A net with this net's shapes wrapping the given flat parameters."""
+        return GruNet(vec, self.input_dim, self.hidden_dim)
 
 
 def _sigmoid(x):
@@ -166,14 +158,17 @@ def _as_batch(data):
     return batch
 
 
-def _as_labels(batch, labels):
+def _as_labeled_batch(batch, labels, action):
+    batch = _as_batch(batch)
+    if batch.shape[0] == 0:
+        raise EmptyBatch(f"cannot {action} an empty batch")
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (batch.shape[0],):
         raise InvariantViolation(
             f"labels must have shape {(batch.shape[0],)}, got {labels.shape}")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise InvariantViolation("labels must be 0 or 1")
-    return labels
+    return batch, labels
 
 
 def gru_forward(net: GruNet, sequence) -> float:
@@ -187,38 +182,26 @@ def gru_forward(net: GruNet, sequence) -> float:
     return min(max(prob, tiny), 1.0 - tiny)
 
 
-def gru_forward_batch(net: GruNet, batch) -> np.ndarray:
-    """Probabilities for a (B, P, D) batch."""
-    logits, _, _ = _forward(net, _as_batch(batch))
-    return _sigmoid(logits)
-
-
 def bce_loss(net: GruNet, batch, labels) -> float:
     """Mean binary cross-entropy of the net on a labeled batch."""
-    batch = _as_batch(batch)
-    if batch.shape[0] == 0:
-        raise EmptyBatch("cannot score an empty batch")
-    labels = _as_labels(batch, labels)
+    batch, labels = _as_labeled_batch(batch, labels, "score")
     logits, _, _ = _forward(net, batch)
     return _bce_from_logits(logits, labels)
 
 
 def _backward(net: GruNet, logits, h_last, caches, labels) -> np.ndarray:
     """Backpropagation through time over one `_forward`'s caches: the
-    gradient of the mean BCE as a flat vector in `as_vector` order."""
+    gradient of the mean BCE as a flat vector in theta's layout."""
     b = logits.shape[0]
     d = net.input_dim
+    grad = np.zeros_like(net.theta)
+    g = _blocks(grad, d, net.hidden_dim)
+    g_w_z, g_w_r, g_w_c = g["w_z"], g["w_r"], g["w_c"]
+    g_b_z, g_b_r, g_b_c = g["b_z"], g["b_r"], g["b_c"]
     dlogits = (_sigmoid(logits) - labels) / b
-    g_w_out = h_last.T @ dlogits
-    g_b_out = float(dlogits.sum())
+    g["w_out"][...] = h_last.T @ dlogits
+    grad[-1] = dlogits.sum()
     dh = np.outer(dlogits, net.w_out)
-
-    g_w_z = np.zeros_like(net.w_z)
-    g_w_r = np.zeros_like(net.w_r)
-    g_w_c = np.zeros_like(net.w_c)
-    g_b_z = np.zeros_like(net.b_z)
-    g_b_r = np.zeros_like(net.b_r)
-    g_b_c = np.zeros_like(net.b_c)
 
     for x, h_prev, z, r, hc in reversed(caches):
         dz = dh * (h_prev - hc)
@@ -240,8 +223,7 @@ def _backward(net: GruNet, logits, h_last, caches, labels) -> np.ndarray:
               + (da_r @ net.w_r.T)[:, d:]
               + (da_z @ net.w_z.T)[:, d:])
 
-    return np.concatenate([g_w_z.ravel(), g_w_r.ravel(), g_w_c.ravel(), g_b_z,
-                           g_b_r, g_b_c, g_w_out, [g_b_out]])
+    return grad
 
 
 def _loss_and_grad(net: GruNet, batch, labels):
@@ -254,12 +236,9 @@ def _loss_and_grad(net: GruNet, batch, labels):
 def gru_grad(net: GruNet, batch, labels) -> GruNet:
     """Exact gradients of the mean BCE with respect to every parameter block.
 
-    Returned as a GruNet whose fields hold the gradients.
+    Returned as a GruNet whose blocks hold the gradients.
     """
-    batch = _as_batch(batch)
-    if batch.shape[0] == 0:
-        raise EmptyBatch("cannot take gradients on an empty batch")
-    _, grad = _loss_and_grad(net, batch, _as_labels(batch, labels))
+    _, grad = _loss_and_grad(net, *_as_labeled_batch(batch, labels, "take gradients on"))
     return net.from_vector(grad)
 
 
@@ -268,30 +247,27 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2,
     """Full-batch Adam-style training. Returns (net, per-epoch train BCE).
 
     The trace has epochs + 1 entries; entry 0 is the untrained loss and
-    entry t the loss after t steps.
+    entry t the loss after t steps. Entry t < epochs comes from the forward
+    pass behind step t+1's gradient, so training runs epochs + 1 forwards.
     """
-    batch = _as_batch(batch)
-    labels = _as_labels(batch, labels)
+    batch, labels = _as_labeled_batch(batch, labels, "train on")
     epochs = int(epochs)
     if epochs < 0:
         raise InvariantViolation(f"epochs must not be negative, got {epochs}")
-    theta = net.as_vector()
+    theta = net.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    trace = [bce_loss(net, batch, labels)]
+    trace = []
     for t in range(1, epochs + 1):
-        # the forward behind step t's gradient scores the net after step t-1
         loss, grad = _loss_and_grad(net, batch, labels)
-        if t > 1:
-            trace.append(loss)
+        trace.append(loss)
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
         net = net.from_vector(theta)
-    if epochs > 0:
-        trace.append(bce_loss(net, batch, labels))
+    trace.append(bce_loss(net, batch, labels))
     return net, trace
 
 
@@ -328,7 +304,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     discriminators.
 
     For each of n_seeds rounds: ask `generator(n, seed_k)` for as many signs
-    as the real corpus has, label real 1 and generated 0, make a stratified
+    as the real corpus has (a batch of another shape is an error), label real 1 and generated 0, make a stratified
     train/test split, train a GRU from a seeded random init, and record the
     test BCE. Returns mean and standard deviation over rounds; every draw is
     derived from `seed`, so results are bit-reproducible.
@@ -340,7 +316,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     if int(hidden_dim) < 1:
         raise InvariantViolation(f"hidden_dim must be at least 1, got {hidden_dim}")
     real_batch = _as_batch(real)
-    n_real, p, d = real_batch.shape
+    n_real, _, d = real_batch.shape
     if n_real < 10:
         raise NotEnoughData("generator evaluation needs at least 10 real signs")
     if not (0.0 < split < 1.0):
@@ -348,11 +324,11 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     per_seed = []
     for k in range(int(n_seeds)):
         fake_batch = _as_batch(generator(n_real, component_seed(seed, f"generator/{k}")))
-        if fake_batch.shape[1:] != (p, d):
+        if fake_batch.shape != real_batch.shape:
             raise InvariantViolation(
-                f"generator returned shape {fake_batch.shape[1:]}, expected {(p, d)}")
+                f"generator returned shape {fake_batch.shape}, expected {real_batch.shape}")
         data = np.concatenate([real_batch, fake_batch], axis=0)
-        labels = np.concatenate([np.ones(n_real), np.zeros(fake_batch.shape[0])])
+        labels = np.concatenate([np.ones(n_real), np.zeros(n_real)])
         rng = rng_for(seed, f"discriminator/{k}")
         train_idx, test_idx = _stratified_split(rng, labels, split)
         net = GruNet.random(d, hidden_dim, rng)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .corpus import Corpus, synth_corpus
 from .errors import InvariantViolation
-from .estimation import SIGMA_INIT_FLOOR  # noqa: F401 -- kept importable from this module
 from .estimation import (dirichlet_logpdf, dirichlet_map, emission_loglik, hard_em,
                          lognormal_logpdf, map_means, map_sigma, normal_logpdf,
                          safe_log, seed_emissions)

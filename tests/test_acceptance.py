@@ -283,10 +283,10 @@ def test_generator_ordering_at_desk_scale():
 def test_discriminator_gradient_finite_differences():
     rng = np.random.default_rng(111)
     net = GruNet.random(14, 16, rng)
-    net.b_z = rng.normal(0, 0.1, size=16)
-    net.b_r = rng.normal(0, 0.1, size=16)
-    net.b_c = rng.normal(0, 0.1, size=16)
-    net.b_out = 0.05
+    net.b_z[:] = rng.normal(0, 0.1, size=16)
+    net.b_r[:] = rng.normal(0, 0.1, size=16)
+    net.b_c[:] = rng.normal(0, 0.1, size=16)
+    net.theta[-1] = 0.05
     batch = rng.normal(size=(8, 6, 14))
     labels = (np.arange(8) % 2).astype(float)
 

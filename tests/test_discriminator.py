@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from mh_phone import discriminator
 from mh_phone.discriminator import (LN2, EvalReport, GruNet, _stratified_split,
-                                    bce_loss, evaluate_generator, gru_forward,
-                                    gru_forward_batch, gru_grad, train_gru)
+                                    bce_loss, evaluate_generator, gru_forward, gru_grad,
+                                    train_gru)
 from mh_phone.errors import EmptyBatch, InvariantViolation, NotEnoughData
 
 from helpers import corpus_from_features
@@ -20,18 +21,18 @@ def test_zero_net_is_exactly_chance():
     seq = np.random.default_rng(0).normal(size=(6, 4))
     assert gru_forward(net, seq) == 0.5
     batch = np.random.default_rng(1).normal(size=(5, 6, 4))
-    np.testing.assert_array_equal(gru_forward_batch(net, batch), 0.5)
+    assert [gru_forward(net, sign) for sign in batch] == [0.5] * 5
     assert bce_loss(net, batch, np.array([1, 0, 1, 0, 1])) == LN2
 
 
 def test_probability_strictly_inside_unit_interval():
     net = GruNet.zeros(2, 1)
-    net.w_out = np.array([1e6])
-    net.b_c = np.array([50.0])  # drives the hidden state to saturation
+    net.w_out[:] = 1e6
+    net.b_c[:] = 50.0  # drives the hidden state to saturation
     seq = np.ones((4, 2))
     p = gru_forward(net, seq)
     assert 0.0 < p < 1.0
-    net.w_out = np.array([-1e6])
+    net.w_out[:] = -1e6
     q = gru_forward(net, seq)
     assert 0.0 < q < 1.0
 
@@ -39,10 +40,11 @@ def test_probability_strictly_inside_unit_interval():
 def test_forward_matches_hand_unrolled_recurrence():
     rng = np.random.default_rng(52)
     net = GruNet.random(3, 2, rng)
-    net.b_z = rng.normal(size=2)
-    net.b_r = rng.normal(size=2)
-    net.b_c = rng.normal(size=2)
-    net.b_out = 0.3
+    net.b_z[:] = rng.normal(size=2)
+    net.b_r[:] = rng.normal(size=2)
+    net.b_c[:] = rng.normal(size=2)
+    net.theta[-1] = 0.3
+    assert net.b_out == 0.3
     seq = rng.normal(size=(2, 3))
     h = np.zeros(2)
     for t in range(2):
@@ -61,25 +63,55 @@ def test_vector_round_trip_and_length_check():
     net = GruNet.random(4, 3, rng)
     vec = net.as_vector()
     back = net.from_vector(vec)
+    assert back.theta is vec  # wrapped, not copied
     np.testing.assert_array_equal(back.as_vector(), vec)
     assert isinstance(back.b_out, float)
     with pytest.raises(InvariantViolation):
         net.from_vector(vec[:-1])
 
 
+def test_as_vector_is_a_copy_and_blocks_are_views():
+    net = GruNet.random(4, 3, np.random.default_rng(3))
+    before = net.theta.copy()
+    net.as_vector()[:] = 7.0
+    np.testing.assert_array_equal(net.theta, before)
+    assert net.w_z.shape == net.w_r.shape == net.w_c.shape == (7, 3)
+    assert net.b_z.shape == net.b_r.shape == net.b_c.shape == net.w_out.shape == (3,)
+    net.w_out[:] = 2.0
+    net.theta[-1] = -1.5
+    np.testing.assert_array_equal(net.theta[-4:], [2.0, 2.0, 2.0, -1.5])
+    assert net.b_out == -1.5
+    with pytest.raises(AttributeError):
+        net.w_z = np.zeros((7, 3))  # rebinding would detach the block from theta
+
+
+def test_random_draws_gate_weights_then_readout():
+    net = GruNet.random(4, 3, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for block in (net.w_z, net.w_r, net.w_c):
+        np.testing.assert_array_equal(block, rng.normal(0.0, 1 / math.sqrt(7), size=(7, 3)))
+    np.testing.assert_array_equal(net.w_out, rng.normal(0.0, 1 / math.sqrt(3), size=3))
+    for bias in (net.b_z, net.b_r, net.b_c):
+        np.testing.assert_array_equal(bias, 0.0)
+    assert net.b_out == 0.0
+
+
 def test_net_validation():
-    with pytest.raises(InvariantViolation):
-        GruNet(w_z=np.zeros((3, 3)), w_r=np.zeros((3, 3)), w_c=np.zeros((3, 3)),
-               b_z=np.zeros(3), b_r=np.zeros(3), b_c=np.zeros(3),
-               w_out=np.zeros(3), b_out=0.0)  # no room for the input block
-    with pytest.raises(InvariantViolation):
-        GruNet(w_z=np.zeros((5, 2)), w_r=np.zeros((5, 3)), w_c=np.zeros((5, 2)),
-               b_z=np.zeros(2), b_r=np.zeros(2), b_c=np.zeros(2),
-               w_out=np.zeros(2), b_out=0.0)
-    with pytest.raises(InvariantViolation):
-        GruNet(w_z=np.full((4, 2), np.nan), w_r=np.zeros((4, 2)),
-               w_c=np.zeros((4, 2)), b_z=np.zeros(2), b_r=np.zeros(2),
-               b_c=np.zeros(2), w_out=np.zeros(2), b_out=0.0)
+    size = 3 * (4 + 2) * 2 + 4 * 2 + 1
+    assert GruNet(np.zeros(size), 4, 2).theta.shape == (size,)
+    with pytest.raises(InvariantViolation, match="wrong length"):
+        GruNet(np.zeros(size + 1), 4, 2)
+    with pytest.raises(InvariantViolation, match="wrong length"):
+        GruNet(np.zeros((size, 1)), 4, 2)
+    with pytest.raises(InvariantViolation, match="input width"):
+        GruNet.zeros(0, 2)  # no room for the input block
+    with pytest.raises(InvariantViolation, match="hidden width"):
+        GruNet.zeros(4, 0)
+    for bad in (np.nan, np.inf):
+        theta = np.zeros(size)
+        theta[5] = bad
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            GruNet(theta, 4, 2)
 
 
 def _numeric_grad(net, batch, labels, eps=1e-5):
@@ -107,10 +139,10 @@ def _block_slices(net):
 def test_gradients_match_finite_differences_blockwise():
     rng = np.random.default_rng(53)
     net = GruNet.random(4, 3, rng)
-    net.b_z = rng.normal(0, 0.1, size=3)
-    net.b_r = rng.normal(0, 0.1, size=3)
-    net.b_c = rng.normal(0, 0.1, size=3)
-    net.b_out = 0.1
+    net.b_z[:] = rng.normal(0, 0.1, size=3)
+    net.b_r[:] = rng.normal(0, 0.1, size=3)
+    net.b_c[:] = rng.normal(0, 0.1, size=3)
+    net.theta[-1] = 0.1
     batch = rng.normal(size=(5, 3, 4))
     labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     analytic = gru_grad(net, batch, labels).as_vector()
@@ -145,9 +177,8 @@ def test_corpus_accepted_as_batch():
     rng = np.random.default_rng(55)
     corpus = corpus_from_features(rng.normal(size=(3, 4, 2)))
     net = GruNet.random(2, 2, rng)
-    direct = gru_forward_batch(net, corpus.features)
-    via_corpus = gru_forward_batch(net, corpus)
-    np.testing.assert_array_equal(direct, via_corpus)
+    labels = np.array([1.0, 0.0, 1.0])
+    assert bce_loss(net, corpus, labels) == bce_loss(net, corpus.features, labels)
 
 
 def test_training_reduces_loss_on_separable_data():
@@ -165,6 +196,22 @@ def test_training_reduces_loss_on_separable_data():
     assert trace[-1] < trace[0]
     np.testing.assert_array_equal(net0.as_vector(), before)
     assert net is not net0
+
+
+@pytest.mark.parametrize("epochs", [0, 5])
+def test_train_gru_runs_one_forward_per_epoch_plus_one(monkeypatch, epochs):
+    calls = []
+    forward = discriminator._forward
+
+    def counting(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(discriminator, "_forward", counting)
+    rng = np.random.default_rng(80)
+    batch = rng.normal(size=(6, 4, 3))
+    train_gru(GruNet.random(3, 2, rng), batch, np.arange(6) % 2, epochs=epochs)
+    assert len(calls) == epochs + 1
 
 
 def test_train_deterministic():
@@ -242,6 +289,14 @@ def test_evaluate_generator_validation_and_report_fields():
     assert d["n_seeds"] == 3
     assert d["options"]["epochs"] == 5
     assert d["options"]["seed"] == 66
+
+
+@pytest.mark.parametrize("n_fake", [0, 1, 3, 13])
+def test_evaluate_generator_rejects_a_wrong_sign_count(n_fake):
+    real = _real_corpus(81, m=12)
+    with pytest.raises(InvariantViolation, match=(
+            rf"generator returned shape \({n_fake}, 6, 3\), expected \(12, 6, 3\)")):
+        evaluate_generator(real, lambda n, s: np.zeros((n_fake, 6, 3)), n_seeds=2, epochs=2)
 
 
 def test_evaluate_generator_deterministic():

@@ -10,10 +10,9 @@ from scipy import optimize, stats
 from mh_phone import model
 from mh_phone.corpus import SignSequence, Corpus, synth_corpus
 from mh_phone.errors import InvariantViolation, NotEnoughData
-from mh_phone.estimation import emission_loglik, map_sigma
-from mh_phone.model import (SIGMA_INIT_FLOOR, e_step_greedy, e_step_viterbi,
-                            fit_em, init_params, joint_path_score, log_joint,
-                            m_step, sample)
+from mh_phone.estimation import SIGMA_INIT_FLOOR, emission_loglik, map_sigma
+from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
+                            joint_path_score, log_joint, m_step, sample)
 from mh_phone.params import Assignment, Hyperparams, ModelParams, make_truth_params
 
 from helpers import (align_states, corpus_from_features, params_digest, pinned_corpus,
