@@ -41,6 +41,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux and a few Unixes
+        return os.cpu_count() or 1
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got '{text}'") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _setup_logging(flag_level):
     name = flag_level or os.environ.get("MH_PHONE_LOG", "warning")
     level = getattr(logging, str(name).upper(), None)
@@ -63,8 +82,8 @@ def _sample_any(fitted, n_signs, n_frames, seed, exact_end_token=True):
     return baselines.sample_gmm_lda(fitted, n_signs, n_frames=n_frames, seed=seed)
 
 
-def _load_training_corpus(path, include_broken):
-    corp = load_corpus(path)
+def _load_training_corpus(path, include_broken, workers):
+    corp = load_corpus(path, workers=workers)
     if not include_broken:
         corp = corp.without_noise("broken")
     return corp
@@ -83,7 +102,7 @@ def cmd_synth(args):
     corp, _ = synth_corpus(truth, args.m_signs, component_seed(args.seed, "synth/corpus"),
                            n_frames=args.p_frames,
                            exact_end_token=not args.noisy_end_token)
-    save_corpus(corp, args.out, config=config)
+    save_corpus(corp, args.out, config=config, workers=usable_cores())
     log.info("wrote %d signs to %s", len(corp), args.out)
     if args.truth_out:
         save_model(args.truth_out, truth, Hyperparams(), config=config)
@@ -99,7 +118,7 @@ def cmd_train(args):
               "include_broken": args.include_broken, "out": args.out,
               "alpha": args.alpha, "mu_mu": args.mu_mu, "sigma_mu": args.sigma_mu,
               "mu_sigma": args.mu_sigma, "sigma_sigma": args.sigma_sigma}
-    corp = _load_training_corpus(args.corpus, args.include_broken)
+    corp = _load_training_corpus(args.corpus, args.include_broken, args.threads)
     hyper = _hyper_from_args(args)
     seed = component_seed(args.seed, "train")
     if args.model == "dbn":
@@ -132,7 +151,7 @@ def cmd_generate(args):
     corp = _sample_any(fitted, args.n, args.p_frames,
                        component_seed(args.seed, "generate"),
                        exact_end_token=not args.noisy_end_token)
-    save_corpus(corp, args.out, config=config)
+    save_corpus(corp, args.out, config=config, workers=usable_cores())
     log.info("wrote %d sampled signs to %s", len(corp), args.out)
     return EXIT_OK
 
@@ -142,7 +161,7 @@ def cmd_evaluate(args):
               "model": args.model, "seeds": args.seeds, "epochs": args.epochs,
               "lr": args.lr, "hidden": args.hidden, "split": args.split,
               "include_broken": args.include_broken, "report": args.report}
-    real = _load_training_corpus(args.real, args.include_broken)
+    real = _load_training_corpus(args.real, args.include_broken, usable_cores())
     fitted, hyper, _ = load_model(args.model)
     d_model = fitted.mu.shape[1]
     if d_model != real.dims[2]:
@@ -258,8 +277,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--include-broken", action="store_true",
                    help="keep signs with noise level 'broken'")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="E-step worker threads; output does not depend on it")
+    p.add_argument("--threads", type=_positive_int, default=usable_cores(),
+                   help="E-step worker threads, also the cap on corpus-reading "
+                        "processes; output does not depend on it")
     _add_hyper(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)

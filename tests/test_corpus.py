@@ -1,17 +1,20 @@
 """Corpus tests: pose normalization, padding, JSONL persistence, synthesis."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mh_phone import corpus as corpus_module
 from mh_phone.corpus import (FEATURE_ORDER, KEYPOINTS, N_FEATURES, NOISE_LEVELS,
                              Corpus, RawSign, SignSequence, ingest_raw_sign,
                              load_corpus, normalize_pose, pad_sign,
@@ -222,19 +225,34 @@ def test_from_arrays_copies_writable_or_borrowed_features():
     np.testing.assert_array_equal(corp.features, 5.0)
 
 
-def test_load_corpus_holds_the_padded_features_once(tmp_path):
+def _load_peak_over_features(tmp_path, workers):
     truth = make_truth_params(5, 14, seed=5)
     path = tmp_path / "c.jsonl"
     save_corpus(synth_corpus(truth, 300, seed=6)[0], path)
+    load_corpus(path, workers=workers)  # a first pool imports multiprocessing's pool modules
     tracemalloc.start()
     try:
-        corp = load_corpus(path)
+        corp = load_corpus(path, workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the per-sign blocks and the padded array overlap; a copy of the padded
+    return peak / corp.features.nbytes
+
+
+def test_load_corpus_holds_the_padded_features_once(tmp_path):
+    # the stacked frames and the padded array overlap; a copy of the padded
     # array on top of them took the peak to about 2.25 times the features
-    assert peak < 2 * corp.features.nbytes
+    assert _load_peak_over_features(tmp_path, 1) < 2
+
+
+def test_pooled_load_holds_the_padded_features_once(tmp_path, pooled):
+    assert _load_peak_over_features(tmp_path, 2) < 2
+    assert pooled[-1] == 2
+
+
+def test_without_noise_gives_the_corpus_itself_when_nothing_is_dropped():
+    corp = Corpus(_mixed_signs())
+    assert corp.without_noise("absent") is corp
 
 
 def test_without_noise_keeps_the_order_of_the_remaining_signs():
@@ -381,6 +399,17 @@ def test_load_names_the_line_of_a_bad_third_record(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("value, kind", [
+    (None, "null"), (7, "a number"), (["g"], "an array"), (True, "a boolean")])
+@pytest.mark.parametrize("key", ["gloss", "signer", "noise"])
+def test_load_rejects_metadata_that_is_not_a_string(tmp_path, key, value, kind):
+    path = tmp_path / "c.jsonl"
+    _write_corpus_file(path, [_record([[1.0, 0.0, 0.0]]),
+                              dict(_record([[1.0, 0.0, 0.0]]), **{key: value})])
+    with pytest.raises(InvariantViolation, match=f"^line 3: {key} must be a string, got {kind}$"):
+        load_corpus(path)
+
+
 @pytest.mark.parametrize("header, record, line", [
     ({}, _record([[1.0, 2.0, 3.0], [1.0, 2.0]]), 2),  # ragged frames
     ({}, _record([["a", 1.0, 2.0]]), 2),              # a string value
@@ -437,16 +466,141 @@ def _corpus_files(draw):
     return b"\n".join(lines)
 
 
+def _outcome(path, workers):
+    """The columns of the corpus that `load_corpus` gives, or its error's type and text."""
+    try:
+        corpus = load_corpus(path, workers=workers)
+    except MhPhoneError as exc:
+        return type(exc), str(exc)
+    assert isinstance(corpus, Corpus)
+    return [getattr(corpus, name).tolist() for name in COLUMNS]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_corpus_files())
 def test_load_fuzzed_files_give_a_corpus_or_an_mh_phone_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
     path.write_bytes(text)
-    try:
-        corpus = load_corpus(path)
-    except MhPhoneError:
-        return
-    assert isinstance(corpus, Corpus)
+    serial = _outcome(path, 1)
+    with mock.patch.object(corpus_module, "MIN_BYTES_PER_WORKER", 1):
+        assert _outcome(path, 2) == serial
+    assert not multiprocessing.active_children()
+
+
+# ------------------------------------------------- corpus IO in a process pool
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Corpus IO with the per-worker minimums at 1, so that any worker count
+    above 1 forks a pool; gives the pool size each call chose."""
+    sizes = []
+    pool_size = corpus_module._pool_size
+
+    def spy(*args):
+        sizes.append(pool_size(*args))
+        return sizes[-1]
+
+    monkeypatch.setattr(corpus_module, "MIN_VALUES_PER_WORKER", 1)
+    monkeypatch.setattr(corpus_module, "MIN_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(corpus_module, "_pool_size", spy)
+    return sizes
+
+
+def _assert_same_columns(got, want):
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("m", [7, 41])  # fewer signs than runs; runs that do not divide M
+def test_pooled_save_writes_the_same_bytes_for_any_worker_count(tmp_path, pooled, m):
+    corp = synth_corpus(make_truth_params(3, 4, seed=1), m, seed=2)[0]
+    texts = []
+    for workers in (1, 2, 3):
+        path = tmp_path / f"{workers}.jsonl"
+        save_corpus(corp, path, config={"seed": 1}, workers=workers)
+        assert not multiprocessing.active_children()
+        texts.append(path.read_bytes())
+    assert pooled == [1, 2, 3]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    records = [json.dumps({"gloss": s.gloss, "signer": s.signer, "noise": s.noise,
+                           "frames": s.features[:s.true_length].tolist()}) for s in corp]
+    assert texts[0].decode().split("\n")[1:] == records + [""]
+
+
+_SPELLINGS = {
+    "blank-lines": lambda lines: "\n".join(x for line in lines for x in (line, "", " \t")),
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "no-final-newline": lambda lines: "\n".join(lines),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+def test_pooled_load_gives_the_same_corpus_for_any_worker_count(tmp_path, pooled, spelling):
+    corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
+    path = tmp_path / "c.jsonl"
+    save_corpus(corp, path)
+    path.write_bytes(_SPELLINGS[spelling](path.read_text().splitlines()).encode())
+    for workers in (1, 2):
+        _assert_same_columns(load_corpus(path, workers=workers), corp)
+        assert not multiprocessing.active_children()
+    assert pooled == [1, 1, 2]
+
+
+def _file_with_bad_lines(path, bad):
+    """A 30-sign file with a blank line after every third record and each
+    (record index, text) of `bad` in place of that record; gives the line of
+    every bad record."""
+    lines, at = [json.dumps({"format": "mh-corpus", "version": 1, "D": 3, "P": 4})], {}
+    for k in range(30):
+        if k in bad:
+            at[k] = len(lines) + 1
+        lines.append(bad.get(k, json.dumps(_record([[1.0 + k, 0.0, 0.0]]))))
+        if k % 3 == 2:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n")
+    return at
+
+
+def _pooled_and_serial_errors(path, pooled):
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(MhPhoneError) as info:
+            load_corpus(path, workers=workers)
+        assert not multiprocessing.active_children()
+        exc = info.value
+        errors.append((type(exc), str(exc), getattr(exc, "line", None)))
+    assert pooled == [1, 2]
+    assert errors[1] == errors[0]
+    return errors[0]
+
+
+_END_TOKEN = json.dumps(_record([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad, error, check", [
+    ('{"gloss": "g"', ParseError, "malformed JSON record"),
+    (json.dumps(_record([[1.0, 0.0, 0.0]] * 5)), TooLong, "sign has 5 frames"),
+    (json.dumps(_record([[1.0, 0.0, 0.0]], signer=7)), InvariantViolation, "signer must be"),
+    (_END_TOKEN, InvariantViolation, "end token violation: zero rows must form"),
+    ('{"gloss": "g", "signer": "s", "noise": "none", "frames": [[NaN, 1, 2]]}',
+     InvariantViolation, "features must be finite"),
+], ids=["json", "too-long", "signer", "end-token", "nan"])
+@pytest.mark.parametrize("sign", [20, 29], ids=["later-chunk", "last-chunk"])
+def test_pooled_load_raises_what_the_serial_load_raises(tmp_path, pooled, bad, error,
+                                                        check, sign):
+    path = tmp_path / "c.jsonl"
+    line = _file_with_bad_lines(path, {sign: bad})[sign]
+    kind, message, _ = _pooled_and_serial_errors(path, pooled)
+    assert kind is error
+    assert message.startswith(f"line {line}: {check}")
+
+
+def test_pooled_load_raises_the_first_bad_line_in_file_order(tmp_path, pooled):
+    path = tmp_path / "c.jsonl"
+    # a sign that fails check_signs early, then two records that fail to parse
+    lines = _file_with_bad_lines(path, {3: _END_TOKEN, 17: "[", 28: "{"})
+    assert _pooled_and_serial_errors(path, pooled) == (
+        ParseError, f"line {lines[17]}: malformed JSON record: Expecting value", lines[17])
 
 
 _HYPER = Hyperparams().to_dict()

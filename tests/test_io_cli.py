@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mh_phone.baselines import GmmLdaParams, GmmParams
-from mh_phone.cli import main
+from mh_phone import cli
+from mh_phone.cli import build_parser, main, usable_cores
 from mh_phone.corpus import load_corpus
 from mh_phone.errors import InvariantViolation, ParseError
 from mh_phone.io import (dump_json, load_json, load_model, model_kind, save_model,
@@ -291,6 +292,54 @@ def test_cli_missing_required_flag_exits_one(capsys):
         _run("train", "--out", "x.json")
     assert err.value.code == 1
     assert "--corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads, message", [
+    ("0", "must be at least 1, got 0"), ("-3", "must be at least 1, got -3"),
+    ("two", "must be an integer, got 'two'")])
+def test_cli_train_rejects_threads_below_one(tiny_pipeline, capsys, threads, message):
+    tmp_path, corpus = tiny_pipeline
+    with pytest.raises(SystemExit) as err:
+        _run("train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"),
+             "--threads", threads)
+    assert err.value.code == 1
+    assert f"argument --threads: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_threads_default_to_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert usable_cores() == 3
+    assert build_parser().parse_args(["train", "--corpus", "c", "--out", "m"]).threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert usable_cores() == 6
+
+
+def test_cli_corpus_io_workers_follow_threads_or_the_usable_cores(tiny_pipeline, monkeypatch):
+    tmp_path, corpus = tiny_pipeline
+    seen = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def traced(*args, **kwargs):
+            seen.append((name, kwargs["workers"]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, traced)
+
+    spy("load_corpus")
+    spy("save_corpus")
+    monkeypatch.setattr(cli, "usable_cores", lambda: 5)
+    model_path = tmp_path / "m.json"
+    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
+                "--max-iters", "2", "--threads", "2") == 0
+    assert _run("generate", "--model", str(model_path), "--n", "4",
+                "--out", str(tmp_path / "g.jsonl")) == 0
+    assert _run("evaluate", "--real", str(corpus), "--model", str(model_path),
+                "--report", str(tmp_path / "r.json"), "--seeds", "1", "--epochs", "1",
+                "--hidden", "2") == 0
+    assert seen == [("load_corpus", 2), ("save_corpus", 5), ("load_corpus", 5)]
 
 
 def test_cli_unknown_command_exits_one(capsys):
@@ -586,9 +635,18 @@ def test_load_model_reports_unreadable_json(tmp_path, raw):
         load_model(path)
 
 
-def test_importing_the_cli_does_not_import_jsonschema():
+def _imported_by_the_cli(module):
     src = os.path.dirname(os.path.dirname(sys.modules["mh_phone"].__file__))
-    code = "import sys, mh_phone.cli; print('jsonschema' in sys.modules)"
+    code = f"import sys, mh_phone.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    assert not _imported_by_the_cli("jsonschema")
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # only a corpus large enough for a process pool imports it
+    assert not _imported_by_the_cli("multiprocessing")
