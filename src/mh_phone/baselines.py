@@ -16,31 +16,19 @@ import numpy as np
 from .corpus import Corpus, sampled_corpus
 from .errors import InvariantViolation
 from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
-from .estimation import (dirichlet_logpdf, dirichlet_map, draw_categorical,
-                         emission_loglik, hard_em, lognormal_logpdf, normal_logpdf,
-                         safe_log, seed_emissions)
+from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
+                         hard_em, map_log_joint, pair_counts, safe_log, seed_emissions)
 from .model import emission_means, emission_sigma
 from .params import GmmLdaParams, GmmParams, Hyperparams
 
 
-def _gmm_log_joint(weights, mu, sigma, loglik, labels, hyper):
-    total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
-    total += dirichlet_logpdf(weights, hyper.alpha)
-    total += float(normal_logpdf(mu, hyper.mu_mu, hyper.sigma_mu ** 2).sum())
-    total += float(safe_log(weights)[labels].sum())
-    total += float(np.take_along_axis(loglik, labels[:, None], axis=1).sum())
-    return total
-
-
-def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams | None = None,
+def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
             seed=0, *, max_iters=200, tol=1e-6):
     """Hard-EM MAP fit of a GMM over all frames. Returns (params, report).
 
     Each iteration labels every frame with its best component, then updates
     weights, mu (with the previous sigma) and sigma, in that order.
     """
-    if hyper is None:
-        hyper = Hyperparams()
     if n_components < 1:
         raise InvariantViolation("n_components must be at least 1")
     _, _, d = corpus.dims
@@ -57,21 +45,12 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams | None = None,
         weights = dirichlet_map(counts, hyper.alpha)
         sigma = emission_sigma(frames, labels, mu, hyper)
         loglik = emission_loglik(frames, mu, sigma)
-        return _gmm_log_joint(weights, mu, sigma, loglik, labels, hyper)
+        return map_log_joint(hyper, mu, sigma, (weights,),
+                             (safe_log(weights)[labels],
+                              np.take_along_axis(loglik, labels[:, None], axis=1)))
 
     report = hard_em(step, max_iters, tol)
     return GmmParams(weights=weights, mu=mu, sigma=sigma), report
-
-
-def _lda_log_joint(psi, tau, mu, sigma, loglik, labels, topics, hyper):
-    total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
-    total += dirichlet_logpdf(tau, hyper.alpha)
-    total += sum(dirichlet_logpdf(row, hyper.alpha) for row in psi)
-    total += float(normal_logpdf(mu, hyper.mu_mu, hyper.sigma_mu ** 2).sum())
-    total += float(safe_log(tau)[topics].sum())
-    total += float(safe_log(psi)[topics[:, None], labels].sum())
-    total += float(np.take_along_axis(loglik, labels[:, :, None], axis=2).sum())
-    return total
 
 
 def _lda_e_step(loglik, psi, tau):
@@ -87,7 +66,7 @@ def _lda_e_step(loglik, psi, tau):
     return topics, np.argmax(loglik + log_psi[topics][:, None, :], axis=2)
 
 
-def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | None = None,
+def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyperparams(),
                 seed=0, *, max_iters=200, tol=1e-6):
     """Hard-EM MAP fit of the topic-mixture GMM. Returns (params, report).
 
@@ -96,11 +75,9 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
     scores and keeps the winner (`_lda_e_step`). Initial topics are drawn at
     random (seeded) to break the symmetry of the uniform topic_word rows.
     """
-    if hyper is None:
-        hyper = Hyperparams()
     if n_components < 1 or n_topics < 1:
         raise InvariantViolation("n_components and n_topics must be at least 1")
-    m, p, d = corpus.dims
+    m, _, d = corpus.dims
     frames3 = corpus.features
     frames = frames3.reshape(-1, d)
     rng = np.random.default_rng(seed)
@@ -115,16 +92,17 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams | Non
         # M-step from the current hard assignment
         topic_counts = np.bincount(topics, minlength=n_topics).astype(float)
         tau = dirichlet_map(topic_counts, hyper.alpha)
-        word_counts = np.zeros((n_topics, n_components))
-        np.add.at(word_counts, (np.repeat(topics, p), labels.ravel()), 1.0)
-        psi = dirichlet_map(word_counts, hyper.alpha)
+        psi = dirichlet_map(pair_counts(topics[:, None], labels, n_topics, n_components),
+                            hyper.alpha)
         _, mu = emission_means(frames, labels.ravel(), n_components, sigma, hyper)
         sigma = emission_sigma(frames, labels.ravel(), mu, hyper)
 
         # E-step with the fresh parameters
         loglik = emission_loglik(frames3, mu, sigma)
         topics, labels = _lda_e_step(loglik, psi, tau)
-        return _lda_log_joint(psi, tau, mu, sigma, loglik, labels, topics, hyper)
+        return map_log_joint(hyper, mu, sigma, (tau, psi),
+                             (safe_log(tau)[topics], safe_log(psi)[topics[:, None], labels],
+                              np.take_along_axis(loglik, labels[:, :, None], axis=2)))
 
     report = hard_em(step, max_iters, tol)
     params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=hyper.alpha,
@@ -137,8 +115,7 @@ def sample_gmm(params: GmmParams, n_signs, n_frames=25, seed=0, return_labels=Fa
     rng = np.random.default_rng(seed)
     n_signs, n_frames = int(n_signs), int(n_frames)
     labels = draw_categorical(rng, params.weights, (n_signs, n_frames))
-    noise = rng.standard_normal(labels.shape + (params.mu.shape[1],))
-    feats = params.mu[labels] + noise * np.sqrt(params.sigma)
+    feats = gaussian_frames(rng, params.mu, params.sigma, labels)
     corpus = sampled_corpus(feats, np.full(n_signs, n_frames), "gmm")
     if return_labels:
         return corpus, labels
@@ -152,8 +129,7 @@ def sample_gmm_lda(params: GmmLdaParams, n_signs, n_frames=25, seed=0,
     n_signs, n_frames = int(n_signs), int(n_frames)
     topics = draw_categorical(rng, params.topic_freq, (n_signs,))
     labels = draw_categorical(rng, params.topic_word[topics][:, None, :], (n_signs, n_frames))
-    noise = rng.standard_normal(labels.shape + (params.mu.shape[1],))
-    feats = params.mu[labels] + noise * np.sqrt(params.sigma)
+    feats = gaussian_frames(rng, params.mu, params.sigma, labels)
     corpus = sampled_corpus(feats, np.full(n_signs, n_frames), "gmm-lda")
     if return_labels:
         return corpus, topics, labels

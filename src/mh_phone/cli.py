@@ -50,14 +50,21 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got '{text}'") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, what, ok, rule):
+    """An argparse type: `convert` the text to `what`, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {what}, got '{text}'") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
+_finite_float = _checked(float, "a number", math.isfinite, "finite")
 
 
 def _setup_logging(flag_level):
@@ -274,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--e-step", choices=("greedy", "viterbi"), default="greedy")
     p.add_argument("--topics", type=int, default=10, help="topics for gmm-lda")
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=1e-6)
     p.add_argument("--include-broken", action="store_true",
                    help="keep signs with noise level 'broken'")
     p.add_argument("--threads", type=_positive_int, default=usable_cores(),

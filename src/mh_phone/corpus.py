@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
-from .estimation import markov_chain_sample
+from .estimation import gaussian_frames, markov_chain_sample
 from .params import Assignment, ModelParams, json_numbers
 
 KEYPOINTS = (
@@ -505,13 +505,13 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
     frames are zeroed from the first entry into state 0 onward so zero rows
     form a contiguous suffix; otherwise every frame is a Gaussian draw.
     """
-    m_signs, p, d = int(m_signs), int(n_frames), truth.n_features
+    m_signs, p = int(m_signs), int(n_frames)
     for name, value in (("m_signs", m_signs), ("n_frames", p)):
         if value < 1:
             raise InvariantViolation(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     labels = markov_chain_sample(rng, truth.pi, truth.trans, m_signs, p)
-    feats = truth.mu[labels] + rng.standard_normal((m_signs, p, d)) * np.sqrt(truth.sigma)
+    feats = gaussian_frames(rng, truth.mu, truth.sigma, labels)
     if exact_end_token:
         ended = np.cumsum(labels == 0, axis=1) > 0
         feats[ended] = 0.0

@@ -40,6 +40,8 @@ from .seeding import component_seed, rng_for
 
 LN2 = math.log(2.0)
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 log = logging.getLogger("mh_phone")
 
 
@@ -242,8 +244,7 @@ def gru_grad(net: GruNet, batch, labels) -> GruNet:
     return net.from_vector(grad)
 
 
-def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2,
-              beta1=0.9, beta2=0.999, eps=1e-8):
+def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
     """Full-batch Adam-style training. Returns (net, per-epoch train BCE).
 
     The trace has epochs + 1 entries; entry 0 is the untrained loss and
@@ -261,11 +262,11 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2,
     for t in range(1, epochs + 1):
         loss, grad = _loss_and_grad(net, batch, labels)
         trace.append(loss)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         net = net.from_vector(theta)
     trace.append(bce_loss(net, batch, labels))
     return net, trace

@@ -2,9 +2,11 @@
 
 The sequence model and the frame-mixture baselines use the same conjugate
 updates for categorical weights and Gaussian prototype means, the same 1-D
-search for the shared diagonal variances, the same prototype seeding and the
-same hard-EM driver (`hard_em`). Keeping them here means the ablations differ
-from the full model only in how frames are assigned.
+search for the shared diagonal variances, the same prototype seeding, the
+same hard-EM driver (`hard_em`), the same MAP objective (`map_log_joint`)
+and the same Gaussian frame draw (`gaussian_frames`). Keeping them here
+means the ablations differ from the full model only in how frames are
+assigned.
 
 Conventions: `sigma` vectors hold per-dimension *variances* of the diagonal
 emission Gaussian, and Dirichlet concentrations are scalar (symmetric).
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InvariantViolation, NotEnoughData
-from .params import FitReport
+from .params import FitReport, Hyperparams
 
 SIGMA_INIT_FLOOR = 1e-3
 
@@ -26,8 +28,11 @@ LOG_SIGMA_HI = 8.0
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(fn, lo, hi, tol=1e-8):
-    """Argmax of a unimodal function on [lo, hi], within tol.
+GOLDEN_TOL = 1e-8  # bracket width at which the golden-section search stops
+
+
+def golden_section_max(fn, lo, hi):
+    """Argmax of a unimodal function on [lo, hi], within GOLDEN_TOL.
 
     Returns the midpoint of the final bracket. Boundary maxima are fine:
     the bracket simply collapses onto the boundary.
@@ -35,7 +40,7 @@ def golden_section_max(fn, lo, hi, tol=1e-8):
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while (hi - lo) > tol:
+    while (hi - lo) > GOLDEN_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_GOLDEN * (hi - lo)
@@ -120,6 +125,25 @@ def emission_loglik(frames, mu, sigma):
     return out.reshape(x.shape[:-1] + mu.shape[:1])
 
 
+def map_log_joint(hyper: Hyperparams, mu, sigma, tables, picked) -> float:
+    """MAP log joint of every model, added in this order (which fixes the
+    rounding): LogNormal prior of sigma, Dirichlet prior of each row of each
+    table, Normal prior of the free means mu, then the sum of each `picked`."""
+    total = float(lognormal_logpdf(sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
+    for table in tables:
+        total += sum(dirichlet_logpdf(row, hyper.alpha) for row in np.atleast_2d(table))
+    total += float(normal_logpdf(mu, hyper.mu_mu, hyper.sigma_mu ** 2).sum())
+    for term in picked:
+        total += float(np.sum(term))
+    return total
+
+
+def pair_counts(rows, cols, n_rows, n_cols):
+    """(n_rows, n_cols) counts of the label pairs of two broadcasting arrays."""
+    flat = (rows * n_cols + cols).ravel()
+    return np.bincount(flat, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
 def map_means(sums, counts, sigma, mu_mu, sigma_mu):
     """Conjugate MAP of Gaussian prototype means, one row per component.
 
@@ -135,7 +159,7 @@ def map_means(sums, counts, sigma, mu_mu, sigma_mu):
     return num / den
 
 
-def map_sigma(sq_sums, n_obs, mu_sigma, sigma_sigma, tol=1e-8):
+def map_sigma(sq_sums, n_obs, mu_sigma, sigma_sigma):
     """MAP of the shared per-dimension emission variances.
 
     For each dimension d, maximizes the Gaussian likelihood of the n_obs
@@ -153,7 +177,7 @@ def map_sigma(sq_sums, n_obs, mu_sigma, sigma_sigma, tol=1e-8):
             return (-0.5 * n_obs * t - 0.5 * ssr * math.exp(-t)
                     - t - (t - mu_sigma) ** 2 / prior_scale)
 
-        out[d] = math.exp(golden_section_max(objective, LOG_SIGMA_LO, LOG_SIGMA_HI, tol=tol))
+        out[d] = math.exp(golden_section_max(objective, LOG_SIGMA_LO, LOG_SIGMA_HI))
     return out
 
 
@@ -186,6 +210,11 @@ def draw_categorical(rng, probs, shape):
     return (cdf <= rng.random(shape)[..., None]).sum(axis=-1)
 
 
+def gaussian_frames(rng, mu, sigma, labels):
+    """One draw from N(mu[l], diag(sigma)) for each label l: labels.shape + (D,)."""
+    return mu[labels] + rng.standard_normal(labels.shape + mu.shape[1:]) * np.sqrt(sigma)
+
+
 def markov_chain_sample(rng, pi, trans, n_chains, length):
     """Ancestral sampling of n_chains state chains of the given length."""
     trans = np.asarray(trans, dtype=float)
@@ -208,10 +237,12 @@ def hard_em(step, max_iters, tol) -> FitReport:
     objective. The loop stops after max_iters iterations, at a non-finite
     objective, or once the relative change from the previous objective is at
     most tol; only the last stop reports converged=True. With no previous
-    objective, the first iteration stops only for tol = inf.
+    objective, the first iteration stops only for tol = inf. NaN tol raises.
     """
     if max_iters < 1:
         raise InvariantViolation(f"max_iters must be at least 1, got {max_iters}")
+    if math.isnan(tol):
+        raise InvariantViolation("tol must not be NaN")
     trace: list[float] = []
     converged = False
     while len(trace) < max_iters:

@@ -81,15 +81,14 @@ class InterpretReport:
 
 
 def summarize(params: ModelParams, *, frame_ms=DEFAULT_FRAME_MS,
-              horizon=DEFAULT_HORIZON, include_end_state=False,
-              joint_names=KEYPOINTS, n_frames=DEFAULT_FRAMES) -> InterpretReport:
+              horizon=DEFAULT_HORIZON, include_end_state=False) -> InterpretReport:
     """Build the interpretation report for a fitted model.
 
     Absorbing states get an infinite hold length instead of failing. The
     start ranking orders states by pi descending (ties by index) and leaves
     out the end state unless include_end_state is set. dispersion_by_joint
     averages each joint's two variance dimensions and is only available when
-    the feature count matches 2 * len(joint_names).
+    the feature count matches 2 * len(KEYPOINTS).
     """
     if not 0 < frame_ms < np.inf:
         raise InvariantViolation(f"frame_ms must be positive and finite, got {frame_ms}")
@@ -111,18 +110,18 @@ def summarize(params: ModelParams, *, frame_ms=DEFAULT_FRAME_MS,
     end_prob = params.trans[:, 0].copy()
 
     dispersion = {}
-    if params.n_features == 2 * len(joint_names):
-        for k, name in enumerate(joint_names):
+    if params.n_features == 2 * len(KEYPOINTS):
+        for k, name in enumerate(KEYPOINTS):
             dispersion[name] = float(params.sigma[2 * k: 2 * k + 2].mean())
     else:
         notes.append(
             f"feature count {params.n_features} does not split into "
-            f"{len(joint_names)} joints; joint dispersion omitted")
+            f"{len(KEYPOINTS)} joints; joint dispersion omitted")
 
-    if int(horizon) != int(n_frames):
+    if int(horizon) != DEFAULT_FRAMES:
         notes.append(
             f"expected counts use a horizon of {int(horizon)} frames while "
-            f"signs are padded to {int(n_frames)}")
+            f"signs are padded to {DEFAULT_FRAMES}")
 
     return InterpretReport(
         hold_lengths_frames=hold,

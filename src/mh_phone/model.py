@@ -24,9 +24,8 @@ import numpy as np
 
 from .corpus import Corpus, synth_corpus
 from .errors import InvariantViolation
-from .estimation import (dirichlet_logpdf, dirichlet_map, emission_loglik, hard_em,
-                         lognormal_logpdf, map_means, map_sigma, normal_logpdf,
-                         safe_log, seed_emissions)
+from .estimation import (dirichlet_map, emission_loglik, hard_em, map_log_joint, map_means,
+                         map_sigma, pair_counts, safe_log, seed_emissions)
 from .params import Assignment, Hyperparams, ModelParams
 
 
@@ -81,11 +80,8 @@ def _viterbi_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _chunked(label_fn, params, corpus, threads, loglik):
-    """Assignment of every sign by label_fn over rows of the (M, P, N)
-    emission table, which is computed here when loglik is None."""
-    if loglik is None:
-        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+def _chunked(label_fn, params, loglik, threads):
+    """Assignment of every sign by label_fn over rows of the emission table."""
     m = loglik.shape[0]
     if threads <= 1 or m < 2 * threads:
         return Assignment(labels=label_fn(params, loglik))
@@ -99,19 +95,19 @@ def _chunked(label_fn, params, corpus, threads, loglik):
     return Assignment(labels=out)
 
 
-def e_step_greedy(params: ModelParams, corpus: Corpus, threads=1, *, loglik=None) -> Assignment:
+def e_step_greedy(params: ModelParams, loglik, threads=1) -> Assignment:
     """One-pass hard assignment: each frame takes the best state given the
     previous frame's choice (posterior score = emission density times pi or
-    the incoming transition probability). O(M P N) emission dot products.
-    loglik, if given, is `emission_loglik` of the corpus under params."""
-    return _chunked(_greedy_labels, params, corpus, threads, loglik)
+    the incoming transition probability). loglik is the (M, P, N) table
+    `emission_loglik(corpus.features, params.mu, params.sigma)`."""
+    return _chunked(_greedy_labels, params, loglik, threads)
 
 
-def e_step_viterbi(params: ModelParams, corpus: Corpus, threads=1, *, loglik=None) -> Assignment:
+def e_step_viterbi(params: ModelParams, loglik, threads=1) -> Assignment:
     """Exact most-probable state path per sign via dynamic programming,
     O(M P N^2). Ties break toward the lower state index. loglik as in
     `e_step_greedy`."""
-    return _chunked(_viterbi_labels, params, corpus, threads, loglik)
+    return _chunked(_viterbi_labels, params, loglik, threads)
 
 
 def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
@@ -153,9 +149,7 @@ def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
     first_counts = np.bincount(labels[:, 0], minlength=n).astype(float)
     pi = dirichlet_map(first_counts, hyper.alpha)
 
-    pair_index = (labels[:, :-1] * n + labels[:, 1:]).ravel()
-    pair_counts = np.bincount(pair_index, minlength=n * n).reshape(n, n).astype(float)
-    trans = dirichlet_map(pair_counts, hyper.alpha)
+    trans = dirichlet_map(pair_counts(labels[:, :-1], labels[:, 1:], n, n), hyper.alpha)
 
     flat_labels = labels.ravel()
     flat_frames = corpus.features.reshape(-1, d)
@@ -166,38 +160,30 @@ def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
 
-def joint_path_score(params: ModelParams, corpus: Corpus, assignment: Assignment, *,
-                     loglik=None) -> float:
+def joint_path_score(params: ModelParams, assignment: Assignment, loglik) -> float:
     """Assignment-dependent part of the log joint: categorical terms for the
-    state chains plus the emission log densities. loglik, if given, is
-    `emission_loglik` of the corpus under params."""
+    state chains plus the emission log densities. loglik as in
+    `e_step_greedy`."""
     labels = assignment.labels
-    if loglik is None:
-        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
     emission = np.take_along_axis(loglik, labels[:, :, None], axis=2).sum()
     categorical = safe_log(params.pi)[labels[:, 0]].sum()
     categorical += safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
     return float(emission + categorical)
 
 
-def log_joint(params: ModelParams, corpus: Corpus, assignment: Assignment,
-              hyper: Hyperparams, *, loglik=None) -> float:
-    """Log density of every factor: priors on sigma, pi, T and mu, plus the
-    categorical and emission terms of each assigned sign. loglik as in
-    `joint_path_score`."""
-    total = float(lognormal_logpdf(params.sigma, hyper.mu_sigma, hyper.sigma_sigma).sum())
-    total += dirichlet_logpdf(params.pi, hyper.alpha)
-    total += sum(dirichlet_logpdf(row, hyper.alpha) for row in params.trans)
-    if params.n_states > 1:
-        total += float(normal_logpdf(params.mu[1:], hyper.mu_mu,
-                                     hyper.sigma_mu ** 2).sum())
-    return total + joint_path_score(params, corpus, assignment, loglik=loglik)
+def log_joint(params: ModelParams, assignment: Assignment, hyper: Hyperparams,
+              loglik) -> float:
+    """Log density of every factor (`map_log_joint`): priors on sigma, pi, T
+    and mu[1:] (row 0 is the fixed end token), plus `joint_path_score` as one
+    term. loglik as in `e_step_greedy`."""
+    return map_log_joint(hyper, params.mu[1:], params.sigma, (params.pi, params.trans),
+                         (joint_path_score(params, assignment, loglik),))
 
 
 _E_STEPS = {"greedy": e_step_greedy, "viterbi": e_step_viterbi}
 
 
-def fit_em(corpus: Corpus, n_states, hyper: Hyperparams | None = None, *,
+def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
            max_iters=200, tol=1e-6, e_step="greedy", seed=0, threads=1):
     """Hard-EM MAP estimation. Returns (params, assignment, report).
 
@@ -206,8 +192,6 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams | None = None, *,
     report's trace holds one log-joint value per iteration; with the exact
     Viterbi E-step it is non-decreasing.
     """
-    if hyper is None:
-        hyper = Hyperparams()
     if e_step not in _E_STEPS:
         raise InvariantViolation(f"e_step must be one of {sorted(_E_STEPS)}, got '{e_step}'")
     assign = _E_STEPS[e_step]
@@ -220,10 +204,10 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams | None = None, *,
 
     def step():
         nonlocal params, assignment, loglik
-        assignment = assign(params, corpus, threads=threads, loglik=loglik)
+        assignment = assign(params, loglik, threads=threads)
         params = m_step(corpus, assignment, hyper, params)
         loglik = emission_loglik(corpus.features, params.mu, params.sigma)
-        return log_joint(params, corpus, assignment, hyper, loglik=loglik)
+        return log_joint(params, assignment, hyper, loglik)
 
     report = hard_em(step, max_iters, tol)
     return params, assignment, report

@@ -225,14 +225,13 @@ class FitReport:
 
 
 def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
-                      end_prob=0.06, separation=2.0, sigma=0.05,
-                      head_at_origin=True) -> ModelParams:
+                      end_prob=0.06, separation=2.0, sigma=0.05) -> ModelParams:
     """Construct a well-separated ground-truth model for synthetic corpora.
 
     State 0 is absorbing (signs end and stay ended). Prototype rows are drawn
     until every pairwise distance, including the distance to the zero end
-    prototype, is at least `separation`. With head_at_origin the first two
-    feature dimensions are pinned to zero, matching normalized real data.
+    prototype, is at least `separation`. The first two feature dimensions
+    are pinned to zero, matching normalized real data.
     """
     if n_states < 2:
         raise InvariantViolation("need the end state plus at least one prototype")
@@ -245,7 +244,7 @@ def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
     mu = None
     for _ in range(1000):
         cand = rng.normal(0.0, spread, size=(n - 1, d))
-        if head_at_origin and d >= 2:
+        if d >= 2:
             cand[:, :2] = 0.0
         pts = np.vstack([np.zeros(d), cand])
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)

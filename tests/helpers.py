@@ -9,6 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from mh_phone.corpus import Corpus, SignSequence, synth_corpus
+from mh_phone.estimation import emission_loglik
 from mh_phone.params import ModelParams, make_truth_params
 
 
@@ -61,6 +62,18 @@ def params_digest(params):
     for f in dataclasses.fields(params):
         h.update(np.ascontiguousarray(getattr(params, f.name), dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def emission_table(params, corpus):
+    """The (M, P, N) emission table of a corpus that the E-steps and the
+    sequence model's objective read."""
+    return emission_loglik(corpus.features, params.mu, params.sigma)
+
+
+def trace_digest(report):
+    """SHA-256 of a fit report's objective trace as little-endian float64 bytes."""
+    return hashlib.sha256(
+        np.ascontiguousarray(report.log_joint_trace, dtype="<f8").tobytes()).hexdigest()
 
 
 def pinned_corpus():

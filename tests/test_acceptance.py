@@ -23,7 +23,8 @@ from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em,
                             joint_path_score, m_step, sample)
 from mh_phone.params import Assignment, Hyperparams, make_truth_params
 
-from helpers import align_states, corpus_from_features, random_corpus, random_params
+from helpers import (align_states, corpus_from_features, emission_table, random_corpus,
+                     random_params)
 
 
 def _verdict(name, ok, detail):
@@ -98,8 +99,8 @@ def test_e_steps_match_exhaustive_oracles():
         cov = np.diag(params.sigma)
         loglik = np.stack([stats.multivariate_normal.logpdf(frames[0], params.mu[j], cov)
                            for j in range(n)], axis=1).reshape(p, n)
-        vit = e_step_viterbi(params, corpus).labels[0]
-        greedy = e_step_greedy(params, corpus).labels[0]
+        vit = e_step_viterbi(params, emission_table(params, corpus)).labels[0]
+        greedy = e_step_greedy(params, emission_table(params, corpus)).labels[0]
         if not np.array_equal(vit, _enumerate_path(params, frames[0], loglik)):
             mismatches += 1
         if not np.array_equal(greedy, _stepwise_path(params, frames[0], loglik)):

@@ -12,7 +12,7 @@ from mh_phone.model import emission_means, emission_sigma, m_step
 from mh_phone.params import Assignment, Hyperparams
 
 from helpers import (corpus_from_features, label_digest, params_digest, pinned_corpus,
-                     random_params)
+                     random_params, trace_digest)
 
 
 def _gmm_update(frames, labels, n_components, sigma_prev, hyper):
@@ -231,10 +231,14 @@ def test_mixture_fit_parameters_are_pinned():
     assert report.converged and report.iterations == 11
     assert params_digest(gmm) == (
         "7940230805a6e382bcbb650888fcce2e47a76b9c66873f88e38701211933e925")
+    assert trace_digest(report) == (
+        "4054a09ea8706d55dc31dde2cfbe03a93e8556a7a2ce2429c7253a1881660b70")
     lda, report = fit_gmm_lda(corpus, 6, 3, seed=5, max_iters=30)
     assert report.converged and report.iterations == 13
     assert params_digest(lda) == (
         "c8b8de5d7334ec942feba62d8b193c2e33b8bd6cf1dadf3d99c180f90954fedb")
+    assert trace_digest(report) == (
+        "3f6ba7c038fdf2d76520b70c4a0e7d2c737567512f642c2a3624402705ef0b95")
 
 
 def test_sample_gmm_component_frequencies_and_moments():

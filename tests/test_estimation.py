@@ -10,8 +10,10 @@ from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO, SIGMA_INIT_FLOOR,
                                  dirichlet_logpdf,
                                  dirichlet_map, emission_loglik,
                                  golden_section_max, lognormal_logpdf,
-                                 map_means, map_sigma, markov_chain_sample,
-                                 normal_logpdf, relative_change, safe_log)
+                                 map_log_joint, map_means, map_sigma,
+                                 markov_chain_sample, normal_logpdf, pair_counts,
+                                 relative_change, safe_log)
+from mh_phone.params import Hyperparams
 
 from helpers import broadcast_emission_loglik, label_digest
 
@@ -115,6 +117,54 @@ def test_dirichlet_logpdf_matches_scipy():
 def test_dirichlet_logpdf_flat_tolerates_zero_entries():
     assert dirichlet_logpdf([0.0, 1.0], 1.0) == pytest.approx(math.lgamma(2))
     assert dirichlet_logpdf([0.0, 1.0], 2.0) == -np.inf
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+def test_map_log_joint_terms_match_scipy(alpha):
+    hyper = Hyperparams(alpha=alpha, mu_mu=0.5, sigma_mu=3.0, mu_sigma=-0.2,
+                        sigma_sigma=1.5)
+    sigma = np.array([0.3, 1.7])
+    mu = np.array([[0.1, -2.0], [1.4, 0.6], [3.0, -0.5]])
+    weights = np.array([0.2, 0.5, 0.3])
+    table = np.array([[0.6, 0.4], [0.1, 0.9]])
+    picked = (np.array([-1.5, -0.25]), np.array([[0.5], [2.0]]))
+    no_mu = mu[:0]  # no free prototype: the Normal prior adds exactly 0.0
+    base = map_log_joint(hyper, no_mu, sigma, (), ())
+    assert base == pytest.approx(
+        stats.lognorm.logpdf(sigma, s=1.5, scale=math.exp(-0.2)).sum(), abs=1e-10)
+    assert map_log_joint(hyper, no_mu, sigma, (weights,), ()) - base == pytest.approx(
+        stats.dirichlet.logpdf(weights, np.full(3, alpha)), abs=1e-10)
+    assert map_log_joint(hyper, no_mu, sigma, (table,), ()) - base == pytest.approx(
+        sum(stats.dirichlet.logpdf(row, np.full(2, alpha)) for row in table), abs=1e-10)
+    assert map_log_joint(hyper, mu, sigma, (), ()) - base == pytest.approx(
+        stats.norm.logpdf(mu, loc=0.5, scale=3.0).sum(), abs=1e-10)
+    assert map_log_joint(hyper, no_mu, sigma, (), picked) - base == pytest.approx(
+        0.75, abs=1e-12)
+    want = (map_log_joint(hyper, no_mu, sigma, (weights, table), ())
+            + map_log_joint(hyper, mu, sigma, (), picked) - base)
+    got = map_log_joint(hyper, mu, sigma, (weights, table), picked)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_map_log_joint_zero_weight_is_minus_inf_unless_alpha_is_one():
+    weights = np.array([0.0, 0.4, 0.6])
+    mu, sigma = np.zeros((1, 2)), np.ones(2)
+    assert map_log_joint(Hyperparams(alpha=2.0), mu, sigma, (weights,), ()) == -math.inf
+    assert math.isfinite(map_log_joint(Hyperparams(alpha=1.0), mu, sigma, (weights,), ()))
+
+
+def test_pair_counts_match_add_at():
+    rng = np.random.default_rng(31)
+    labels = rng.integers(0, 4, size=(30, 7))  # label 4 of 5 never occurs
+    want = np.zeros((5, 5))
+    np.add.at(want, (labels[:, :-1], labels[:, 1:]), 1.0)
+    np.testing.assert_array_equal(pair_counts(labels[:, :-1], labels[:, 1:], 5, 5), want)
+    topics = rng.integers(0, 3, size=30)
+    want = np.zeros((3, 5))
+    np.add.at(want, (np.repeat(topics, 7), labels.ravel()), 1.0)
+    np.testing.assert_array_equal(pair_counts(topics[:, None], labels, 3, 5), want)
+    one_frame = labels[:, :1]  # no transitions at all
+    assert not pair_counts(one_frame[:, :-1], one_frame[:, 1:], 5, 5).any()
 
 
 def test_emission_loglik_is_diagonal_gaussian_with_variance_entries():

@@ -36,6 +36,15 @@ def test_hard_em_stop_rule(objectives, tol, iterations, converged):
     assert report.converged is converged
 
 
+def test_nan_tol_is_rejected_before_the_first_step():
+    # no relative change compares with NaN, so the loop would stop after one
+    # iteration as if it had converged
+    calls = []
+    with pytest.raises(InvariantViolation, match="tol must not be NaN"):
+        hard_em(lambda: calls.append(1) or 1.0, 4, math.nan)
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind", sorted(FITTERS))
 def test_zero_tol_converges_on_a_repeated_objective(kind):
     corpus = random_corpus(np.random.default_rng(0), 12, 6, 2)

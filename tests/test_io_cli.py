@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -606,9 +607,11 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
 
 @pytest.mark.parametrize("argv, out, message", [
     (("train", "--corpus", "{corpus}", "--max-iters", "2", "--tol", "inf"), "model.json",
-     "model artifact: config.tol has non-finite entries"),
+     "argument --tol: must be finite, got inf"),
+    (("train", "--corpus", "{corpus}", "--max-iters", "2", "--tol=-inf"), "model.json",
+     "argument --tol: must be finite, got -inf"),
     (("train", "--corpus", "{corpus}", "--max-iters", "2", "--tol", "nan"), "model.json",
-     "model artifact: config.tol has non-finite entries"),
+     "argument --tol: must be finite, got nan"),
     (("interpret", "--model", "{truth}", "--frame-ms", "nan"), "r.json",
      "frame_ms must be positive and finite, got nan"),
     (("interpret", "--model", "{truth}", "--frame-ms", "inf"), "r.json",
@@ -616,13 +619,19 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
     (("synth", "--p-frames", "0"), "c.jsonl", "n_frames must be at least 1, got 0"),
     (("generate", "--model", "{truth}", "--p-frames", "0"), "g.jsonl",
      "n_frames must be at least 1, got 0"),
-], ids=["tol-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
+], ids=["tol-inf", "tol-minus-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
         "generate-p-frames-0"])
 def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv, out, message):
     tmp_path, corpus = tiny_pipeline
     names = {"corpus": corpus, "truth": tmp_path / "truth.json"}
-    assert _run(*(arg.format(**names) for arg in argv), "--out", str(tmp_path / out)) == 1
-    assert f"mh-phone: error: {message}" in capsys.readouterr().err
+    try:
+        code = _run(*(arg.format(**names) for arg in argv), "--out", str(tmp_path / out))
+    except SystemExit as stop:  # a flag rejected while parsing arguments
+        code = stop.code
+    assert code == 1
+    # argparse names the subcommand in its prefix: "mh-phone train: error: ..."
+    err = capsys.readouterr().err
+    assert re.search(rf"^mh-phone( {argv[0]})?: error: {re.escape(message)}$", err, re.M)
     assert not (tmp_path / out).exists()
 
 

@@ -15,8 +15,8 @@ from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
                             joint_path_score, log_joint, m_step, sample)
 from mh_phone.params import Assignment, Hyperparams, ModelParams, make_truth_params
 
-from helpers import (align_states, corpus_from_features, params_digest, pinned_corpus,
-                     random_corpus, random_params)
+from helpers import (align_states, corpus_from_features, emission_table, params_digest,
+                     pinned_corpus, random_corpus, random_params, trace_digest)
 
 
 # ---------------------------------------------------------------- init
@@ -70,7 +70,7 @@ def test_greedy_prior_breaks_emission_ties():
     params = ModelParams(pi=[0.1, 0.2, 0.7], trans=np.full((3, 3), 1 / 3),
                          mu=np.zeros((3, 2)), sigma=[1.0, 1.0])
     corpus = corpus_from_features(np.ones((4, 5, 2)))
-    labels = e_step_greedy(params, corpus).labels
+    labels = e_step_greedy(params, emission_table(params, corpus)).labels
     assert np.all(labels[:, 0] == 2)
     assert not labels[:, 1:].any()
 
@@ -82,7 +82,7 @@ def test_greedy_recovers_prototype_of_exact_frames():
                          sigma=np.full(3, 0.1))
     seq = rng.integers(1, 4, size=(3, 6))
     corpus = corpus_from_features(params.mu[seq])
-    labels = e_step_greedy(params, corpus).labels
+    labels = e_step_greedy(params, emission_table(params, corpus)).labels
     np.testing.assert_array_equal(labels, seq)
 
 
@@ -111,7 +111,7 @@ def test_greedy_matches_per_step_oracle():
         d = int(rng.integers(1, 4))
         params = random_params(rng, n, d)
         corpus = corpus_from_features(rng.normal(size=(3, p, d)))
-        got = e_step_greedy(params, corpus).labels
+        got = e_step_greedy(params, emission_table(params, corpus)).labels
         np.testing.assert_array_equal(got, _slow_greedy(params, corpus.features))
 
 
@@ -143,7 +143,7 @@ def test_viterbi_matches_exhaustive_enumeration():
         params = random_params(rng, n, 2)
         frames = rng.normal(size=(1, p, 2))
         corpus = corpus_from_features(frames)
-        got = e_step_viterbi(params, corpus).labels[0]
+        got = e_step_viterbi(params, emission_table(params, corpus)).labels[0]
         np.testing.assert_array_equal(got, _enumerate_best_path(params, frames[0]))
 
 
@@ -152,8 +152,9 @@ def test_viterbi_never_scores_below_greedy():
     for _ in range(10):
         params = random_params(rng, 4, 3)
         corpus = corpus_from_features(rng.normal(size=(5, 8, 3)))
-        g = joint_path_score(params, corpus, e_step_greedy(params, corpus))
-        v = joint_path_score(params, corpus, e_step_viterbi(params, corpus))
+        table = emission_table(params, corpus)
+        g = joint_path_score(params, e_step_greedy(params, table), table)
+        v = joint_path_score(params, e_step_viterbi(params, table), table)
         assert v >= g - 1e-12
 
 
@@ -168,7 +169,7 @@ def test_viterbi_follows_deterministic_chain():
     pi[1] = 1.0
     params = ModelParams(pi=pi, trans=trans, mu=np.zeros((n, 2)), sigma=[1.0, 1.0])
     corpus = corpus_from_features(np.ones((2, 7, 2)))
-    labels = e_step_viterbi(params, corpus).labels
+    labels = e_step_viterbi(params, emission_table(params, corpus)).labels
     want = np.tile([1, 2, 3, 1, 2, 3, 1], (2, 1))
     np.testing.assert_array_equal(labels, want)
 
@@ -176,26 +177,11 @@ def test_viterbi_follows_deterministic_chain():
 def test_e_steps_invariant_to_thread_count():
     rng = np.random.default_rng(8)
     params = random_params(rng, 5, 4)
-    corpus = random_corpus(rng, 40, 9, 4)
+    table = emission_table(params, random_corpus(rng, 40, 9, 4))
     for step in (e_step_greedy, e_step_viterbi):
-        one = step(params, corpus, threads=1).labels
-        four = step(params, corpus, threads=4).labels
+        one = step(params, table, threads=1).labels
+        four = step(params, table, threads=4).labels
         np.testing.assert_array_equal(one, four)
-
-
-@pytest.mark.parametrize("threads", [1, 3])
-def test_e_steps_and_objective_same_with_a_precomputed_table(threads):
-    rng = np.random.default_rng(9)
-    params = random_params(rng, 5, 4)
-    corpus = random_corpus(rng, 30, 8, 4)
-    table = emission_loglik(corpus.features, params.mu, params.sigma)
-    hyper = Hyperparams()
-    for step in (e_step_greedy, e_step_viterbi):
-        own = step(params, corpus, threads=threads)
-        given = step(params, corpus, threads=threads, loglik=table)
-        np.testing.assert_array_equal(own.labels, given.labels)
-        assert (log_joint(params, corpus, own, hyper)
-                == log_joint(params, corpus, own, hyper, loglik=table))
 
 
 # ---------------------------------------------------------------- M-step
@@ -321,7 +307,7 @@ def test_log_joint_matches_hand_expansion():
     want += math.log(0.7) + math.log(0.8)
     want += stats.norm.logpdf(0.4, 1.5, math.sqrt(0.5))
     want += stats.norm.logpdf(1.2, 1.5, math.sqrt(0.5))
-    got = log_joint(params, corpus, assignment, hyper)
+    got = log_joint(params, assignment, hyper, emission_table(params, corpus))
     assert got == pytest.approx(float(want), abs=1e-10)
 
 
@@ -329,11 +315,11 @@ def test_log_joint_sigma_prior_term_isolated():
     rng = np.random.default_rng(19)
     params = random_params(rng, 3, 2)
     corpus = corpus_from_features(rng.normal(size=(2, 4, 2)))
-    assignment = e_step_greedy(params, corpus)
+    assignment = e_step_greedy(params, emission_table(params, corpus))
     h1 = Hyperparams(sigma_sigma=10.0)
     h2 = Hyperparams(sigma_sigma=20.0)
-    diff = (log_joint(params, corpus, assignment, h2)
-            - log_joint(params, corpus, assignment, h1))
+    table = emission_table(params, corpus)
+    diff = log_joint(params, assignment, h2, table) - log_joint(params, assignment, h1, table)
     want = float((stats.lognorm.logpdf(params.sigma, s=20.0, scale=math.e)
                   - stats.lognorm.logpdf(params.sigma, s=10.0, scale=math.e)).sum())
     assert diff == pytest.approx(want, abs=1e-10)
@@ -346,11 +332,12 @@ def test_joint_path_score_additive_over_signs():
     f2 = rng.normal(size=(3, 4, 2))
     c1, c2 = corpus_from_features(f1), corpus_from_features(f2)
     both = corpus_from_features(np.concatenate([f1, f2]))
-    a1 = e_step_greedy(params, c1)
-    a2 = e_step_greedy(params, c2)
+    a1 = e_step_greedy(params, emission_table(params, c1))
+    a2 = e_step_greedy(params, emission_table(params, c2))
     ab = _make_assignment(np.concatenate([a1.labels, a2.labels]))
-    total = joint_path_score(params, both, ab)
-    parts = joint_path_score(params, c1, a1) + joint_path_score(params, c2, a2)
+    total = joint_path_score(params, ab, emission_table(params, both))
+    parts = (joint_path_score(params, a1, emission_table(params, c1))
+             + joint_path_score(params, a2, emission_table(params, c2)))
     assert total == pytest.approx(parts, rel=1e-12)
 
 
@@ -410,11 +397,17 @@ def test_fit_em_objective_is_the_log_joint_of_the_fit(e_step):
     # the shared table must be the one at the params the M-step returned
     corpus = random_corpus(np.random.default_rng(25), 12, 6, 3)
     params, assignment, report = fit_em(corpus, 3, max_iters=4, tol=-1.0, e_step=e_step, seed=2)
-    assert report.log_joint_trace[-1] == log_joint(params, corpus, assignment, Hyperparams())
+    assert report.log_joint_trace[-1] == log_joint(params, assignment, Hyperparams(),
+                                                   emission_table(params, corpus))
 
 
 # The parameter digests of the fits were recorded with the broadcast emission
-# kernel; the expanded kernel must reproduce every fitted array bit for bit.
+# kernel; the expanded kernel must reproduce every fitted array bit for bit,
+# and the trace digests pin the objective's summation order as well.
+_TRACE_DIGESTS = {"greedy": "b7a9ddd7ebcff3e8453c717f48f9fac947ca152f041e6fa444880c19e3ba887a",
+                  "viterbi": "871bc33efe608458c797f9e8885ec4a49481deaa578939d0769606aef575f66d"}
+
+
 @pytest.mark.parametrize("e_step, iterations, digest", [
     ("greedy", 18, "a884d806aacc77edb71d15946b4ebdd5e45d50c063a14b266594efa534d2ff48"),
     ("viterbi", 17, "e3d0ef681ccab0277f34e632532e0a34f5f3ab966f4371455afd381aa5ab849f"),
@@ -425,6 +418,7 @@ def test_fit_em_parameters_are_pinned(e_step, iterations, digest, threads):
                                max_iters=30)
     assert report.converged and report.iterations == iterations
     assert params_digest(params) == digest
+    assert trace_digest(report) == _TRACE_DIGESTS[e_step]
 
 
 def test_fit_em_rejects_unknown_e_step():
