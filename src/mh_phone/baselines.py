@@ -55,13 +55,14 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
 
 def _lda_e_step(loglik, psi, tau):
     """Exact joint argmax (topics (M,), labels (M, P)) from the (M, P, N)
-    emission table. Each topic is scored in turn, filling an (M, P, T) table
-    of each frame's best prototype score, so no (M, P, T, N) tensor is built."""
-    m, p, _ = loglik.shape
+    emission table. The (M, P, T) table of each frame's best prototype score
+    under every topic is a running maximum over a loop of the N prototypes,
+    so no (M, P, T, N) tensor is built and no reduction runs along the short
+    N axis."""
     log_psi = safe_log(psi)
-    best_frame = np.empty((m, p, len(log_psi)))
-    for t, row in enumerate(log_psi):
-        best_frame[:, :, t] = (loglik + row).max(axis=2)
+    best_frame = loglik[:, :, :1] + log_psi[:, 0]
+    for k in range(1, log_psi.shape[1]):
+        np.maximum(best_frame, loglik[:, :, k:k + 1] + log_psi[:, k], out=best_frame)
     topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
     return topics, np.argmax(loglik + log_psi[topics][:, None, :], axis=2)
 

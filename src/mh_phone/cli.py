@@ -64,6 +64,7 @@ def _checked(convert, what, ok, rule):
 
 
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
+_non_negative_int = _checked(int, "an integer", lambda v: v >= 0, "at least 0")
 _finite_float = _checked(float, "a number", math.isfinite, "finite")
 
 
@@ -279,8 +280,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-states", type=int, default=5,
                    help="states (dbn) or mixture components (baselines)")
     p.add_argument("--e-step", choices=("greedy", "viterbi"), default="greedy")
-    p.add_argument("--topics", type=int, default=10, help="topics for gmm-lda")
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--topics", type=_positive_int, default=10, help="topics for gmm-lda")
+    p.add_argument("--max-iters", type=_positive_int, default=200)
     p.add_argument("--tol", type=_finite_float, default=1e-6)
     p.add_argument("--include-broken", action="store_true",
                    help="keep signs with noise level 'broken'")
@@ -305,10 +306,10 @@ def build_parser() -> _Parser:
     p.add_argument("--real", required=True, help="real corpus JSONL")
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True, help="report JSON path")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--seeds", type=_positive_int, default=5)
+    p.add_argument("--epochs", type=_non_negative_int, default=50)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--hidden", type=_positive_int, default=16)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--include-broken", action="store_true")
     _add_common(p)

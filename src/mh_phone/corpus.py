@@ -237,14 +237,21 @@ class Corpus:
                                   self.glosses[kept], self.signers[kept], self.noises[kept])
 
 
-# A fork pool pays off once each worker gets about 20 times the 15-25 ms that
-# pool start-up and teardown take, so that start-up stays under 5 % of the
-# parallel run. Measured on a 2-core host with Python 3.11: encoding costs
-# about 1.2 us per feature value written, decoding about 36 ns per byte read,
-# so each worker needs about 0.4 s of either. Below two workers' worth, corpus
-# IO stays in this process.
-MIN_VALUES_PER_WORKER = 330_000  # about 1800 signs of 13 frames of 14 features
-MIN_BYTES_PER_WORKER = 11 << 20  # about 2900 such signs
+# A fork pool takes 15-25 ms to start and tear down, so it pays only for work
+# well above that. Measured break-even of 1 against 2 workers on a 2-core host
+# (Python 3.11; medians of 15 interleaved runs, in ms; N=10 synth corpora):
+#
+#   load, file MB       2.4      3.2      4.0      6.0
+#     1 / 2 workers    55/58    99/78   124/96  195/141
+#   save, values        40k      58k      75k     115k
+#     1 / 2 workers    38/41    71/56    92/77   141/99
+#
+# The pool tied or lost at the first size and won at least 12 of 15 runs at
+# the others, but an earlier set of 9 loads at 3.2 MB was a tie. So a load
+# uses a pool from 4 MiB of file and a save from 80 000 feature values (about
+# 420 signs of 13 frames). Below two workers' worth, IO stays in this process.
+MIN_VALUES_PER_WORKER = 40_000
+MIN_BYTES_PER_WORKER = 2 << 20
 CHUNKS_PER_WORKER = 4
 
 _SAVING = None  # the corpus the workers of a save pool encode, set when they start

@@ -119,9 +119,10 @@ class GruNet:
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; for x < 0 the logistic is e / (1 + e)
+    # exp(-|x|) never overflows; for x < 0 the logistic is e / (1 + e).
+    # e <= 1, so the max gives the numerator 1 where x >= 0 and e elsewhere.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _forward(net: GruNet, batch):

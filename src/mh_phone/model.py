@@ -115,8 +115,8 @@ def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
     of n prototypes from (F, D) frames, their (F,) labels and the previous
     sigma. A prototype with no frames lands exactly on mu_mu."""
     counts = np.bincount(labels, minlength=n).astype(float)
-    sums = np.zeros((n, frames.shape[1]))
-    np.add.at(sums, labels, frames)
+    # one weighted bincount per feature column; bincount adds in index order
+    sums = np.stack([np.bincount(labels, weights=col, minlength=n) for col in frames.T], axis=1)
     return counts, map_means(sums, counts, sigma, hyper.mu_mu, hyper.sigma_mu)
 
 

@@ -190,20 +190,22 @@ def _tensor_lda_e_step(loglik, psi, tau):
 @pytest.mark.parametrize("ties", [False, True])
 def test_lda_e_step_per_topic_equals_tensor_form(ties):
     # zero word and topic probabilities give -inf scores; with ties, integer
-    # emission scores and shared rows make argmax fall to the lower index
+    # emission scores and shared rows make argmax fall to the lower index.
+    # Fewer topics than prototypes (T=4, N=5), then more (T=7, N=3).
     rng = np.random.default_rng(48)
-    loglik = rng.normal(size=(30, 9, 5))
-    psi = rng.dirichlet(np.ones(5), size=4)
-    psi[1, [0, 3]] = 0.0
-    psi[1] /= psi[1].sum()
-    tau = np.array([0.2, 0.3, 0.0, 0.5])
-    if ties:
-        loglik = np.round(loglik)
-        psi[2] = psi[3]
-    topics, labels = _lda_e_step(loglik, psi, tau)
-    want_topics, want_labels = _tensor_lda_e_step(loglik, psi, tau)
-    np.testing.assert_array_equal(topics, want_topics)
-    np.testing.assert_array_equal(labels, want_labels)
+    for n, tau in [(5, [0.2, 0.3, 0.0, 0.5]), (3, [0.1, 0.2, 0.0, 0.1, 0.3, 0.2, 0.1])]:
+        tau = np.array(tau)
+        loglik = rng.normal(size=(30, 9, n))
+        psi = rng.dirichlet(np.ones(n), size=len(tau))
+        psi[1, [0, n - 2]] = 0.0
+        psi[1] /= psi[1].sum()
+        if ties:
+            loglik = np.round(loglik)
+            psi[2] = psi[3]
+        topics, labels = _lda_e_step(loglik, psi, tau)
+        want_topics, want_labels = _tensor_lda_e_step(loglik, psi, tau)
+        np.testing.assert_array_equal(topics, want_topics)
+        np.testing.assert_array_equal(labels, want_labels)
 
 
 @pytest.mark.parametrize("fit", [

@@ -37,6 +37,15 @@ def test_probability_strictly_inside_unit_interval():
     assert 0.0 < q < 1.0
 
 
+def test_sigmoid_equals_the_where_form_bitwise():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300,
+                  0.5, -0.5, 36.0, -36.0, 745.2, -745.2])
+    x = np.concatenate([x, np.random.default_rng(20).normal(scale=10.0, size=64)])
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    assert discriminator._sigmoid(x).tobytes() == want.tobytes()
+
+
 def test_forward_matches_hand_unrolled_recurrence():
     rng = np.random.default_rng(52)
     net = GruNet.random(3, 2, rng)

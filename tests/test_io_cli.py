@@ -199,12 +199,15 @@ def test_cli_train_warns_on_non_finite_objective(tiny_pipeline, caplog):
     load_model(model_path)
 
 
-def test_cli_train_rejects_zero_max_iters(tiny_pipeline, capsys):
-    tmp_path, corpus = tiny_pipeline
+def test_cli_train_rejects_zero_max_iters(tmp_path, capsys):
+    # rejected while parsing arguments, so a corpus that does not exist is never opened
     model_path = tmp_path / "model.json"
-    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
-                "--max-iters", "0") == 1
-    assert "mh-phone: error: max_iters must be at least 1, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        _run("train", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(model_path),
+             "--max-iters", "0")
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert "mh-phone train: error: argument --max-iters: must be at least 1, got 0" in err
     assert not model_path.exists()
 
 
@@ -464,22 +467,6 @@ def test_cli_evaluate_rejects_feature_mismatch(tiny_pipeline, capsys):
     assert "features" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--seeds", "0", "n_seeds must be at least 1, got 0"),
-    ("--epochs", "-2", "epochs must not be negative, got -2"),
-    ("--hidden", "0", "hidden_dim must be at least 1, got 0"),
-])
-def test_cli_evaluate_rejects_bad_seed_and_epoch_counts(tiny_pipeline, capsys,
-                                                        flag, value, message):
-    tmp_path, corpus = tiny_pipeline
-    report_path = tmp_path / "report.json"
-    assert _run("evaluate", "--real", str(corpus), "--model",
-                str(tmp_path / "truth.json"), "--report", str(report_path),
-                flag, value) == 1
-    assert f"mh-phone: error: {message}" in capsys.readouterr().err
-    assert not report_path.exists()
-
-
 # ------------------------------------------------- one validator, one contract
 
 
@@ -619,13 +606,24 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
     (("synth", "--p-frames", "0"), "c.jsonl", "n_frames must be at least 1, got 0"),
     (("generate", "--model", "{truth}", "--p-frames", "0"), "g.jsonl",
      "n_frames must be at least 1, got 0"),
+    (("train", "--corpus", "{corpus}", "--max-iters", "0"), "model.json",
+     "argument --max-iters: must be at least 1, got 0"),
+    (("train", "--corpus", "{corpus}", "--model", "gmm-lda", "--topics", "0"), "model.json",
+     "argument --topics: must be at least 1, got 0"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--seeds", "0"), "r.json",
+     "argument --seeds: must be at least 1, got 0"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--hidden", "0"), "r.json",
+     "argument --hidden: must be at least 1, got 0"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--epochs", "-2"), "r.json",
+     "argument --epochs: must be at least 0, got -2"),
 ], ids=["tol-inf", "tol-minus-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
-        "generate-p-frames-0"])
+        "generate-p-frames-0", "max-iters-0", "topics-0", "seeds-0", "hidden-0", "epochs-minus-2"])
 def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv, out, message):
     tmp_path, corpus = tiny_pipeline
     names = {"corpus": corpus, "truth": tmp_path / "truth.json"}
+    out_flag = "--report" if argv[0] == "evaluate" else "--out"
     try:
-        code = _run(*(arg.format(**names) for arg in argv), "--out", str(tmp_path / out))
+        code = _run(*(arg.format(**names) for arg in argv), out_flag, str(tmp_path / out))
     except SystemExit as stop:  # a flag rejected while parsing arguments
         code = stop.code
     assert code == 1

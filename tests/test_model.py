@@ -280,6 +280,21 @@ def test_m_step_sigma_uses_residuals_against_new_means():
     np.testing.assert_array_equal(out.sigma, want)
 
 
+def test_emission_means_sums_equal_an_add_at_reference(monkeypatch):
+    # unsorted labels, prototype 2 unused and n above the largest label; the
+    # magnitudes spread over 16 decades, so a change of summation order would show
+    rng = np.random.default_rng(19)
+    frames = rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-8, 8, size=(200, 4))
+    labels = rng.choice([0, 1, 3, 4], size=200)
+    n = 7
+    want = np.zeros((n, 4))
+    np.add.at(want, labels, frames)
+    monkeypatch.setattr(model, "map_means", lambda sums, *rest: sums)
+    counts, sums = model.emission_means(frames, labels, n, np.ones(4), Hyperparams())
+    assert sums.shape == (n, 4) and sums.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(counts, np.bincount(labels, minlength=n))
+
+
 def test_m_step_rejects_mismatched_assignment():
     rng = np.random.default_rng(18)
     corpus = corpus_from_features(rng.normal(size=(2, 3, 2)))
