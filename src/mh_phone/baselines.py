@@ -13,7 +13,7 @@ prototypes (a mixture of unigrams).
 
 import numpy as np
 
-from .corpus import Corpus, sampled_corpus
+from .corpus import DEFAULT_FRAMES, Corpus, sampled_corpus
 from .errors import InvariantViolation
 from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
 from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
@@ -111,7 +111,7 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyp
     return params, report
 
 
-def sample_gmm(params: GmmParams, n_signs, n_frames=25, seed=0, return_labels=False):
+def sample_gmm(params: GmmParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0, return_labels=False):
     """Draw signs whose frames are i.i.d. mixture draws (no temporal structure)."""
     rng = np.random.default_rng(seed)
     n_signs, n_frames = int(n_signs), int(n_frames)
@@ -123,7 +123,7 @@ def sample_gmm(params: GmmParams, n_signs, n_frames=25, seed=0, return_labels=Fa
     return corpus
 
 
-def sample_gmm_lda(params: GmmLdaParams, n_signs, n_frames=25, seed=0,
+def sample_gmm_lda(params: GmmLdaParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0,
                    return_labels=False):
     """Draw one topic per sign, then frames i.i.d. from that topic's prototypes."""
     rng = np.random.default_rng(seed)

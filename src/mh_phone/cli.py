@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,6 +30,10 @@ from .seeding import component_seed
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+
+# Parsed names that never reach an artifact's config: the handler, and flags
+# that the outputs do not depend on.
+_UNRECORDED = ("func", "log_level", "threads")
 
 log = logging.getLogger("mh_phone")
 
@@ -66,6 +71,7 @@ def _checked(convert, what, ok, rule):
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
 _non_negative_int = _checked(int, "an integer", lambda v: v >= 0, "at least 0")
 _finite_float = _checked(float, "a number", math.isfinite, "finite")
+_fraction = _checked(float, "a number", lambda v: 0 < v < 1, "strictly between 0 and 1")
 
 
 def _setup_logging(flag_level):
@@ -76,9 +82,20 @@ def _setup_logging(flag_level):
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _config(args):
+    """The flags that made an artifact, in the order the parser declares them."""
+    return {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+
+
+def _report(kind, body, args):
+    """A `kind` report: the envelope around `body`, with its config, validated."""
+    obj = {"format": f"mh-{kind}", "version": 1, **body, "config": _config(args)}
+    validate_artifact(kind, obj)
+    return obj
+
+
 def _hyper_from_args(args):
-    return Hyperparams(alpha=args.alpha, mu_mu=args.mu_mu, sigma_mu=args.sigma_mu,
-                       mu_sigma=args.mu_sigma, sigma_sigma=args.sigma_sigma)
+    return Hyperparams(**{f.name: getattr(args, f.name) for f in fields(Hyperparams)})
 
 
 def _sample_any(fitted, n_signs, n_frames, seed, exact_end_token=True):
@@ -98,12 +115,7 @@ def _load_training_corpus(path, include_broken, workers):
 
 
 def cmd_synth(args):
-    config = {"command": "synth", "seed": args.seed, "n_states": args.n_states,
-              "m_signs": args.m_signs, "p_frames": args.p_frames,
-              "sigma": args.sigma, "self_stick": args.self_stick,
-              "end_prob": args.end_prob, "separation": args.separation,
-              "noisy_end_token": args.noisy_end_token, "out": args.out,
-              "truth_out": args.truth_out}
+    config = _config(args)
     truth = make_truth_params(args.n_states, seed=component_seed(args.seed, "synth/truth"),
                               self_stick=args.self_stick, end_prob=args.end_prob,
                               separation=args.separation, sigma=args.sigma)
@@ -119,13 +131,6 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    config = {"command": "train", "seed": args.seed, "corpus": args.corpus,
-              "model": args.model, "n_states": args.n_states,
-              "e_step": args.e_step, "topics": args.topics,
-              "max_iters": args.max_iters, "tol": args.tol,
-              "include_broken": args.include_broken, "out": args.out,
-              "alpha": args.alpha, "mu_mu": args.mu_mu, "sigma_mu": args.sigma_mu,
-              "mu_sigma": args.mu_sigma, "sigma_sigma": args.sigma_sigma}
     corp = _load_training_corpus(args.corpus, args.include_broken, args.threads)
     hyper = _hyper_from_args(args)
     seed = component_seed(args.seed, "train")
@@ -147,28 +152,21 @@ def cmd_train(args):
     if not math.isfinite(final):
         log.warning("%s fit stopped at iteration %d on a non-finite objective (%s)",
                     args.model, report.iterations, final)
-    save_model(args.out, fitted, hyper, config=config)
+    save_model(args.out, fitted, hyper, config=_config(args))
     return EXIT_OK
 
 
 def cmd_generate(args):
-    config = {"command": "generate", "seed": args.seed, "model": args.model,
-              "n": args.n, "p_frames": args.p_frames,
-              "noisy_end_token": args.noisy_end_token, "out": args.out}
     fitted, _, _ = load_model(args.model)
     corp = _sample_any(fitted, args.n, args.p_frames,
                        component_seed(args.seed, "generate"),
                        exact_end_token=not args.noisy_end_token)
-    save_corpus(corp, args.out, config=config, workers=usable_cores())
+    save_corpus(corp, args.out, config=_config(args), workers=usable_cores())
     log.info("wrote %d sampled signs to %s", len(corp), args.out)
     return EXIT_OK
 
 
 def cmd_evaluate(args):
-    config = {"command": "evaluate", "seed": args.seed, "real": args.real,
-              "model": args.model, "seeds": args.seeds, "epochs": args.epochs,
-              "lr": args.lr, "hidden": args.hidden, "split": args.split,
-              "include_broken": args.include_broken, "report": args.report}
     real = _load_training_corpus(args.real, args.include_broken, usable_cores())
     fitted, hyper, _ = load_model(args.model)
     d_model = fitted.mu.shape[1]
@@ -184,21 +182,14 @@ def cmd_evaluate(args):
                                 split=args.split, epochs=args.epochs,
                                 lr=args.lr, hidden_dim=args.hidden,
                                 seed=args.seed)
-    obj = {"format": "mh-eval-report", "version": 1}
-    obj.update(result.to_dict())
-    obj["hyper"] = hyper.to_dict()
-    obj["config"] = config
-    validate_artifact("eval-report", obj)
-    dump_json(args.report, obj)
+    body = {**result.to_dict(), "hyper": hyper.to_dict()}
+    dump_json(args.report, _report("eval-report", body, args))
     print(f"test bce {result.bce_mean:.6f} +/- {result.bce_std:.6f} "
           f"over {result.n_seeds} seeds")
     return EXIT_OK
 
 
 def cmd_interpret(args):
-    config = {"command": "interpret", "seed": args.seed, "model": args.model,
-              "frame_ms": args.frame_ms, "horizon": args.horizon,
-              "include_end_state": args.include_end_state, "out": args.out}
     fitted, _, _ = load_model(args.model)
     if not isinstance(fitted, ModelParams):
         raise InvariantViolation("interpretation needs a sequential model file "
@@ -206,10 +197,7 @@ def cmd_interpret(args):
     report = interpret.summarize(fitted, frame_ms=args.frame_ms,
                                  horizon=args.horizon,
                                  include_end_state=args.include_end_state)
-    obj = {"format": "mh-interpret-report", "version": 1}
-    obj.update(report.to_dict())
-    obj["config"] = config
-    validate_artifact("interpret-report", obj)
+    obj = _report("interpret-report", report.to_dict(), args)
     if args.out:
         dump_json(args.out, obj)
     print(interpret.format_report(report))
@@ -235,28 +223,23 @@ def _add_common(sub):
 
 
 def _add_hyper(sub):
-    sub.add_argument("--alpha", type=float, default=1.0,
-                     help="Dirichlet concentration for rows of pi and T")
-    sub.add_argument("--mu-mu", type=float, default=0.0,
-                     help="prior mean for prototype coordinates")
-    sub.add_argument("--sigma-mu", type=float, default=10.0,
-                     help="prior std for prototype coordinates")
-    sub.add_argument("--mu-sigma", type=float, default=1.0,
-                     help="log-normal location for emission variances")
-    sub.add_argument("--sigma-sigma", type=float, default=10.0,
-                     help="log-normal scale for emission variances")
+    for f in fields(Hyperparams):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default,
+                         help=f.metadata["help"])
 
 
 def build_parser() -> _Parser:
+    # An artifact records the parsed flags in the order they are declared here
+    # (see _config), so reordering them changes every artifact's bytes.
     parser = _Parser(prog="mh-phone",
                      description="Movement-hold sequence models for sign "
                                  "language keypoint data.")
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = subs.add_parser("synth", help="sample a corpus from known parameters")
+    _add_common(p)
     p.add_argument("--n-states", type=int, default=5)
     p.add_argument("--m-signs", type=int, default=300)
-    p.add_argument("--out", required=True, help="corpus JSONL path")
     p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
     p.add_argument("--sigma", type=float, default=0.05,
                    help="emission variance of the generating model")
@@ -268,16 +251,16 @@ def build_parser() -> _Parser:
                    help="minimum distance between prototypes")
     p.add_argument("--noisy-end-token", action="store_true",
                    help="emit Gaussian noise around zero after the end state")
+    p.add_argument("--out", required=True, help="corpus JSONL path")
     p.add_argument("--truth-out", default=None,
                    help="also write the generating parameters as a model file")
-    _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("train", help="fit a model to a corpus")
+    _add_common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--model", choices=tuple(MODEL_KINDS), default="dbn")
-    p.add_argument("--n-states", type=int, default=5,
+    p.add_argument("--n-states", type=_positive_int, default=5,
                    help="states (dbn) or mixture components (baselines)")
     p.add_argument("--e-step", choices=("greedy", "viterbi"), default="greedy")
     p.add_argument("--topics", type=_positive_int, default=10, help="topics for gmm-lda")
@@ -288,50 +271,50 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=_positive_int, default=usable_cores(),
                    help="E-step worker threads, also the cap on corpus-reading "
                         "processes; output does not depend on it")
+    p.add_argument("--out", required=True, help="model JSON path")
     _add_hyper(p)
-    _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("generate", help="sample signs from a fitted model")
+    _add_common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--out", required=True, help="corpus JSONL path")
+    p.add_argument("--n", type=_positive_int, default=100)
     p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
     p.add_argument("--noisy-end-token", action="store_true")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="corpus JSONL path")
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("evaluate",
                         help="score a model by discriminator test loss")
+    _add_common(p)
     p.add_argument("--real", required=True, help="real corpus JSONL")
     p.add_argument("--model", required=True)
-    p.add_argument("--report", required=True, help="report JSON path")
     p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--epochs", type=_non_negative_int, default=50)
-    p.add_argument("--lr", type=float, default=1e-2)
+    p.add_argument("--lr", type=_finite_float, default=1e-2)
     p.add_argument("--hidden", type=_positive_int, default=16)
-    p.add_argument("--split", type=float, default=0.8)
+    p.add_argument("--split", type=_fraction, default=0.8)
     p.add_argument("--include-broken", action="store_true")
-    _add_common(p)
+    p.add_argument("--report", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("interpret", help="summarize a fitted chain")
+    _add_common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("--frame-ms", type=float, default=interpret.DEFAULT_FRAME_MS)
     p.add_argument("--horizon", type=int, default=interpret.DEFAULT_HORIZON)
     p.add_argument("--include-end-state", action="store_true",
                    help="rank the end state alongside the others")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_interpret)
 
     p = subs.add_parser("export-samples",
                         help="sample a model and write flat CSV rows")
-    p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--out", required=True, help="CSV path, one sign per row")
-    p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
     _add_common(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--n", type=_positive_int, default=100)
+    p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
+    p.add_argument("--out", required=True, help="CSV path, one sign per row")
     p.set_defaults(func=cmd_export_samples)
 
     return parser

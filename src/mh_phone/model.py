@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .corpus import Corpus, synth_corpus
+from .corpus import DEFAULT_FRAMES, Corpus, synth_corpus
 from .errors import InvariantViolation
 from .estimation import (dirichlet_map, emission_loglik, hard_em, map_log_joint, map_means,
                          map_sigma, pair_counts, safe_log, seed_emissions)
@@ -213,7 +213,7 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
     return params, assignment, report
 
 
-def sample(params: ModelParams, n_signs, n_frames=25, seed=0,
+def sample(params: ModelParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0,
            exact_end_token=True) -> Corpus:
     """Draw a corpus from the model by ancestral sampling."""
     corpus, _ = synth_corpus(params, n_signs, seed, n_frames=n_frames,

@@ -6,7 +6,7 @@ must sum to 1 within 1e-9 and the shared `sigma` holds per-dimension
 variances of the diagonal emission Gaussian.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,17 +85,20 @@ class _Params:
 class Hyperparams(_Params):
     """Prior hyperparameters shared by the model and the baselines.
 
-    alpha: symmetric Dirichlet concentration for pi and the rows of T;
-    mu_mu / sigma_mu: mean and std of the Gaussian prior on prototype means;
-    mu_sigma / sigma_sigma: location and scale of the LogNormal prior on the
-    emission variances.
+    Each field's default is also its command-line default, and its "help"
+    metadata the flag's help text.
     """
 
-    alpha: float = 1.0
-    mu_mu: float = 0.0
-    sigma_mu: float = 10.0
-    mu_sigma: float = 1.0
-    sigma_sigma: float = 10.0
+    alpha: float = field(default=1.0, metadata={
+        "help": "symmetric Dirichlet concentration for pi and the rows of T"})
+    mu_mu: float = field(default=0.0, metadata={
+        "help": "mean of the Gaussian prior on prototype coordinates"})
+    sigma_mu: float = field(default=10.0, metadata={
+        "help": "std of the Gaussian prior on prototype coordinates"})
+    mu_sigma: float = field(default=1.0, metadata={
+        "help": "location of the LogNormal prior on emission variances"})
+    sigma_sigma: float = field(default=10.0, metadata={
+        "help": "scale of the LogNormal prior on emission variances"})
 
     def _check(self):
         for name in ("alpha", "sigma_mu", "sigma_sigma"):

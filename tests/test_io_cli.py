@@ -1,6 +1,7 @@
 """Artifact persistence and the command line pipeline."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -616,8 +617,21 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
      "argument --hidden: must be at least 1, got 0"),
     (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--epochs", "-2"), "r.json",
      "argument --epochs: must be at least 0, got -2"),
+    (("train", "--corpus", "{corpus}", "--n-states", "0"), "model.json",
+     "argument --n-states: must be at least 1, got 0"),
+    (("generate", "--model", "{truth}", "--n", "0"), "g.jsonl",
+     "argument --n: must be at least 1, got 0"),
+    (("export-samples", "--model", "{truth}", "--n", "0"), "s.csv",
+     "argument --n: must be at least 1, got 0"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--split", "1.5"), "r.json",
+     "argument --split: must be strictly between 0 and 1, got 1.5"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--split", "0"), "r.json",
+     "argument --split: must be strictly between 0 and 1, got 0.0"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--lr", "nan"), "r.json",
+     "argument --lr: must be finite, got nan"),
 ], ids=["tol-inf", "tol-minus-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
-        "generate-p-frames-0", "max-iters-0", "topics-0", "seeds-0", "hidden-0", "epochs-minus-2"])
+        "generate-p-frames-0", "max-iters-0", "topics-0", "seeds-0", "hidden-0", "epochs-minus-2",
+        "n-states-0", "generate-n-0", "export-n-0", "split-1.5", "split-0", "lr-nan"])
 def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv, out, message):
     tmp_path, corpus = tiny_pipeline
     names = {"corpus": corpus, "truth": tmp_path / "truth.json"}
@@ -631,6 +645,70 @@ def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv,
     err = capsys.readouterr().err
     assert re.search(rf"^mh-phone( {argv[0]})?: error: {re.escape(message)}$", err, re.M)
     assert not (tmp_path / out).exists()
+
+
+def test_cli_train_baseline_accepts_one_component(tiny_pipeline):
+    # --n-states is checked at parse time only for >= 1; the >= 2 rule is the dbn's own
+    tmp_path, corpus = tiny_pipeline
+    assert _run("train", "--corpus", str(corpus), "--model", "gmm", "--n-states", "1",
+                "--max-iters", "2", "--out", str(tmp_path / "gmm1.json")) == 0
+
+
+# Each recording command's config keys, in order: every flag it declares
+# except --threads and --log-level.
+_RECORDED = {
+    "synth": ["command", "seed", "n_states", "m_signs", "p_frames", "sigma", "self_stick",
+              "end_prob", "separation", "noisy_end_token", "out", "truth_out"],
+    "train": ["command", "seed", "corpus", "model", "n_states", "e_step", "topics",
+              "max_iters", "tol", "include_broken", "out", "alpha", "mu_mu", "sigma_mu",
+              "mu_sigma", "sigma_sigma"],
+    "generate": ["command", "seed", "model", "n", "p_frames", "noisy_end_token", "out"],
+    "evaluate": ["command", "seed", "real", "model", "seeds", "epochs", "lr", "hidden",
+                 "split", "include_broken", "report"],
+    "interpret": ["command", "seed", "model", "frame_ms", "horizon", "include_end_state",
+                  "out"],
+}
+
+
+def _corpus_config(path):
+    return json.loads(path.read_text().splitlines()[0])["config"]
+
+
+def test_cli_artifacts_record_their_flags_in_declaration_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    info = ("--log-level", "info")
+    assert _run("synth", "--n-states", "3", "--m-signs", "12", "--p-frames", "6", *info,
+                "--out", "c.jsonl", "--truth-out", "t.json") == 0
+    assert _run("train", "--corpus", "c.jsonl", "--n-states", "3", "--max-iters", "2",
+                "--threads", "1", *info, "--out", "m.json") == 0
+    assert _run("generate", "--model", "m.json", "--n", "4", "--p-frames", "6", *info,
+                "--out", "g.jsonl") == 0
+    assert _run("evaluate", "--real", "c.jsonl", "--model", "m.json", "--seeds", "1",
+                "--epochs", "1", "--hidden", "2", *info, "--report", "r.json") == 0
+    assert _run("interpret", "--model", "m.json", *info, "--out", "i.json") == 0
+    recorded = [("synth", _corpus_config(tmp_path / "c.jsonl")),
+                ("synth", load_json(tmp_path / "t.json")["config"]),
+                ("train", load_json(tmp_path / "m.json")["config"]),
+                ("generate", _corpus_config(tmp_path / "g.jsonl")),
+                ("evaluate", load_json(tmp_path / "r.json")["config"]),
+                ("interpret", load_json(tmp_path / "i.json")["config"])]
+    for command, config in recorded:
+        assert list(config) == _RECORDED[command]
+        assert config["command"] == command
+        assert not {"threads", "log_level", "func"} & set(config)
+
+
+def test_cli_synth_bytes_are_pinned(tmp_path, monkeypatch):
+    # relative paths, because the config records --out and --truth-out as given
+    monkeypatch.chdir(tmp_path)
+    assert _run("synth", "--n-states", "3", "--m-signs", "5", "--p-frames", "6", "--seed", "11",
+                "--out", "c.jsonl", "--truth-out", "t.json") == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("c.jsonl", "t.json")}
+    assert digests == {
+        "c.jsonl": "cf18c2cc6b2811612bafa113cf08009a0f96e0cf454184cb9807622dde41073a",
+        "t.json": "a1569695daf06b41a125aa8693a7217b7f7a3a1abb1ec128256b7a3c2489ec79",
+    }
 
 
 @pytest.mark.parametrize("raw", [b'{"format": "mh-model", "x": "\xff"}\n', b"[" * 100000],
