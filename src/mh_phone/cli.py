@@ -1,10 +1,10 @@
 """Command line entry point.
 
 Subcommands cover the full pipeline: synthesize a corpus with known truth,
-train any of the three models, draw samples, score a model against real data
-with the recurrent discriminator, and summarize a fitted chain. One --seed
-drives everything; per-stage streams are split off by name so reruns are
-byte-identical regardless of --threads.
+train any of the three models, draw samples (as a JSONL corpus or flat CSV
+rows), score a model against real data with the recurrent discriminator, and
+summarize a fitted chain. One --seed drives everything; per-stage streams are
+split off by name so reruns are byte-identical regardless of --threads.
 
 Exit codes: 0 success, 1 validation error (bad flags or bad input files),
 2 runtime error.
@@ -71,6 +71,10 @@ def _checked(convert, what, ok, rule):
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, "at least 1")
 _non_negative_int = _checked(int, "an integer", lambda v: v >= 0, "at least 0")
 _finite_float = _checked(float, "a number", math.isfinite, "finite")
+_positive_float = _checked(float, "a number", lambda v: 0 < v < math.inf, "positive and finite")
+_non_negative_float = _checked(float, "a number", lambda v: 0 <= v < math.inf,
+                               "finite and at least 0")
+_probability = _checked(float, "a number", lambda v: 0 <= v <= 1, "between 0 and 1")
 _fraction = _checked(float, "a number", lambda v: 0 < v < 1, "strictly between 0 and 1")
 
 
@@ -131,8 +135,8 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    corp = _load_training_corpus(args.corpus, args.include_broken, args.threads)
     hyper = _hyper_from_args(args)
+    corp = _load_training_corpus(args.corpus, args.include_broken, args.threads)
     seed = component_seed(args.seed, "train")
     if args.model == "dbn":
         fitted, _, report = model.fit_em(corp, args.n_states, hyper,
@@ -161,7 +165,11 @@ def cmd_generate(args):
     corp = _sample_any(fitted, args.n, args.p_frames,
                        component_seed(args.seed, "generate"),
                        exact_end_token=not args.noisy_end_token)
-    save_corpus(corp, args.out, config=_config(args), workers=usable_cores())
+    if args.out.lower().endswith(".csv"):
+        m, p, d = corp.dims
+        np.savetxt(args.out, corp.features.reshape(m, p * d), delimiter=",", fmt="%.17g")
+    else:
+        save_corpus(corp, args.out, config=_config(args), workers=usable_cores())
     log.info("wrote %d sampled signs to %s", len(corp), args.out)
     return EXIT_OK
 
@@ -204,17 +212,6 @@ def cmd_interpret(args):
     return EXIT_OK
 
 
-def cmd_export_samples(args):
-    fitted, _, _ = load_model(args.model)
-    corp = _sample_any(fitted, args.n, args.p_frames,
-                       component_seed(args.seed, "export-samples"))
-    m, p, d = corp.dims
-    flat = corp.features.reshape(m, p * d)
-    np.savetxt(args.out, flat, delimiter=",", fmt="%.17g")
-    log.info("wrote %d rows of %d values to %s", m, p * d, args.out)
-    return EXIT_OK
-
-
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="master seed; per-stage streams derive from it")
@@ -224,7 +221,7 @@ def _add_common(sub):
 
 def _add_hyper(sub):
     for f in fields(Hyperparams):
-        sub.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default,
+        sub.add_argument("--" + f.name.replace("_", "-"), type=_finite_float, default=f.default,
                          help=f.metadata["help"])
 
 
@@ -238,16 +235,17 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("synth", help="sample a corpus from known parameters")
     _add_common(p)
-    p.add_argument("--n-states", type=int, default=5)
-    p.add_argument("--m-signs", type=int, default=300)
-    p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
-    p.add_argument("--sigma", type=float, default=0.05,
+    p.add_argument("--n-states", default=5,
+                   type=_checked(int, "an integer", lambda v: v >= 2, "at least 2"))
+    p.add_argument("--m-signs", type=_positive_int, default=300)
+    p.add_argument("--p-frames", type=_positive_int, default=DEFAULT_FRAMES)
+    p.add_argument("--sigma", type=_positive_float, default=0.05,
                    help="emission variance of the generating model")
-    p.add_argument("--self-stick", type=float, default=0.85,
+    p.add_argument("--self-stick", type=_probability, default=0.85,
                    help="self-transition mass for non-end states")
-    p.add_argument("--end-prob", type=float, default=0.06,
+    p.add_argument("--end-prob", type=_non_negative_float, default=0.06,
                    help="per-step mass on entering the end state")
-    p.add_argument("--separation", type=float, default=2.0,
+    p.add_argument("--separation", type=_finite_float, default=2.0,
                    help="minimum distance between prototypes")
     p.add_argument("--noisy-end-token", action="store_true",
                    help="emit Gaussian noise around zero after the end state")
@@ -279,9 +277,13 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=_positive_int, default=100)
-    p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
-    p.add_argument("--noisy-end-token", action="store_true")
-    p.add_argument("--out", required=True, help="corpus JSONL path")
+    p.add_argument("--p-frames", type=_positive_int, default=DEFAULT_FRAMES)
+    p.add_argument("--noisy-end-token", action="store_true",
+                   help="dbn only: draw the frames after the end state from its Gaussian, "
+                        "not zeros; mixture samples are full-length draws with no end token")
+    p.add_argument("--out", required=True,
+                   help="corpus JSONL path, or a .csv path for flat rows, one padded "
+                        "sign per row")
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("evaluate",
@@ -301,21 +303,12 @@ def build_parser() -> _Parser:
     p = subs.add_parser("interpret", help="summarize a fitted chain")
     _add_common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--frame-ms", type=float, default=interpret.DEFAULT_FRAME_MS)
-    p.add_argument("--horizon", type=int, default=interpret.DEFAULT_HORIZON)
+    p.add_argument("--frame-ms", type=_positive_float, default=interpret.DEFAULT_FRAME_MS)
+    p.add_argument("--horizon", type=_positive_int, default=interpret.DEFAULT_HORIZON)
     p.add_argument("--include-end-state", action="store_true",
                    help="rank the end state alongside the others")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_interpret)
-
-    p = subs.add_parser("export-samples",
-                        help="sample a model and write flat CSV rows")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--n", type=_positive_int, default=100)
-    p.add_argument("--p-frames", type=int, default=DEFAULT_FRAMES)
-    p.add_argument("--out", required=True, help="CSV path, one sign per row")
-    p.set_defaults(func=cmd_export_samples)
 
     return parser
 

@@ -183,7 +183,7 @@ def test_cli_full_pipeline(tiny_pipeline, capsys):
     assert len(interp["hold_lengths_frames"]) == 3
 
     csv_path = tmp_path / "samples.csv"
-    assert _run("export-samples", "--model", str(model_path), "--n", "6",
+    assert _run("generate", "--model", str(model_path), "--n", "6",
                 "--p-frames", "10", "--out", str(csv_path), "--seed", "2") == 0
     rows = np.loadtxt(csv_path, delimiter=",")
     assert rows.shape == (6, 10 * 14)
@@ -284,12 +284,17 @@ def test_cli_rejects_a_model_file_with_a_wrong_header(tmp_path, capsys):
 ])
 def test_cli_train_rejects_non_finite_hyperparameters(tiny_pipeline, capsys,
                                                       kind, flag, value, field):
+    # the parser turns the value away before Hyperparams' own check would see it
     tmp_path, corpus = tiny_pipeline
     model_path = tmp_path / "model.json"
-    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
-                "--model", kind, flag, value) == 1
-    assert f"mh-phone: error: {field} has non-finite entries" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        _run("train", "--corpus", str(corpus), "--out", str(model_path),
+             "--model", kind, flag, value)
+    assert stop.value.code == 1
+    assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
     assert not model_path.exists()
+    with pytest.raises(InvariantViolation, match=f"^{field} has non-finite entries"):
+        Hyperparams(**{field: float(value)})
 
 
 def test_cli_missing_required_flag_exits_one(capsys):
@@ -442,18 +447,31 @@ def test_cli_truth_out_is_loadable_model(tiny_pipeline):
     assert config["command"] == "synth"
 
 
-def test_cli_export_samples_deterministic(tiny_pipeline):
+def test_cli_generate_csv_bytes_are_deterministic_and_pinned(tiny_pipeline):
+    tmp_path, _ = tiny_pipeline
+    digests = set()
+    for name in ("a.csv", "b.CSV"):
+        assert _run("generate", "--model", str(tmp_path / "truth.json"), "--n", "2",
+                    "--p-frames", "3", "--out", str(tmp_path / name), "--seed", "3") == 0
+        digests.add(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+    assert digests == {"b9d3c2eefca0645d326fb07bf6fce18b8253dc470152a275302606fdb5e38e3b"}
+
+
+@pytest.mark.parametrize("kind, noisy", [("dbn", False), ("dbn", True), ("gmm", False),
+                                         ("gmm-lda", False)],
+                         ids=["dbn", "dbn-noisy", "gmm", "gmm-lda"])
+def test_cli_generate_csv_rows_are_the_padded_features_of_the_corpus(tiny_pipeline,
+                                                                      kind, noisy):
     tmp_path, corpus = tiny_pipeline
-    model_path = tmp_path / "m.json"
-    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
-                "--n-states", "2", "--max-iters", "5") == 0
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert _run("export-samples", "--model", str(model_path), "--n", "4",
-                "--p-frames", "6", "--out", str(a), "--seed", "3") == 0
-    assert _run("export-samples", "--model", str(model_path), "--n", "4",
-                "--p-frames", "6", "--out", str(b), "--seed", "3") == 0
-    assert a.read_bytes() == b.read_bytes()
+    model_path = tmp_path / f"{kind}.json"
+    assert _run("train", "--corpus", str(corpus), "--out", str(model_path), "--model", kind,
+                "--n-states", "3", "--topics", "2", "--max-iters", "3") == 0
+    flags = ["--model", str(model_path), "--n", "7", "--p-frames", "10", "--seed", "4"]
+    flags += ["--noisy-end-token"] * noisy
+    assert _run("generate", *flags, "--out", str(tmp_path / "g.jsonl")) == 0
+    assert _run("generate", *flags, "--out", str(tmp_path / "g.csv")) == 0
+    rows = np.loadtxt(tmp_path / "g.csv", delimiter=",")
+    np.testing.assert_array_equal(rows, load_corpus(tmp_path / "g.jsonl").features.reshape(7, -1))
 
 
 def test_cli_evaluate_rejects_feature_mismatch(tiny_pipeline, capsys):
@@ -601,12 +619,12 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
     (("train", "--corpus", "{corpus}", "--max-iters", "2", "--tol", "nan"), "model.json",
      "argument --tol: must be finite, got nan"),
     (("interpret", "--model", "{truth}", "--frame-ms", "nan"), "r.json",
-     "frame_ms must be positive and finite, got nan"),
+     "argument --frame-ms: must be positive and finite, got nan"),
     (("interpret", "--model", "{truth}", "--frame-ms", "inf"), "r.json",
-     "frame_ms must be positive and finite, got inf"),
-    (("synth", "--p-frames", "0"), "c.jsonl", "n_frames must be at least 1, got 0"),
+     "argument --frame-ms: must be positive and finite, got inf"),
+    (("synth", "--p-frames", "0"), "c.jsonl", "argument --p-frames: must be at least 1, got 0"),
     (("generate", "--model", "{truth}", "--p-frames", "0"), "g.jsonl",
-     "n_frames must be at least 1, got 0"),
+     "argument --p-frames: must be at least 1, got 0"),
     (("train", "--corpus", "{corpus}", "--max-iters", "0"), "model.json",
      "argument --max-iters: must be at least 1, got 0"),
     (("train", "--corpus", "{corpus}", "--model", "gmm-lda", "--topics", "0"), "model.json",
@@ -621,20 +639,39 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
      "argument --n-states: must be at least 1, got 0"),
     (("generate", "--model", "{truth}", "--n", "0"), "g.jsonl",
      "argument --n: must be at least 1, got 0"),
-    (("export-samples", "--model", "{truth}", "--n", "0"), "s.csv",
-     "argument --n: must be at least 1, got 0"),
     (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--split", "1.5"), "r.json",
      "argument --split: must be strictly between 0 and 1, got 1.5"),
     (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--split", "0"), "r.json",
      "argument --split: must be strictly between 0 and 1, got 0.0"),
     (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--lr", "nan"), "r.json",
      "argument --lr: must be finite, got nan"),
+    (("synth", "--m-signs", "0"), "c.jsonl", "argument --m-signs: must be at least 1, got 0"),
+    (("synth", "--n-states", "1"), "c.jsonl", "argument --n-states: must be at least 2, got 1"),
+    (("synth", "--sigma", "0"), "c.jsonl", "argument --sigma: must be positive and finite, got 0.0"),
+    (("synth", "--separation", "nan"), "c.jsonl", "argument --separation: must be finite, got nan"),
+    (("synth", "--self-stick", "1.5"), "c.jsonl",
+     "argument --self-stick: must be between 0 and 1, got 1.5"),
+    (("synth", "--end-prob", "inf"), "c.jsonl",
+     "argument --end-prob: must be finite and at least 0, got inf"),
+    (("synth", "--end-prob", "-1"), "c.jsonl",
+     "argument --end-prob: must be finite and at least 0, got -1.0"),
+    (("interpret", "--model", "{truth}", "--horizon", "0"), "r.json",
+     "argument --horizon: must be at least 1, got 0"),
+    # prior flags fail before the (missing) corpus is opened
+    (("train", "--corpus", "{missing}", "--alpha", "nan"), "model.json",
+     "argument --alpha: must be finite, got nan"),
+    (("train", "--corpus", "{missing}", "--sigma-mu", "-1"), "model.json",
+     "sigma_mu must be positive"),
 ], ids=["tol-inf", "tol-minus-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
         "generate-p-frames-0", "max-iters-0", "topics-0", "seeds-0", "hidden-0", "epochs-minus-2",
-        "n-states-0", "generate-n-0", "export-n-0", "split-1.5", "split-0", "lr-nan"])
+        "n-states-0", "generate-n-0", "split-1.5", "split-0", "lr-nan", "m-signs-0",
+        "synth-n-states-1", "sigma-0", "separation-nan", "self-stick-1.5", "end-prob-inf",
+        "end-prob-minus-1", "horizon-0", "alpha-nan-missing-corpus",
+        "sigma-mu-minus-1-missing-corpus"])
 def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv, out, message):
     tmp_path, corpus = tiny_pipeline
-    names = {"corpus": corpus, "truth": tmp_path / "truth.json"}
+    names = {"corpus": corpus, "truth": tmp_path / "truth.json",
+             "missing": tmp_path / "missing.jsonl"}
     out_flag = "--report" if argv[0] == "evaluate" else "--out"
     try:
         code = _run(*(arg.format(**names) for arg in argv), out_flag, str(tmp_path / out))
@@ -645,6 +682,13 @@ def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv,
     err = capsys.readouterr().err
     assert re.search(rf"^mh-phone( {argv[0]})?: error: {re.escape(message)}$", err, re.M)
     assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--end-prob", "2"), ("--self-stick", "1"),
+                                         ("--separation", "-1")])
+def test_cli_synth_accepts_edge_values_the_library_accepts(tmp_path, flag, value):
+    assert _run("synth", "--n-states", "3", "--m-signs", "3", "--p-frames", "4", flag, value,
+                "--out", str(tmp_path / "c.jsonl")) == 0
 
 
 def test_cli_train_baseline_accepts_one_component(tiny_pipeline):
