@@ -22,7 +22,7 @@ import numpy as np
 from . import baselines, interpret, model
 from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus
 from .discriminator import evaluate_generator
-from .errors import InvariantViolation, MhPhoneError, ParseError
+from .errors import InvariantViolation, MhPhoneError, NotEnoughData, ParseError
 from .io import dump_json, load_model, save_model, validate_artifact
 from .params import MODEL_KINDS, Hyperparams, ModelParams, make_truth_params
 from .seeding import component_seed
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging(args.log_level)
         return args.func(args)
-    except (ParseError, InvariantViolation) as exc:
+    except (ParseError, InvariantViolation, NotEnoughData) as exc:
         print(f"mh-phone: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (MhPhoneError, OSError) as exc:

@@ -27,6 +27,12 @@ training runs epochs + 1 forwards. Every matrix product has the same
 operands and shape as a separate forward and backward would use, so the
 trained parameters, the trace and the reported losses are bit-for-bit those
 of that two-pass schedule.
+
+A forward writes each step's gates and hidden state into a time-major
+workspace (see `_workspace`) that the backward pass reads. A training
+allocates one workspace and reuses it in every pass, so it does not free and
+fault in the per-step caches again every epoch; `bce_loss`, `gru_grad` and
+`gru_forward` each allocate one for their own batch.
 """
 
 import logging
@@ -118,30 +124,35 @@ class GruNet:
         return GruNet(vec, self.input_dim, self.hidden_dim)
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # exp(-|x|) never overflows; for x < 0 the logistic is e / (1 + e).
     # e <= 1, so the max gives the numerator 1 where x >= 0 and e elsewhere.
     e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
-def _forward(net: GruNet, batch):
-    """Run the recurrence over a (B, P, D) batch; returns logits and caches."""
-    b, p, d = batch.shape
-    h = np.zeros((b, net.hidden_dim))
-    caches = []
-    for t in range(p):
-        x = batch[:, t]
+def _workspace(net: GruNet, batch):
+    """The time-major arrays `_forward` fills for a (B, P, D) batch: hidden
+    states (P+1, B, H), row 0 zero, and the gates z, r and candidate states
+    hc, each (P, B, H). One training reuses one workspace in every pass."""
+    b, p, _ = batch.shape
+    h = net.hidden_dim
+    return (np.zeros((p + 1, b, h)),) + tuple(np.empty((p, b, h)) for _ in range(3))
+
+
+def _forward(net: GruNet, batch, ws):
+    """Run the recurrence over a (B, P, D) batch, writing every step's gates
+    and next hidden state into the workspace `ws`; returns the logits."""
+    hs, zs, rs, hcs = ws
+    for t in range(batch.shape[1]):
+        x, h = batch[:, t], hs[t]
         joint = np.concatenate([x, h], axis=1)
-        z = _sigmoid(joint @ net.w_z + net.b_z)
-        r = _sigmoid(joint @ net.w_r + net.b_r)
+        z = _sigmoid(joint @ net.w_z + net.b_z, out=zs[t])
+        r = _sigmoid(joint @ net.w_r + net.b_r, out=rs[t])
         joint_c = np.concatenate([x, r * h], axis=1)
-        hc = np.tanh(joint_c @ net.w_c + net.b_c)
-        h_new = (1.0 - z) * hc + z * h
-        caches.append((x, h, z, r, hc))
-        h = h_new
-    logits = h @ net.w_out + net.b_out
-    return logits, h, caches
+        hc = np.tanh(joint_c @ net.w_c + net.b_c, out=hcs[t])
+        np.add((1.0 - z) * hc, z * h, out=hs[t + 1])
+    return hs[-1] @ net.w_out + net.b_out
 
 
 def _bce_from_logits(logits, labels):
@@ -179,8 +190,8 @@ def gru_forward(net: GruNet, sequence) -> float:
     seq = np.asarray(sequence, dtype=float)
     if seq.ndim != 2:
         raise InvariantViolation("sequence must be a (frames, features) matrix")
-    logits, _, _ = _forward(net, seq[None])
-    prob = float(_sigmoid(logits)[0])
+    seq = seq[None]
+    prob = float(_sigmoid(_forward(net, seq, _workspace(net, seq)))[0])
     tiny = 1e-15
     return min(max(prob, tiny), 1.0 - tiny)
 
@@ -188,13 +199,13 @@ def gru_forward(net: GruNet, sequence) -> float:
 def bce_loss(net: GruNet, batch, labels) -> float:
     """Mean binary cross-entropy of the net on a labeled batch."""
     batch, labels = _as_labeled_batch(batch, labels, "score")
-    logits, _, _ = _forward(net, batch)
-    return _bce_from_logits(logits, labels)
+    return _bce_from_logits(_forward(net, batch, _workspace(net, batch)), labels)
 
 
-def _backward(net: GruNet, logits, h_last, caches, labels) -> np.ndarray:
-    """Backpropagation through time over one `_forward`'s caches: the
-    gradient of the mean BCE as a flat vector in theta's layout."""
+def _backward(net: GruNet, batch, ws, logits, labels) -> np.ndarray:
+    """Backpropagation through time over the workspace one `_forward` filled:
+    the gradient of the mean BCE as a flat vector in theta's layout."""
+    hs, zs, rs, hcs = ws
     b = logits.shape[0]
     d = net.input_dim
     grad = np.zeros_like(net.theta)
@@ -202,11 +213,12 @@ def _backward(net: GruNet, logits, h_last, caches, labels) -> np.ndarray:
     g_w_z, g_w_r, g_w_c = g["w_z"], g["w_r"], g["w_c"]
     g_b_z, g_b_r, g_b_c = g["b_z"], g["b_r"], g["b_c"]
     dlogits = (_sigmoid(logits) - labels) / b
-    g["w_out"][...] = h_last.T @ dlogits
+    g["w_out"][...] = hs[-1].T @ dlogits
     grad[-1] = dlogits.sum()
     dh = np.outer(dlogits, net.w_out)
 
-    for x, h_prev, z, r, hc in reversed(caches):
+    for t in reversed(range(batch.shape[1])):
+        x, h_prev, z, r, hc = batch[:, t], hs[t], zs[t], rs[t], hcs[t]
         dz = dh * (h_prev - hc)
         dhc = dh * (1.0 - z)
         da_c = dhc * (1.0 - hc * hc)
@@ -229,11 +241,11 @@ def _backward(net: GruNet, logits, h_last, caches, labels) -> np.ndarray:
     return grad
 
 
-def _loss_and_grad(net: GruNet, batch, labels):
-    """(mean BCE, flat gradient) from one forward pass over a checked batch."""
-    logits, h_last, caches = _forward(net, batch)
-    return (_bce_from_logits(logits, labels),
-            _backward(net, logits, h_last, caches, labels))
+def _loss_and_grad(net: GruNet, batch, labels, ws):
+    """(mean BCE, flat gradient) from one forward pass over a checked batch,
+    through the workspace `ws`."""
+    logits = _forward(net, batch, ws)
+    return _bce_from_logits(logits, labels), _backward(net, batch, ws, logits, labels)
 
 
 def gru_grad(net: GruNet, batch, labels) -> GruNet:
@@ -241,7 +253,8 @@ def gru_grad(net: GruNet, batch, labels) -> GruNet:
 
     Returned as a GruNet whose blocks hold the gradients.
     """
-    _, grad = _loss_and_grad(net, *_as_labeled_batch(batch, labels, "take gradients on"))
+    batch, labels = _as_labeled_batch(batch, labels, "take gradients on")
+    _, grad = _loss_and_grad(net, batch, labels, _workspace(net, batch))
     return net.from_vector(grad)
 
 
@@ -259,9 +272,10 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
     theta = net.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    ws = _workspace(net, batch)
     trace = []
     for t in range(1, epochs + 1):
-        loss, grad = _loss_and_grad(net, batch, labels)
+        loss, grad = _loss_and_grad(net, batch, labels, ws)
         trace.append(loss)
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
@@ -269,7 +283,7 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         net = net.from_vector(theta)
-    trace.append(bce_loss(net, batch, labels))
+    trace.append(_bce_from_logits(_forward(net, batch, ws), labels))
     return net, trace
 
 

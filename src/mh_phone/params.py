@@ -250,7 +250,11 @@ def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
         if d >= 2:
             cand[:, :2] = 0.0
         pts = np.vstack([np.zeros(d), cand])
-        dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        if not np.all(np.isfinite(dists)):
+            raise InvariantViolation(f"separation {separation:g} is too large: prototype "
+                                     "distances overflow float64")
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= separation:
             mu = pts

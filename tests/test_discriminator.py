@@ -347,6 +347,21 @@ def test_train_gru_output_is_pinned(hidden, signs, params_sha, trace_sha):
     assert _digest(trace) == trace_sha
 
 
+# Recorded on the commit before training reused one workspace across epochs,
+# x86-64, numpy 2.4, OpenBLAS 0.3.31. At 600 signs a (B, D+H) float64 array
+# is 144 000 bytes, above glibc's 128 KiB mmap threshold, a regime the pins
+# above (24 and 10 signs) never reach.
+def test_train_gru_output_is_pinned_at_600_signs():
+    rng = np.random.default_rng(90)
+    batch = rng.normal(size=(600, 6, 14))
+    labels = (np.arange(600) % 2).astype(float)
+    net = GruNet.random(14, 16, np.random.default_rng(91))
+    trained, trace = train_gru(net, batch, labels, epochs=3)
+    assert _digest(trained.as_vector()) == (
+        "d03f53ea82cb5d3ffd57a59139b639b989f4806a50e538f30bd327319181acaf")
+    assert _digest(trace) == "47fa3c98389f44f0f5b3a8d8fa438961c2deb9bb0b122943341be1a92f586f8d"
+
+
 def test_evaluate_generator_per_seed_bce_is_pinned():
     real = corpus_from_features(np.random.default_rng(72).normal(size=(12, 6, 4)))
 
@@ -435,3 +450,73 @@ def test_evaluate_generator_logs_each_seed(caplog):
     for k, (line, test_bce) in enumerate(zip(lines, report.per_seed)):
         assert line.startswith(f"discriminator seed {k}: train bce ")
         assert line.endswith(f", test bce {test_bce:.6f}")
+
+
+# ------------------------------------------------- the training workspace
+
+
+def _every_call(signs, seed):
+    """Each public call on a fresh (signs, 5, 3) batch, and what it gave."""
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(signs, 5, 3))
+    labels = (np.arange(signs) % 2).astype(float)
+    net = GruNet.random(3, 4, rng)
+    trained, trace = train_gru(net, batch, labels, epochs=4)
+    return {"theta": trained.as_vector(), "trace": np.array(trace),
+            "bce": bce_loss(trained, batch, labels),
+            "grad": gru_grad(trained, batch, labels).as_vector(),
+            "prob": gru_forward(trained, batch[0])}
+
+
+def _assert_same(got, want):
+    for key in want:
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+
+def test_train_gru_leaves_the_callers_parameters_unchanged():
+    rng = np.random.default_rng(82)
+    batch = rng.normal(size=(7, 4, 3))
+    net = GruNet.random(3, 5, rng)
+    theta, before = net.theta, net.theta.copy()
+    trained, _ = train_gru(net, batch, np.arange(7) % 2, epochs=3)
+    assert net.theta is theta
+    assert theta.tobytes() == before.tobytes()
+    assert not np.shares_memory(trained.theta, theta)
+
+
+def test_calls_of_different_batch_sizes_do_not_share_a_workspace():
+    alone = {signs: _every_call(signs, 83) for signs in (6, 11)}
+    # trainings and single calls of two sizes, interleaved
+    first = _every_call(6, 83)
+    second = _every_call(11, 83)
+    third = _every_call(6, 83)
+    _assert_same(first, alone[6])
+    _assert_same(second, alone[11])
+    _assert_same(third, alone[6])
+
+
+def test_returned_arrays_are_not_overwritten_by_later_calls():
+    kept = _every_call(9, 84)
+    copies = {key: np.array(value, copy=True) for key, value in kept.items()}
+    _every_call(9, 85)
+    _every_call(9, 84)
+    _assert_same(kept, copies)
+
+
+def test_one_workspace_serves_a_whole_training(monkeypatch):
+    spaces = []
+    forward = discriminator._forward
+
+    def recording(net, batch, ws):
+        spaces.append(ws)
+        return forward(net, batch, ws)
+
+    monkeypatch.setattr(discriminator, "_forward", recording)
+    rng = np.random.default_rng(86)
+    batch = rng.normal(size=(5, 4, 3))
+    train_gru(GruNet.random(3, 2, rng), batch, np.arange(5) % 2, epochs=3)
+    assert len(spaces) == 4
+    assert all(ws is spaces[0] for ws in spaces)
+    hs, zs, rs, hcs = spaces[0]
+    assert hs.shape == (5, 5, 2)
+    assert zs.shape == rs.shape == hcs.shape == (4, 5, 2)

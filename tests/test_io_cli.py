@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -350,6 +351,33 @@ def test_cli_corpus_io_workers_follow_threads_or_the_usable_cores(tiny_pipeline,
                 "--report", str(tmp_path / "r.json"), "--seeds", "1", "--epochs", "1",
                 "--hidden", "2") == 0
     assert seen == [("load_corpus", 2), ("save_corpus", 5), ("load_corpus", 5)]
+
+
+@pytest.mark.parametrize("command, message", [
+    (("evaluate", "--model", "{dir}/truth.json", "--real"),
+     "generator evaluation needs at least 10 real signs"),
+    (("train", "--n-states", "9", "--corpus"), "4 frames cannot seed 8 prototypes"),
+], ids=["evaluate", "train"])
+def test_cli_input_too_small_for_the_command_is_a_validation_error(tmp_path, capsys,
+                                                                   command, message):
+    corpus, out = tmp_path / "c.jsonl", tmp_path / "out.json"
+    assert _run("synth", "--m-signs", "2", "--p-frames", "2", "--out", str(corpus),
+                "--truth-out", str(tmp_path / "truth.json")) == 0
+    capsys.readouterr()
+    flag = "--report" if command[0] == "evaluate" else "--out"
+    argv = [arg.format(dir=tmp_path) for arg in command]
+    assert _run(*argv, str(corpus), flag, str(out)) == 1
+    assert capsys.readouterr().err == f"mh-phone: error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_synth_rejects_a_separation_beyond_float_range(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        assert _run("synth", "--m-signs", "5", "--separation", "1e200", "--out", str(out)) == 1
+    assert "separation 1e+200 is too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_command_exits_one(capsys):

@@ -1,5 +1,8 @@
 """Parameter container validation and the synthetic ground-truth builder."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,15 @@ def test_make_truth_separation_and_pinned_dims():
     assert dists.min() >= 2.5
     assert not truth.mu[:, :2].any()
     assert np.allclose(truth.sigma, 0.05)
+
+
+@pytest.mark.parametrize("separation", [1e200, 1e300, 1e308])
+def test_make_truth_rejects_a_separation_whose_distances_overflow(separation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation,
+                           match=re.escape(f"separation {separation:g} is too large")):
+            make_truth_params(4, 6, seed=5, separation=separation)
 
 
 def test_make_truth_deterministic_and_validated():
