@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import baselines, interpret, model
-from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus
+from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus, usable_cores
 from .discriminator import evaluate_generator
 from .errors import InvariantViolation, MhPhoneError, NotEnoughData, ParseError
 from .io import dump_json, load_model, save_model, validate_artifact
@@ -44,15 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
-
-
-def usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the OS
-    reports one, else the machine's core count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux and a few Unixes
-        return os.cpu_count() or 1
 
 
 def _checked(convert, what, ok, rule):
@@ -111,8 +102,8 @@ def _sample_any(fitted, n_signs, n_frames, seed, exact_end_token=True):
     return baselines.sample_gmm_lda(fitted, n_signs, n_frames=n_frames, seed=seed)
 
 
-def _load_training_corpus(path, include_broken, workers):
-    corp = load_corpus(path, workers=workers)
+def _load_training_corpus(path, include_broken):
+    corp = load_corpus(path)
     if not include_broken:
         corp = corp.without_noise("broken")
     return corp
@@ -126,7 +117,7 @@ def cmd_synth(args):
     corp, _ = synth_corpus(truth, args.m_signs, component_seed(args.seed, "synth/corpus"),
                            n_frames=args.p_frames,
                            exact_end_token=not args.noisy_end_token)
-    save_corpus(corp, args.out, config=config, workers=usable_cores())
+    save_corpus(corp, args.out, config=config)
     log.info("wrote %d signs to %s", len(corp), args.out)
     if args.truth_out:
         save_model(args.truth_out, truth, Hyperparams(), config=config)
@@ -136,7 +127,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     hyper = _hyper_from_args(args)
-    corp = _load_training_corpus(args.corpus, args.include_broken, args.threads)
+    corp = _load_training_corpus(args.corpus, args.include_broken)
     seed = component_seed(args.seed, "train")
     if args.model == "dbn":
         fitted, _, report = model.fit_em(corp, args.n_states, hyper,
@@ -169,13 +160,13 @@ def cmd_generate(args):
         m, p, d = corp.dims
         np.savetxt(args.out, corp.features.reshape(m, p * d), delimiter=",", fmt="%.17g")
     else:
-        save_corpus(corp, args.out, config=_config(args), workers=usable_cores())
+        save_corpus(corp, args.out, config=_config(args))
     log.info("wrote %d sampled signs to %s", len(corp), args.out)
     return EXIT_OK
 
 
 def cmd_evaluate(args):
-    real = _load_training_corpus(args.real, args.include_broken, usable_cores())
+    real = _load_training_corpus(args.real, args.include_broken)
     fitted, hyper, _ = load_model(args.model)
     d_model = fitted.mu.shape[1]
     if d_model != real.dims[2]:
@@ -267,8 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--include-broken", action="store_true",
                    help="keep signs with noise level 'broken'")
     p.add_argument("--threads", type=_positive_int, default=usable_cores(),
-                   help="E-step worker threads, also the cap on corpus-reading "
-                        "processes; output does not depend on it")
+                   help="E-step worker threads; output does not depend on it")
     p.add_argument("--out", required=True, help="model JSON path")
     _add_hyper(p)
     p.set_defaults(func=cmd_train)

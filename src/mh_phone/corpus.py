@@ -11,9 +11,9 @@ A Corpus is columnar: read-only `features` (M, P, D), `true_lengths` (M,) and
 built by its one validating constructor, `Corpus.from_arrays`, which checks all
 signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
 
-`save_corpus` and `load_corpus` can split the JSON work of a large corpus over
-forked processes; the file, and the corpus or error a load gives, do not
-depend on the number of processes.
+`save_corpus` and `load_corpus` split the JSON work of a large corpus over
+forked processes, up to one per usable core; the file, and the corpus or
+error a load gives, do not depend on the number of processes.
 """
 
 import json
@@ -257,11 +257,21 @@ CHUNKS_PER_WORKER = 4
 _SAVING = None  # the corpus the workers of a save pool encode, set when they start
 
 
-def _pool_size(workers, work, minimum):
-    """Processes to split `work` over: 1, meaning this process, unless at
-    least two workers get `minimum` of it each, `fork` exists, and no other
-    thread runs here (forking a process with live threads is unsafe)."""
-    n = min(workers, work // minimum)
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux and a few Unixes
+        return os.cpu_count() or 1
+
+
+def _pool_size(work, minimum):
+    """Processes to split `work` over, at most one per usable core: 1,
+    meaning this process, unless at least two workers get `minimum` of it
+    each, `fork` exists, and no other thread runs here (forking a process
+    with live threads is unsafe)."""
+    n = min(usable_cores(), work // minimum)
     if n < 2 or threading.active_count() > 1:
         return 1
     import multiprocessing  # only a pool needs it; importing it costs every CLI start ~10 ms
@@ -303,11 +313,11 @@ def _encode(span, corpus=None):
         for k in range(*span))
 
 
-def save_corpus(corpus: Corpus, path, config=None, *, workers=1):
+def save_corpus(corpus: Corpus, path, config=None):
     """Write a corpus as JSONL: one header line, then one record per sign.
 
-    Padding rows are trimmed; they are reapplied on load. With `workers` > 1
-    and a large enough corpus, forked processes encode contiguous runs of
+    Padding rows are trimmed; they are reapplied on load. A large enough
+    corpus is encoded by forked processes, each taking contiguous runs of
     signs; the file is byte-identical for every worker count.
     """
     m, p, d = corpus.dims
@@ -319,7 +329,7 @@ def save_corpus(corpus: Corpus, path, config=None, *, workers=1):
               "D": d, "P": p, "feature_order": order}
     if config is not None:
         header["config"] = config
-    n = _pool_size(workers, int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
+    n = _pool_size(int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
     # one sign at a time in this process, about CHUNKS_PER_WORKER runs per worker in a pool
     runs = min(m, n * CHUNKS_PER_WORKER) if n > 1 else m
     spans = [(m * i // runs, m * (i + 1) // runs) for i in range(runs)]
@@ -450,11 +460,11 @@ def _decode(path, span, p, d):
     return _Chunk(line, record_lines, lengths, glosses, signers, noises, frames)
 
 
-def load_corpus(path, *, workers=1) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Read a JSONL corpus, repad every sign and validate invariants; every
     error names the line at fault.
 
-    With `workers` > 1 and a large enough file, forked processes parse byte
+    A large enough file is parsed by forked processes, each taking byte
     ranges that start at line starts; the corpus, or the error, is the same
     for every worker count.
     """
@@ -467,7 +477,7 @@ def load_corpus(path, *, workers=1) -> Corpus:
         except (ParseError, InvariantViolation) as exc:
             raise _at_line(type(exc), 1, str(exc)) from None
         body, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        n = _pool_size(workers, size - body, MIN_BYTES_PER_WORKER)
+        n = _pool_size(size - body, MIN_BYTES_PER_WORKER)
         cuts = _line_starts(fh, body, size, n * CHUNKS_PER_WORKER if n > 1 else 1)
     n = min(n, len(cuts) - 1)
     chunks, offset = [], 1  # line 1 is the header

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DEFAULT_FRAMES, KEYPOINTS
+from .corpus import KEYPOINTS
 from .errors import AbsorbingState, InvariantViolation
 from .params import ModelParams
 
@@ -117,11 +117,6 @@ def summarize(params: ModelParams, *, frame_ms=DEFAULT_FRAME_MS,
         notes.append(
             f"feature count {params.n_features} does not split into "
             f"{len(KEYPOINTS)} joints; joint dispersion omitted")
-
-    if int(horizon) != DEFAULT_FRAMES:
-        notes.append(
-            f"expected counts use a horizon of {int(horizon)} frames while "
-            f"signs are padded to {DEFAULT_FRAMES}")
 
     return InterpretReport(
         hold_lengths_frames=hold,

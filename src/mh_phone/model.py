@@ -29,7 +29,7 @@ from .estimation import (dirichlet_map, emission_loglik, hard_em, map_log_joint,
 from .params import Assignment, Hyperparams, ModelParams
 
 
-def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
+def init_params(n_states, corpus: Corpus, seed=0) -> ModelParams:
     """Initial parameters: uniform pi and T, data-seeded prototypes.
 
     Prototype rows 1..N-1 are distinct non-padding frames chosen by
@@ -38,9 +38,7 @@ def init_params(n_states, n_features, corpus: Corpus, seed=0) -> ModelParams:
     """
     if n_states < 2:
         raise InvariantViolation("n_states must be at least 2 (end state plus one prototype)")
-    m, p, d = corpus.dims
-    if d != n_features:
-        raise InvariantViolation(f"corpus has {d} features, expected {n_features}")
+    _, p, d = corpus.dims
     mask = np.arange(p)[None, :] < corpus.true_lengths[:, None]
     protos, sigma = seed_emissions(np.random.default_rng(seed), corpus.features[mask],
                                    n_states - 1)
@@ -195,8 +193,7 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
     if e_step not in _E_STEPS:
         raise InvariantViolation(f"e_step must be one of {sorted(_E_STEPS)}, got '{e_step}'")
     assign = _E_STEPS[e_step]
-    _, _, d = corpus.dims
-    params = init_params(n_states, d, corpus, seed=seed)
+    params = init_params(n_states, corpus, seed=seed)
     assignment = None
     # the emission table under the current params: the objective of one
     # iteration and the E-step of the next read the same table

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -225,17 +226,23 @@ def test_from_arrays_copies_writable_or_borrowed_features():
     np.testing.assert_array_equal(corp.features, 5.0)
 
 
-def _load_peak_over_features(tmp_path, workers):
+def _cores(n):
+    """Corpus IO as on a host with n usable cores."""
+    return mock.patch.object(corpus_module, "usable_cores", lambda: n)
+
+
+def _load_peak_over_features(tmp_path, cores):
     truth = make_truth_params(5, 14, seed=5)
     path = tmp_path / "c.jsonl"
     save_corpus(synth_corpus(truth, 300, seed=6)[0], path)
-    load_corpus(path, workers=workers)  # a first pool imports multiprocessing's pool modules
-    tracemalloc.start()
-    try:
-        corp = load_corpus(path, workers=workers)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with _cores(cores):
+        load_corpus(path)  # a first pool imports multiprocessing's pool modules
+        tracemalloc.start()
+        try:
+            corp = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     return peak / corp.features.nbytes
 
 
@@ -466,10 +473,12 @@ def _corpus_files(draw):
     return b"\n".join(lines)
 
 
-def _outcome(path, workers):
-    """The columns of the corpus that `load_corpus` gives, or its error's type and text."""
+def _outcome(path, cores):
+    """The columns of the corpus that `load_corpus` gives with `cores` usable
+    cores, or its error's type and text."""
     try:
-        corpus = load_corpus(path, workers=workers)
+        with _cores(cores):
+            corpus = load_corpus(path)
     except MhPhoneError as exc:
         return type(exc), str(exc)
     assert isinstance(corpus, Corpus)
@@ -491,8 +500,8 @@ def test_load_fuzzed_files_give_a_corpus_or_an_mh_phone_error(tmp_path_factory, 
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Corpus IO with the per-worker minimums at 1, so that any worker count
-    above 1 forks a pool; gives the pool size each call chose."""
+    """Corpus IO with the per-worker minimums at 1, so that any usable core
+    count above 1 forks a pool; gives the pool size each call chose."""
     sizes = []
     pool_size = corpus_module._pool_size
 
@@ -515,9 +524,10 @@ def _assert_same_columns(got, want):
 def test_pooled_save_writes_the_same_bytes_for_any_worker_count(tmp_path, pooled, m):
     corp = synth_corpus(make_truth_params(3, 4, seed=1), m, seed=2)[0]
     texts = []
-    for workers in (1, 2, 3):
-        path = tmp_path / f"{workers}.jsonl"
-        save_corpus(corp, path, config={"seed": 1}, workers=workers)
+    for cores in (1, 2, 3):
+        path = tmp_path / f"{cores}.jsonl"
+        with _cores(cores):
+            save_corpus(corp, path, config={"seed": 1})
         assert not multiprocessing.active_children()
         texts.append(path.read_bytes())
     assert pooled == [1, 2, 3]
@@ -525,6 +535,33 @@ def test_pooled_save_writes_the_same_bytes_for_any_worker_count(tmp_path, pooled
     records = [json.dumps({"gloss": s.gloss, "signer": s.signer, "noise": s.noise,
                            "frames": s.features[:s.true_length].tolist()}) for s in corp]
     assert texts[0].decode().split("\n")[1:] == records + [""]
+
+
+def _save_and_load_on_two_cores(corp, path):
+    with _cores(2):
+        save_corpus(corp, path)
+        assert not multiprocessing.active_children()
+        loaded = load_corpus(path)
+        assert not multiprocessing.active_children()
+    return path.read_bytes(), loaded
+
+
+def test_pooled_io_stays_in_this_process_while_another_thread_runs(tmp_path, pooled):
+    corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
+    text, loaded = _save_and_load_on_two_cores(corp, tmp_path / "alone.jsonl")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        threaded_text, threaded = _save_and_load_on_two_cores(corp, tmp_path / "threaded.jsonl")
+    finally:
+        release.set()
+        thread.join()
+    # forking a process with a live thread is unsafe, so both calls pick 1
+    assert pooled == [2, 2, 1, 1]
+    assert threaded_text == text
+    _assert_same_columns(threaded, loaded)
+    _assert_same_columns(loaded, corp)
 
 
 _SPELLINGS = {
@@ -540,10 +577,11 @@ def test_pooled_load_gives_the_same_corpus_for_any_worker_count(tmp_path, pooled
     path = tmp_path / "c.jsonl"
     save_corpus(corp, path)
     path.write_bytes(_SPELLINGS[spelling](path.read_text().splitlines()).encode())
-    for workers in (1, 2):
-        _assert_same_columns(load_corpus(path, workers=workers), corp)
+    for cores in (1, 2, 3):
+        with _cores(cores):
+            _assert_same_columns(load_corpus(path), corp)
         assert not multiprocessing.active_children()
-    assert pooled == [1, 1, 2]
+    assert pooled[1:] == [1, 2, 3]  # after the save that wrote the file
 
 
 def _file_with_bad_lines(path, bad):
@@ -563,14 +601,14 @@ def _file_with_bad_lines(path, bad):
 
 def _pooled_and_serial_errors(path, pooled):
     errors = []
-    for workers in (1, 2):
-        with pytest.raises(MhPhoneError) as info:
-            load_corpus(path, workers=workers)
+    for cores in (1, 2, 3):
+        with _cores(cores), pytest.raises(MhPhoneError) as info:
+            load_corpus(path)
         assert not multiprocessing.active_children()
         exc = info.value
         errors.append((type(exc), str(exc), getattr(exc, "line", None)))
-    assert pooled == [1, 2]
-    assert errors[1] == errors[0]
+    assert pooled == [1, 2, 3]
+    assert errors[1] == errors[0] and errors[2] == errors[0]
     return errors[0]
 
 

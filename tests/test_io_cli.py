@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from mh_phone.baselines import GmmLdaParams, GmmParams
-from mh_phone import cli
 from mh_phone.cli import build_parser, main, usable_cores
 from mh_phone.corpus import load_corpus
 from mh_phone.errors import InvariantViolation, ParseError
@@ -327,32 +326,6 @@ def test_threads_default_to_the_usable_cores(monkeypatch):
     assert usable_cores() == 6
 
 
-def test_cli_corpus_io_workers_follow_threads_or_the_usable_cores(tiny_pipeline, monkeypatch):
-    tmp_path, corpus = tiny_pipeline
-    seen = []
-
-    def spy(name):
-        real = getattr(cli, name)
-
-        def traced(*args, **kwargs):
-            seen.append((name, kwargs["workers"]))
-            return real(*args, **kwargs)
-        monkeypatch.setattr(cli, name, traced)
-
-    spy("load_corpus")
-    spy("save_corpus")
-    monkeypatch.setattr(cli, "usable_cores", lambda: 5)
-    model_path = tmp_path / "m.json"
-    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
-                "--max-iters", "2", "--threads", "2") == 0
-    assert _run("generate", "--model", str(model_path), "--n", "4",
-                "--out", str(tmp_path / "g.jsonl")) == 0
-    assert _run("evaluate", "--real", str(corpus), "--model", str(model_path),
-                "--report", str(tmp_path / "r.json"), "--seeds", "1", "--epochs", "1",
-                "--hidden", "2") == 0
-    assert seen == [("load_corpus", 2), ("save_corpus", 5), ("load_corpus", 5)]
-
-
 @pytest.mark.parametrize("command, message", [
     (("evaluate", "--model", "{dir}/truth.json", "--real"),
      "generator evaluation needs at least 10 real signs"),
@@ -399,6 +372,21 @@ def test_cli_bad_corpus_is_validation_error(tmp_path, capsys):
     rc = _run("train", "--corpus", str(bad), "--out", str(tmp_path / "m.json"))
     assert rc == 1
     assert "mh-phone: error:" in capsys.readouterr().err
+
+
+def test_cli_interpret_claims_no_padded_length(tiny_pipeline, capsys):
+    # the corpus pads to P=10; a model file does not record P, so neither a
+    # horizon of 10 nor the default horizon may be compared with a padding
+    tmp_path, corpus = tiny_pipeline
+    model_path = tmp_path / "m.json"
+    assert _run("train", "--corpus", str(corpus), "--out", str(model_path),
+                "--n-states", "3", "--max-iters", "5") == 0
+    capsys.readouterr()
+    for horizon in ("10", "20"):
+        assert _run("interpret", "--model", str(model_path), "--horizon", horizon) == 0
+        out = capsys.readouterr().out
+        assert "start ranking (by pi):" in out
+        assert "padded" not in out and "horizon of" not in out
 
 
 def test_cli_interpret_rejects_frame_mixture_models(tiny_pipeline, capsys):

@@ -25,7 +25,8 @@ from helpers import (align_states, corpus_from_features, emission_table, params_
 def test_init_params_shapes_and_uniform_rows():
     rng = np.random.default_rng(0)
     corpus = random_corpus(rng, 6, 10, 4)
-    params = init_params(3, 4, corpus, seed=1)
+    params = init_params(3, corpus, seed=1)
+    assert params.mu.shape == (3, 4) and params.sigma.shape == (4,)
     np.testing.assert_allclose(params.pi, 1 / 3)
     np.testing.assert_allclose(params.trans, 1 / 3)
     assert not params.mu[0].any()
@@ -34,7 +35,7 @@ def test_init_params_shapes_and_uniform_rows():
 def test_init_params_prototypes_are_observed_frames():
     rng = np.random.default_rng(2)
     corpus = random_corpus(rng, 5, 8, 3)
-    params = init_params(4, 3, corpus, seed=7)
+    params = init_params(4, corpus, seed=7)
     mask = np.arange(8)[None, :] < corpus.true_lengths[:, None]
     data = corpus.features[mask]
     for row in params.mu[1:]:
@@ -44,7 +45,7 @@ def test_init_params_prototypes_are_observed_frames():
 def test_init_params_sigma_floor_on_constant_data():
     feats = np.full((3, 4, 2), 1.5)
     corpus = corpus_from_features(feats)
-    params = init_params(2, 2, corpus, seed=0)
+    params = init_params(2, corpus, seed=0)
     np.testing.assert_allclose(params.sigma, SIGMA_INIT_FLOOR)
 
 
@@ -52,12 +53,9 @@ def test_init_params_errors():
     rng = np.random.default_rng(3)
     corpus = corpus_from_features(rng.normal(size=(1, 1, 2)))
     with pytest.raises(NotEnoughData):
-        init_params(5, 2, corpus)
-    big = random_corpus(rng, 4, 6, 4)
+        init_params(5, corpus)
     with pytest.raises(InvariantViolation):
-        init_params(3, 5, big)
-    with pytest.raises(InvariantViolation):
-        init_params(1, 4, big)
+        init_params(1, random_corpus(rng, 4, 6, 4))
 
 
 # ---------------------------------------------------------------- E-steps
