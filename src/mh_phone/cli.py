@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--epochs", type=_non_negative_int, default=50)
-    p.add_argument("--lr", type=_finite_float, default=1e-2)
+    p.add_argument("--lr", type=_positive_float, default=1e-2)
     p.add_argument("--hidden", type=_positive_int, default=16)
     p.add_argument("--split", type=_fraction, default=0.8)
     p.add_argument("--include-broken", action="store_true")

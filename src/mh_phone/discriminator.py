@@ -28,11 +28,15 @@ operands and shape as a separate forward and backward would use, so the
 trained parameters, the trace and the reported losses are bit-for-bit those
 of that two-pass schedule.
 
-A forward writes each step's gates and hidden state into a time-major
-workspace (see `_workspace`) that the backward pass reads. A training
-allocates one workspace and reuses it in every pass, so it does not free and
-fault in the per-step caches again every epoch; `bce_loss`, `gru_grad` and
-`gru_forward` each allocate one for their own batch.
+Both passes work in a time-major workspace (see `_Workspace`). A step's
+[frame, hidden] and [frame, r * hidden] inputs are rows of two buffers whose
+frame columns are filled once, and every matrix product and elementwise op,
+the logistic included, writes into the workspace's arrays, so a step
+allocates nothing. Each op keeps the operands, shapes and association order
+of the plain numpy expression it replaces, so every result is bit-for-bit
+that expression's. A training builds one workspace and reuses it in every
+pass; `bce_loss`, `gru_grad` and `gru_forward` each build one for their own
+batch.
 """
 
 import logging
@@ -124,35 +128,75 @@ class GruNet:
         return GruNet(vec, self.input_dim, self.hidden_dim)
 
 
-def _sigmoid(x, out=None):
+def _sigmoid(x, out=None, mask=None):
+    """The logistic of x. Given a bool `mask` of x's shape, it works in place:
+    x is overwritten (it ends as 1 + exp(-|x|)) and nothing is allocated."""
     # exp(-|x|) never overflows; for x < 0 the logistic is e / (1 + e).
     # e <= 1, so the max gives the numerator 1 where x >= 0 and e elsewhere.
-    e = np.exp(-np.abs(x))
-    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
+    if mask is None:
+        x = np.array(x, dtype=float)
+    mask = np.greater_equal(x, 0.0, out=mask)
+    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    out = np.maximum(e, mask, out=out)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
-def _workspace(net: GruNet, batch):
-    """The time-major arrays `_forward` fills for a (B, P, D) batch: hidden
-    states (P+1, B, H), row 0 zero, and the gates z, r and candidate states
-    hc, each (P, B, H). One training reuses one workspace in every pass."""
-    b, p, _ = batch.shape
-    h = net.hidden_dim
-    return (np.zeros((p + 1, b, h)),) + tuple(np.empty((p, b, h)) for _ in range(3))
+class _Workspace:
+    """Every array `_forward` and `_backward` write for one (B, P, D) batch.
+
+    `joint` (P+1, B, D+H) holds [x_t, h_t] in row t: its hidden columns are
+    the hidden states, row 0's zero. `joint_c` (P, B, D+H) holds
+    [x_t, r_t * h_t]. The x columns of both are filled here, once, so each
+    step's matrix products read their left operand in place. `zs`, `rs` and
+    `hcs` (P, B, H) keep the gates and candidate states for the backward
+    pass. The rest is scratch that every step overwrites: five (B, H)
+    arrays and a (B, H) mask, `wide` (B, D+H) for products with a transposed
+    gate matrix, and `w_grad` (D+H, H) and `b_grad` (H,) for one step's share
+    of a gate's gradient."""
+
+    def __init__(self, net: GruNet, batch):
+        b, p, d = batch.shape
+        h = net.hidden_dim
+        x = batch.transpose(1, 0, 2)
+        self.joint = np.zeros((p + 1, b, d + h))
+        self.joint[:p, :, :d] = x
+        self.joint_c = np.empty((p, b, d + h))
+        self.joint_c[:, :, :d] = x
+        self.zs, self.rs, self.hcs = (np.empty((p, b, h)) for _ in range(3))
+        self.scratch = tuple(np.empty((b, h)) for _ in range(5))
+        self.mask = np.empty((b, h), dtype=bool)
+        self.wide = np.empty((b, d + h))
+        self.w_grad = np.empty((d + h, h))
+        self.b_grad = np.empty(h)
+
+
+def _last_hidden(ws, d, out):
+    """The final hidden states, copied into the (B, H) array `out`. BLAS
+    products with a strided operand can round differently from those with a
+    contiguous one, and the readout's products have always read the latter."""
+    np.copyto(out, ws.joint[-1, :, d:])
+    return out
 
 
 def _forward(net: GruNet, batch, ws):
     """Run the recurrence over a (B, P, D) batch, writing every step's gates
-    and next hidden state into the workspace `ws`; returns the logits."""
-    hs, zs, rs, hcs = ws
+    and next hidden state into the workspace `ws` built for it; returns the
+    logits."""
+    d = net.input_dim
+    w_z, w_r, w_c, b_z, b_r, b_c = net.w_z, net.w_r, net.w_c, net.b_z, net.b_r, net.b_c
+    a, s1, s2 = ws.scratch[:3]
     for t in range(batch.shape[1]):
-        x, h = batch[:, t], hs[t]
-        joint = np.concatenate([x, h], axis=1)
-        z = _sigmoid(joint @ net.w_z + net.b_z, out=zs[t])
-        r = _sigmoid(joint @ net.w_r + net.b_r, out=rs[t])
-        joint_c = np.concatenate([x, r * h], axis=1)
-        hc = np.tanh(joint_c @ net.w_c + net.b_c, out=hcs[t])
-        np.add((1.0 - z) * hc, z * h, out=hs[t + 1])
-    return hs[-1] @ net.w_out + net.b_out
+        joint, joint_c = ws.joint[t], ws.joint_c[t]
+        h, z, r, hc = joint[:, d:], ws.zs[t], ws.rs[t], ws.hcs[t]
+        # z, r = sigmoid(joint @ w + b); hc = tanh([x, r * h] @ w_c + b_c);
+        # next h = (1 - z) * hc + z * h
+        _sigmoid(np.add(np.matmul(joint, w_z, out=a), b_z, out=a), z, ws.mask)
+        _sigmoid(np.add(np.matmul(joint, w_r, out=a), b_r, out=a), r, ws.mask)
+        np.multiply(r, h, out=joint_c[:, d:])
+        np.tanh(np.add(np.matmul(joint_c, w_c, out=a), b_c, out=a), out=hc)
+        np.multiply(np.subtract(1.0, z, out=s1), hc, out=s1)
+        np.add(s1, np.multiply(z, h, out=s2), out=ws.joint[t + 1, :, d:])
+    return _last_hidden(ws, d, s1) @ net.w_out + net.b_out
 
 
 def _bce_from_logits(logits, labels):
@@ -172,8 +216,22 @@ def _as_batch(data):
     return batch
 
 
-def _as_labeled_batch(batch, labels, action):
+def _check_width(net, width):
+    if width != net.input_dim:
+        raise InvariantViolation(
+            f"batch has {width} features per frame, the net takes {net.input_dim}")
+
+
+def _check_lr(lr):
+    lr = float(lr)
+    if not 0.0 < lr < math.inf:
+        raise InvariantViolation(f"lr must be positive and finite, got {lr}")
+    return lr
+
+
+def _as_labeled_batch(net, batch, labels, action):
     batch = _as_batch(batch)
+    _check_width(net, batch.shape[2])
     if batch.shape[0] == 0:
         raise EmptyBatch(f"cannot {action} an empty batch")
     labels = np.asarray(labels, dtype=float)
@@ -190,53 +248,60 @@ def gru_forward(net: GruNet, sequence) -> float:
     seq = np.asarray(sequence, dtype=float)
     if seq.ndim != 2:
         raise InvariantViolation("sequence must be a (frames, features) matrix")
+    _check_width(net, seq.shape[1])
     seq = seq[None]
-    prob = float(_sigmoid(_forward(net, seq, _workspace(net, seq)))[0])
+    prob = float(_sigmoid(_forward(net, seq, _Workspace(net, seq)))[0])
     tiny = 1e-15
     return min(max(prob, tiny), 1.0 - tiny)
 
 
 def bce_loss(net: GruNet, batch, labels) -> float:
     """Mean binary cross-entropy of the net on a labeled batch."""
-    batch, labels = _as_labeled_batch(batch, labels, "score")
-    return _bce_from_logits(_forward(net, batch, _workspace(net, batch)), labels)
+    batch, labels = _as_labeled_batch(net, batch, labels, "score")
+    return _bce_from_logits(_forward(net, batch, _Workspace(net, batch)), labels)
 
 
 def _backward(net: GruNet, batch, ws, logits, labels) -> np.ndarray:
     """Backpropagation through time over the workspace one `_forward` filled:
     the gradient of the mean BCE as a flat vector in theta's layout."""
-    hs, zs, rs, hcs = ws
     b = logits.shape[0]
     d = net.input_dim
+    w_z, w_r, w_c = net.w_z, net.w_r, net.w_c
     grad = np.zeros_like(net.theta)
     g = _blocks(grad, d, net.hidden_dim)
     g_w_z, g_w_r, g_w_c = g["w_z"], g["w_r"], g["w_c"]
     g_b_z, g_b_r, g_b_c = g["b_z"], g["b_r"], g["b_c"]
+    dh, dz, da_c, da_r, tmp = ws.scratch
+    wide, w_grad, b_grad = ws.wide, ws.w_grad, ws.b_grad
+    dq = wide[:, d:]
     dlogits = (_sigmoid(logits) - labels) / b
-    g["w_out"][...] = hs[-1].T @ dlogits
+    np.matmul(_last_hidden(ws, d, tmp).T, dlogits, out=g["w_out"])
     grad[-1] = dlogits.sum()
-    dh = np.outer(dlogits, net.w_out)
+    np.outer(dlogits, net.w_out, out=dh)
 
     for t in reversed(range(batch.shape[1])):
-        x, h_prev, z, r, hc = batch[:, t], hs[t], zs[t], rs[t], hcs[t]
-        dz = dh * (h_prev - hc)
-        dhc = dh * (1.0 - z)
-        da_c = dhc * (1.0 - hc * hc)
-        joint_c = np.concatenate([x, r * h_prev], axis=1)
-        g_w_c += joint_c.T @ da_c
-        g_b_c += da_c.sum(axis=0)
-        dq = (da_c @ net.w_c.T)[:, d:]
-        dr = dq * h_prev
-        da_r = dr * r * (1.0 - r)
-        da_z = dz * z * (1.0 - z)
-        joint = np.concatenate([x, h_prev], axis=1)
-        g_w_r += joint.T @ da_r
-        g_b_r += da_r.sum(axis=0)
-        g_w_z += joint.T @ da_z
-        g_b_z += da_z.sum(axis=0)
-        dh = (dh * z + dq * r
-              + (da_r @ net.w_r.T)[:, d:]
-              + (da_z @ net.w_z.T)[:, d:])
+        joint, joint_c = ws.joint[t], ws.joint_c[t]
+        h_prev, z, r, hc = joint[:, d:], ws.zs[t], ws.rs[t], ws.hcs[t]
+        # dz = dh * (h_prev - hc), da_c = dh * (1 - z) * (1 - hc * hc)
+        np.multiply(dh, np.subtract(h_prev, hc, out=dz), out=dz)
+        np.multiply(dh, np.subtract(1.0, z, out=da_c), out=da_c)
+        np.multiply(da_c, np.subtract(1.0, np.multiply(hc, hc, out=tmp), out=tmp), out=da_c)
+        g_w_c += np.matmul(joint_c.T, da_c, out=w_grad)
+        g_b_c += np.sum(da_c, axis=0, out=b_grad)
+        # dq = (da_c @ w_c.T)[:, d:], da_r = dq * h_prev * r * (1 - r)
+        np.matmul(da_c, w_c.T, out=wide)
+        np.multiply(np.multiply(dq, h_prev, out=da_r), r, out=da_r)
+        np.multiply(da_r, np.subtract(1.0, r, out=tmp), out=da_r)
+        # da_z = dz * z * (1 - z), in dz's place
+        np.multiply(np.multiply(dz, z, out=dz), np.subtract(1.0, z, out=tmp), out=dz)
+        g_w_r += np.matmul(joint.T, da_r, out=w_grad)
+        g_b_r += np.sum(da_r, axis=0, out=b_grad)
+        g_w_z += np.matmul(joint.T, dz, out=w_grad)
+        g_b_z += np.sum(dz, axis=0, out=b_grad)
+        # dh = dh * z + dq * r + (da_r @ w_r.T)[:, d:] + (da_z @ w_z.T)[:, d:]
+        np.add(np.multiply(dh, z, out=dh), np.multiply(dq, r, out=tmp), out=dh)
+        np.add(dh, np.matmul(da_r, w_r.T, out=wide)[:, d:], out=dh)
+        np.add(dh, np.matmul(dz, w_z.T, out=wide)[:, d:], out=dh)
 
     return grad
 
@@ -253,8 +318,8 @@ def gru_grad(net: GruNet, batch, labels) -> GruNet:
 
     Returned as a GruNet whose blocks hold the gradients.
     """
-    batch, labels = _as_labeled_batch(batch, labels, "take gradients on")
-    _, grad = _loss_and_grad(net, batch, labels, _workspace(net, batch))
+    batch, labels = _as_labeled_batch(net, batch, labels, "take gradients on")
+    _, grad = _loss_and_grad(net, batch, labels, _Workspace(net, batch))
     return net.from_vector(grad)
 
 
@@ -265,14 +330,15 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
     entry t the loss after t steps. Entry t < epochs comes from the forward
     pass behind step t+1's gradient, so training runs epochs + 1 forwards.
     """
-    batch, labels = _as_labeled_batch(batch, labels, "train on")
+    batch, labels = _as_labeled_batch(net, batch, labels, "train on")
     epochs = int(epochs)
     if epochs < 0:
         raise InvariantViolation(f"epochs must not be negative, got {epochs}")
+    lr = _check_lr(lr)
     theta = net.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    ws = _workspace(net, batch)
+    ws = _Workspace(net, batch)
     trace = []
     for t in range(1, epochs + 1):
         loss, grad = _loss_and_grad(net, batch, labels, ws)
@@ -331,6 +397,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
         raise InvariantViolation(f"epochs must not be negative, got {epochs}")
     if int(hidden_dim) < 1:
         raise InvariantViolation(f"hidden_dim must be at least 1, got {hidden_dim}")
+    lr = _check_lr(lr)
     real_batch = _as_batch(real)
     n_real, _, d = real_batch.shape
     if n_real < 10:
@@ -343,19 +410,22 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
         if fake_batch.shape != real_batch.shape:
             raise InvariantViolation(
                 f"generator returned shape {fake_batch.shape}, expected {real_batch.shape}")
-        data = np.concatenate([real_batch, fake_batch], axis=0)
         labels = np.concatenate([np.ones(n_real), np.zeros(n_real)])
         rng = rng_for(seed, f"discriminator/{k}")
         train_idx, test_idx = _stratified_split(rng, labels, split)
+        # Only the two slices outlive the joined batch and the draw, so the
+        # training's workspace can take their memory.
+        data = np.concatenate([real_batch, fake_batch], axis=0)
+        train, test = data[train_idx], data[test_idx]
+        del data, fake_batch
         net = GruNet.random(d, hidden_dim, rng)
-        net, trace = train_gru(net, data[train_idx], labels[train_idx],
-                               epochs=epochs, lr=lr)
-        per_seed.append(bce_loss(net, data[test_idx], labels[test_idx]))
+        net, trace = train_gru(net, train, labels[train_idx], epochs=epochs, lr=lr)
+        per_seed.append(bce_loss(net, test, labels[test_idx]))
         log.info("discriminator seed %d: train bce %.6f -> %.6f, test bce %.6f",
                  k, trace[0], trace[-1], per_seed[-1])
     mean = float(np.mean(per_seed))
     std = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0
     options = {"n_seeds": int(n_seeds), "split": float(split), "epochs": int(epochs),
-               "lr": float(lr), "hidden_dim": int(hidden_dim), "seed": int(seed)}
+               "lr": lr, "hidden_dim": int(hidden_dim), "seed": int(seed)}
     return EvalReport(bce_mean=mean, bce_std=std, n_seeds=int(n_seeds),
                       per_seed=per_seed, options=options)

@@ -3,6 +3,8 @@
 import hashlib
 import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +425,9 @@ def test_train_gru_rejects_negative_epochs():
     ({"n_seeds": 0}, "n_seeds must be at least 1, got 0"),
     ({"n_seeds": -1}, "n_seeds must be at least 1, got -1"),
     ({"epochs": -2}, "epochs must not be negative, got -2"),
+    ({"lr": 0}, "lr must be positive and finite, got 0.0"),
+    ({"lr": -0.5}, "lr must be positive and finite, got -0.5"),
+    ({"lr": math.nan}, "lr must be positive and finite, got nan"),
 ])
 def test_evaluate_generator_rejects_bad_counts_before_drawing(kwargs, message):
     real = _real_corpus(77, m=12)
@@ -517,6 +522,63 @@ def test_one_workspace_serves_a_whole_training(monkeypatch):
     train_gru(GruNet.random(3, 2, rng), batch, np.arange(5) % 2, epochs=3)
     assert len(spaces) == 4
     assert all(ws is spaces[0] for ws in spaces)
-    hs, zs, rs, hcs = spaces[0]
-    assert hs.shape == (5, 5, 2)
-    assert zs.shape == rs.shape == hcs.shape == (4, 5, 2)
+    ws = spaces[0]
+    assert ws.joint.shape == (5, 5, 5)
+    assert ws.joint_c.shape == (4, 5, 5)
+    assert ws.zs.shape == ws.rs.shape == ws.hcs.shape == (4, 5, 2)
+    # the x columns hold the batch, time-major, after every pass; hidden row 0 is zero
+    frames = batch.transpose(1, 0, 2)
+    assert ws.joint[:4, :, :3].tobytes() == frames.tobytes()
+    assert ws.joint_c[:, :, :3].tobytes() == frames.tobytes()
+    assert not ws.joint[0, :, 3:].any()
+
+
+def test_a_warm_step_allocates_nothing_per_frame():
+    # A step's arrays live in the workspace. What a call still allocates is
+    # per call (logits, the gradient) or numpy's ufunc buffers, at most 8192
+    # elements each, so at this B the peak stays below one (B, H) temporary.
+    b, d, h = 4096, 14, 16
+    peaks = {}
+    for p in (4, 40):
+        rng = np.random.default_rng(87)
+        batch = rng.normal(size=(b, p, d))
+        labels = (np.arange(b) % 2).astype(float)
+        net = GruNet.random(d, h, rng)
+        ws = discriminator._Workspace(net, batch)
+        discriminator._loss_and_grad(net, batch, labels, ws)
+        tracemalloc.start()
+        try:
+            discriminator._loss_and_grad(net, batch, labels, ws)
+            peaks[p] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= peaks[4]
+    assert peaks[40] < b * h * 8
+
+
+@pytest.mark.parametrize("fn", [
+    lambda net, batch, labels: bce_loss(net, batch, labels),
+    lambda net, batch, labels: gru_grad(net, batch, labels),
+    lambda net, batch, labels: train_gru(net, batch, labels, epochs=1),
+    lambda net, batch, labels: gru_forward(net, batch[0]),
+], ids=["bce_loss", "gru_grad", "train_gru", "gru_forward"])
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_batch_of_the_wrong_width_is_rejected(monkeypatch, fn, width):
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(discriminator, "_Workspace", no_workspace)
+    rng = np.random.default_rng(89)
+    batch = rng.normal(size=(4, 5, width))
+    with pytest.raises(InvariantViolation,
+                       match=f"^batch has {width} features per frame, the net takes 3$"):
+        fn(GruNet.random(3, 2, rng), batch, np.arange(4) % 2)
+
+
+@pytest.mark.parametrize("lr", [0, 0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_train_gru_rejects_a_learning_rate_that_is_not_positive_and_finite(lr):
+    rng = np.random.default_rng(90)
+    batch = rng.normal(size=(4, 3, 2))
+    with pytest.raises(InvariantViolation,
+                       match=re.escape(f"lr must be positive and finite, got {float(lr)}")):
+        train_gru(GruNet.random(2, 2, rng), batch, np.arange(4) % 2, epochs=5, lr=lr)

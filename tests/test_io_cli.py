@@ -660,7 +660,11 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
     (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--split", "0"), "r.json",
      "argument --split: must be strictly between 0 and 1, got 0.0"),
     (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--lr", "nan"), "r.json",
-     "argument --lr: must be finite, got nan"),
+     "argument --lr: must be positive and finite, got nan"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--lr", "0"), "r.json",
+     "argument --lr: must be positive and finite, got 0.0"),
+    (("evaluate", "--real", "{corpus}", "--model", "{truth}", "--lr=-0.5"), "r.json",
+     "argument --lr: must be positive and finite, got -0.5"),
     (("synth", "--m-signs", "0"), "c.jsonl", "argument --m-signs: must be at least 1, got 0"),
     (("synth", "--n-states", "1"), "c.jsonl", "argument --n-states: must be at least 2, got 1"),
     (("synth", "--sigma", "0"), "c.jsonl", "argument --sigma: must be positive and finite, got 0.0"),
@@ -680,8 +684,8 @@ def test_validate_artifact_names_the_key_of_a_non_finite_number(kind, obj, key):
      "sigma_mu must be positive"),
 ], ids=["tol-inf", "tol-minus-inf", "tol-nan", "frame-ms-nan", "frame-ms-inf", "synth-p-frames-0",
         "generate-p-frames-0", "max-iters-0", "topics-0", "seeds-0", "hidden-0", "epochs-minus-2",
-        "n-states-0", "generate-n-0", "split-1.5", "split-0", "lr-nan", "m-signs-0",
-        "synth-n-states-1", "sigma-0", "separation-nan", "self-stick-1.5", "end-prob-inf",
+        "n-states-0", "generate-n-0", "split-1.5", "split-0", "lr-nan", "lr-0", "lr-minus-0.5",
+        "m-signs-0", "synth-n-states-1", "sigma-0", "separation-nan", "self-stick-1.5", "end-prob-inf",
         "end-prob-minus-1", "horizon-0", "alpha-nan-missing-corpus",
         "sigma-mu-minus-1-missing-corpus"])
 def test_cli_rejects_non_finite_and_zero_size_flags(tiny_pipeline, capsys, argv, out, message):
