@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Subcommands cover the full pipeline: synthesize a corpus with known truth,
-train any of the three models, draw samples (as a JSONL corpus or flat CSV
-rows), score a model against real data with the recurrent discriminator, and
+train any of the three models, draw samples (as a JSONL or binary .npz
+corpus, or flat CSV rows), score a model against real data with the recurrent discriminator, and
 summarize a fitted chain. One --seed drives everything; per-stage streams are
 split off by name so reruns are byte-identical regardless of --threads.
 
@@ -240,14 +240,14 @@ def build_parser() -> _Parser:
                    help="minimum distance between prototypes")
     p.add_argument("--noisy-end-token", action="store_true",
                    help="emit Gaussian noise around zero after the end state")
-    p.add_argument("--out", required=True, help="corpus JSONL path")
+    p.add_argument("--out", required=True, help="corpus path: JSONL, or .npz for binary")
     p.add_argument("--truth-out", default=None,
                    help="also write the generating parameters as a model file")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("train", help="fit a model to a corpus")
     _add_common(p)
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", required=True, help="corpus path: JSONL, or .npz for binary")
     p.add_argument("--model", choices=tuple(MODEL_KINDS), default="dbn")
     p.add_argument("--n-states", type=_positive_int, default=5,
                    help="states (dbn) or mixture components (baselines)")
@@ -272,14 +272,14 @@ def build_parser() -> _Parser:
                    help="dbn only: draw the frames after the end state from its Gaussian, "
                         "not zeros; mixture samples are full-length draws with no end token")
     p.add_argument("--out", required=True,
-                   help="corpus JSONL path, or a .csv path for flat rows, one padded "
-                        "sign per row")
+                   help="corpus JSONL path, a .npz path for a binary corpus, or a .csv "
+                        "path for flat rows, one padded sign per row")
     p.set_defaults(func=cmd_generate)
 
     p = subs.add_parser("evaluate",
                         help="score a model by discriminator test loss")
     _add_common(p)
-    p.add_argument("--real", required=True, help="real corpus JSONL")
+    p.add_argument("--real", required=True, help="real corpus: JSONL, or .npz for binary")
     p.add_argument("--model", required=True)
     p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--epochs", type=_non_negative_int, default=50)

@@ -13,13 +13,21 @@ signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
 
 `save_corpus` and `load_corpus` split the JSON work of a large corpus over
 forked processes, up to one per usable core; the file, and the corpus or
-error a load gives, do not depend on the number of processes.
+error a load gives, do not depend on the number of processes. A path ending
+in `.npz` holds a binary corpus instead, and every JSONL saved to a regular
+file gets a binary companion `<path>.npz` that a load reads in its place
+while the JSONL's SHA-256 still matches the one it records.
 """
 
+import hashlib
+import io
 import json
 import os
+import stat
 import threading
-from contextlib import contextmanager
+import zipfile
+import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -183,8 +191,9 @@ class Corpus:
 
     @classmethod
     def from_arrays(cls, features, true_lengths, glosses, signers, noises) -> "Corpus":
-        """The one validating constructor: copy the columns, check every sign
-        with `check_signs`, and store the columns read-only.
+        """The one validating constructor: copy the columns, check that every
+        gloss and signer is a string and every sign passes `check_signs`, and
+        store the columns read-only.
 
         A float64 `features` array that owns its data and is already
         read-only is kept without a copy; any other is copied, so a caller's
@@ -198,6 +207,11 @@ class Corpus:
                 c.shape != features.shape[:1] for c in columns):
             raise InvariantViolation("a corpus needs (M, P, D) features with M >= 1 and "
                                      "one true length, gloss, signer and noise per sign")
+        for what, column in (("gloss", columns[1]), ("signer", columns[2])):
+            for sign, value in enumerate(column):
+                if not isinstance(value, str):
+                    raise InvariantViolation(
+                        f"{what} must be a string, got {type(value).__name__}", sign=sign)
         check_signs(features, columns[0], columns[3])
         corpus = object.__new__(cls)
         for name, column in zip(cls.__slots__, (features, *columns)):
@@ -314,11 +328,14 @@ def _encode(span, corpus=None):
 
 
 def save_corpus(corpus: Corpus, path, config=None):
-    """Write a corpus as JSONL: one header line, then one record per sign.
+    """Write a corpus as JSONL, one header line then one record per sign, or
+    as a binary corpus when the path ends in `.npz`.
 
-    Padding rows are trimmed; they are reapplied on load. A large enough
-    corpus is encoded by forked processes, each taking contiguous runs of
-    signs; the file is byte-identical for every worker count.
+    JSONL trims padding rows; a load reapplies them. A large enough corpus
+    is encoded by forked processes, each taking contiguous runs of signs;
+    the file is byte-identical for every worker count. A JSONL written to a
+    regular file also gets its binary companion `<path>.npz`, written beside
+    it and renamed into place; one that cannot be written is left out.
     """
     m, p, d = corpus.dims
     if d == N_FEATURES:
@@ -329,16 +346,103 @@ def save_corpus(corpus: Corpus, path, config=None):
               "D": d, "P": p, "feature_order": order}
     if config is not None:
         header["config"] = config
+    if _is_npz(path):
+        _write_npz(path, corpus, header)
+        return
     n = _pool_size(int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
     # one sign at a time in this process, about CHUNKS_PER_WORKER runs per worker in a pool
     runs = min(m, n * CHUNKS_PER_WORKER) if n > 1 else m
     spans = [(m * i // runs, m * (i + 1) // runs) for i in range(runs)]
     encode = partial(_encode, corpus=corpus) if n == 1 else _encode
-    with _ordered_map(n, _share_corpus, (corpus,)) as map_, \
-            open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for text in map_(encode, spans):
-            fh.write(text)
+    digest = hashlib.sha256()
+    with _ordered_map(n, _share_corpus, (corpus,)) as map_, open(path, "wb") as fh:
+        for text in chain([json.dumps(header) + "\n"], map_(encode, spans)):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    if regular:
+        _write_companion(path, corpus, header, digest.hexdigest())
+
+
+# A binary corpus is a zip archive of stored members: `header.json` (the JSONL
+# header object), `strings.json` (the glosses, signers and noises as JSON
+# lists, which keep every string exactly; numpy's U arrays drop trailing NULs),
+# and `true_lengths.npy` (int64, (M,)) and `features.npy` (float64, (M, P, D),
+# padding rows +0.0) in numpy's .npy format. A companion adds `jsonl.sha256`,
+# the hex SHA-256 of the JSONL bytes it was written with.
+_DIGEST = "jsonl.sha256"
+_BLOCK_BYTES = 1 << 18  # the unit of buffered binary writes, reads and hashing
+
+
+def _is_npz(path):
+    return os.fsdecode(path).lower().endswith(".npz")
+
+
+def _companion(path):
+    return os.fsdecode(path) + ".npz"
+
+
+def _member(name):
+    """A stored zip member with a fixed timestamp, so one corpus always
+    gives the same bytes."""
+    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+
+
+def _write_npy(zf, name, array, blocks):
+    """Write `array`'s dtype and shape and the C-order bytes of `blocks` as
+    the .npy member `name`, without a copy of the whole array."""
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+        "shape": array.shape})
+    info = _member(name)
+    info.file_size = head.tell() + array.nbytes  # sizes the member's zip64 fields
+    with zf.open(info, "w") as fh:
+        fh.write(head.getvalue())
+        for block in blocks:
+            fh.write(block)
+
+
+def _feature_blocks(corpus):
+    """The features in C order, about _BLOCK_BYTES at a time, with every
+    padding row +0.0 as a JSONL load repads it (a -0.0 in padding passes
+    `check_signs`). The blocks share one buffer."""
+    m, p, d = corpus.dims
+    step = max(1, _BLOCK_BYTES // (p * d * 8))
+    buffer = np.empty((min(step, m), p, d))
+    for start in range(0, m, step):
+        block = buffer[:min(step, m - start)]
+        np.copyto(block, corpus.features[start:start + len(block)])
+        block[np.arange(p) >= corpus.true_lengths[start:start + len(block), None]] = 0.0
+        yield memoryview(block).cast("B")
+
+
+def _write_npz(path, corpus, header, digest=None):
+    """Write `corpus` as a binary corpus; given `digest`, as the companion of
+    the JSONL with that SHA-256."""
+    strings = {name: getattr(corpus, name).tolist() for name in ("glosses", "signers", "noises")}
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(_member("header.json"), json.dumps(header))
+        if digest is not None:
+            zf.writestr(_member(_DIGEST), digest)
+        zf.writestr(_member("strings.json"), json.dumps(strings))
+        _write_npy(zf, "true_lengths.npy", corpus.true_lengths,
+                   [memoryview(corpus.true_lengths).cast("B")])
+        _write_npy(zf, "features.npy", corpus.features, _feature_blocks(corpus))
+
+
+def _write_companion(path, corpus, header, digest):
+    """Write the companion of the JSONL at `path` through a temporary file
+    renamed into place, or leave it out when that fails."""
+    companion = _companion(path)
+    temp = f"{companion}.{os.getpid()}.tmp"
+    try:
+        _write_npz(temp, corpus, header, digest)
+        os.replace(temp, companion)
+    except OSError:  # a full disk, a read-only directory, a directory at the companion's path
+        with suppress(OSError):
+            os.remove(temp)
 
 
 def _at_line(error, line, detail):
@@ -460,14 +564,94 @@ def _decode(path, span, p, d):
     return _Chunk(line, record_lines, lengths, glosses, signers, noises, frames)
 
 
-def load_corpus(path) -> Corpus:
-    """Read a JSONL corpus, repad every sign and validate invariants; every
-    error names the line at fault.
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
-    A large enough file is parsed by forked processes, each taking byte
-    ranges that start at line starts; the corpus, or the error, is the same
-    for every worker count.
+
+def _read_npy(zf, name, dtype, ndim):
+    """The .npy member `name` as a new array that owns its data. Its dtype,
+    dimensions and size are checked before anything is allocated, so an
+    object array is never unpickled, and the data is read straight into it."""
+    info = zf.getinfo(name)
+    with zf.open(info) as fh:
+        version = np.lib.format.read_magic(fh)
+        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+        if read_header is None:
+            raise ParseError(f"member {name} has unsupported .npy version {version}")
+        shape, fortran_order, found = read_header(fh)
+        if (found != dtype or fortran_order or len(shape) != ndim
+                or fh.tell() + dtype.itemsize * int(np.prod(shape)) != info.file_size):
+            raise ParseError(f"member {name} must hold one C-order {dtype} array, {ndim}-D")
+        array = np.empty(shape, dtype)
+        data = memoryview(array).cast("B")
+        for start in range(0, len(data), _BLOCK_BYTES):
+            block = data[start:start + _BLOCK_BYTES]
+            if fh.readinto(block) != len(block):
+                raise ParseError(f"member {name} is truncated")
+    return array
+
+
+def _read_npz(path, jsonl=None):
+    """The corpus in a binary corpus file; given `jsonl`, only when the file
+    records that file's SHA-256. A fault raises ParseError or
+    InvariantViolation."""
+    with open(path, "rb") as fh:  # a missing file raises here, as a missing JSONL does
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                if jsonl is not None and zf.read(_DIGEST).decode("ascii") != _sha256(jsonl):
+                    raise ParseError("the JSONL changed after its companion was written")
+                p, d = _parse_header(zf.read("header.json"))
+                strings = _parse_json(zf.read("strings.json"), "strings")
+                lengths = _read_npy(zf, "true_lengths.npy", np.dtype(np.int64), 1)
+                features = _read_npy(zf, "features.npy", np.dtype(np.float64), 3)
+        # a bad zip, member, header or data: zipfile raises RuntimeError for an
+        # encrypted member and OSError for a seek before the file's start
+        except (OSError, RuntimeError, ValueError, KeyError, EOFError, MemoryError,
+                NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ParseError(f"not a readable binary corpus: {exc}") from None
+    if features.shape[1:] != (p, d):
+        raise InvariantViolation(f"features are {features.shape[1:]} frames by features, "
+                                 f"the header says P={p} and D={d}")
+    if not isinstance(strings, dict):
+        raise ParseError("strings.json must be a JSON object")
+    features.flags.writeable = False  # the array becomes the corpus's own, without a copy
+    return Corpus.from_arrays(features, lengths, *(strings.get(name) for name in
+                                                   ("glosses", "signers", "noises")))
+
+
+def _read_companion(path):
+    """The corpus in the companion of the JSONL `path`, or None when there is
+    none, when it was written with other JSONL bytes, or when it is faulty
+    in any way; the JSONL decoder then has the last word. Costs one `stat`
+    when there is no companion."""
+    companion = _companion(path)
+    try:
+        if stat.S_ISREG(os.stat(companion).st_mode) and stat.S_ISREG(os.stat(path).st_mode):
+            return _read_npz(companion, jsonl=path)
+    except (ParseError, InvariantViolation, OSError):
+        pass
+    return None
+
+
+def load_corpus(path) -> Corpus:
+    """Read a corpus: a binary one when the path ends in `.npz`, else JSONL.
+
+    A JSONL is read from its companion `<path>.npz` when that holds the
+    JSONL's SHA-256; otherwise every sign is parsed, repadded and validated,
+    and every error names the line at fault. A large enough file is parsed
+    by forked processes, each taking byte ranges that start at line starts;
+    the corpus, or the error, is the same for every worker count.
     """
+    if _is_npz(path):
+        return _read_npz(path)
+    corpus = _read_companion(path)
+    if corpus is not None:
+        return corpus
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:

@@ -1,5 +1,6 @@
-"""Corpus tests: pose normalization, padding, JSONL persistence, synthesis."""
+"""Corpus tests: pose normalization, padding, JSONL and binary persistence, synthesis."""
 
+import io
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -231,15 +233,31 @@ def _cores(n):
     return mock.patch.object(corpus_module, "usable_cores", lambda: n)
 
 
-def _load_peak_over_features(tmp_path, cores):
+def _save_jsonl_only(corp, path, config=None):
+    """Save `corp` as a JSONL with no companion, so that a load of it runs
+    the JSONL decoder."""
+    save_corpus(corp, path, config=config)
+    os.remove(f"{path}.npz")
+
+
+def _load_from_companion(path):
+    """load_corpus(path), failing if the JSONL decoder runs."""
+    with mock.patch.object(corpus_module, "_decode",
+                           side_effect=AssertionError("the JSONL decoder ran")):
+        return load_corpus(path)
+
+
+def _load_peak_over_features(tmp_path, cores, companion=False):
     truth = make_truth_params(5, 14, seed=5)
     path = tmp_path / "c.jsonl"
-    save_corpus(synth_corpus(truth, 300, seed=6)[0], path)
+    save = save_corpus if companion else _save_jsonl_only
+    load = _load_from_companion if companion else load_corpus
+    save(synth_corpus(truth, 300, seed=6)[0], path)
     with _cores(cores):
-        load_corpus(path)  # a first pool imports multiprocessing's pool modules
+        load(path)  # a first pool imports multiprocessing's pool modules
         tracemalloc.start()
         try:
-            corp = load_corpus(path)
+            corp = load(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,6 +273,11 @@ def test_load_corpus_holds_the_padded_features_once(tmp_path):
 def test_pooled_load_holds_the_padded_features_once(tmp_path, pooled):
     assert _load_peak_over_features(tmp_path, 2) < 2
     assert pooled[-1] == 2
+
+
+def test_a_companion_load_holds_the_features_once(tmp_path):
+    # the features are read in blocks into the corpus's own array
+    assert _load_peak_over_features(tmp_path, 1, companion=True) < 2
 
 
 def test_without_noise_gives_the_corpus_itself_when_nothing_is_dropped():
@@ -323,7 +346,7 @@ def test_round_trip_preserves_everything(tmp_path):
     rng = np.random.default_rng(9)
     corp = random_corpus(rng, m=6, p=7, d=N_FEATURES)
     path = tmp_path / "c.jsonl"
-    save_corpus(corp, path, config={"command": "test", "seed": 3})
+    _save_jsonl_only(corp, path, config={"command": "test", "seed": 3})
     back = load_corpus(path)
     assert back.dims == corp.dims
     assert np.array_equal(back.features, corp.features)
@@ -539,7 +562,7 @@ def test_pooled_save_writes_the_same_bytes_for_any_worker_count(tmp_path, pooled
 
 def _save_and_load_on_two_cores(corp, path):
     with _cores(2):
-        save_corpus(corp, path)
+        _save_jsonl_only(corp, path)
         assert not multiprocessing.active_children()
         loaded = load_corpus(path)
         assert not multiprocessing.active_children()
@@ -575,7 +598,7 @@ _SPELLINGS = {
 def test_pooled_load_gives_the_same_corpus_for_any_worker_count(tmp_path, pooled, spelling):
     corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
     path = tmp_path / "c.jsonl"
-    save_corpus(corp, path)
+    _save_jsonl_only(corp, path)
     path.write_bytes(_SPELLINGS[spelling](path.read_text().splitlines()).encode())
     for cores in (1, 2, 3):
         with _cores(cores):
@@ -639,6 +662,238 @@ def test_pooled_load_raises_the_first_bad_line_in_file_order(tmp_path, pooled):
     lines = _file_with_bad_lines(path, {3: _END_TOKEN, 17: "[", 28: "{"})
     assert _pooled_and_serial_errors(path, pooled) == (
         ParseError, f"line {lines[17]}: malformed JSON record: Expecting value", lines[17])
+
+
+# ------------------------------------------- binary corpora and JSONL companions
+
+def _without_companion(path):
+    """A copy of the JSONL at `path` with no companion, whose load runs the
+    JSONL decoder."""
+    plain = path.with_name(f"plain-{path.name}")
+    plain.write_bytes(path.read_bytes())
+    return plain
+
+
+def _edge_corpus(case):
+    rng = np.random.default_rng(4)
+    d = 3 if case == "d-3" else N_FEATURES
+    lengths = [3, 1, 3, 2]
+    feats = np.where((np.arange(5) < np.array(lengths)[:, None])[..., None],
+                     rng.normal(size=(4, 5, d)), 0.0)
+    glosses, signers = ["a", "b", "c", "d"], ["s"] * 4
+    if case == "negative-zero-padding":
+        feats[:, 3:] = -0.0
+    elif case == "negative-zero-data":
+        feats[0, 2, :2] = -0.0
+        feats[3, 0, 1] = -0.0
+    elif case == "trailing-nul":
+        glosses[2], signers[1] = "g\x00", "\x00"
+    elif case == "non-ascii":
+        glosses = ["ä", "手話", "\U0001f642", "é"]
+    elif case == "lone-surrogate":
+        glosses[0], signers[3] = "\ud800", "x\udfff"
+    return Corpus.from_arrays(feats, lengths, glosses, signers,
+                              ["none", "low", "medium", "high"])
+
+
+def _assert_identical(got, want):
+    """Features equal bit for bit, so -0.0 and +0.0 differ, and the other
+    columns equal with the same dtypes."""
+    assert got.features.dtype == want.features.dtype and got.dims == want.dims
+    np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    for name in COLUMNS[1:]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("case", ["negative-zero-padding", "negative-zero-data", "trailing-nul",
+                                  "non-ascii", "lone-surrogate", "d-3"])
+def test_the_companion_and_an_npz_give_exactly_what_the_jsonl_gives(tmp_path, case):
+    corp = _edge_corpus(case)
+    path = tmp_path / "c.jsonl"
+    save_corpus(corp, path)
+    decoded = load_corpus(_without_companion(path))
+    _assert_identical(_load_from_companion(path), decoded)
+    save_corpus(corp, tmp_path / "c.npz")
+    _assert_identical(load_corpus(tmp_path / "c.npz"), decoded)
+    if case == "negative-zero-padding":  # a JSONL load repads with +0.0
+        assert not decoded.features[:, 3:].view(np.int64).any()
+
+
+def test_a_corpus_round_trips_jsonl_npz_jsonl_byte_for_byte(tmp_path):
+    corp = random_corpus(np.random.default_rng(9), m=6, p=7, d=N_FEATURES)
+    config = {"command": "test", "seed": 3}
+    save_corpus(corp, tmp_path / "a.jsonl", config=config)
+    save_corpus(load_corpus(_without_companion(tmp_path / "a.jsonl")), tmp_path / "b.npz",
+                config=config)
+    save_corpus(load_corpus(tmp_path / "b.npz"), tmp_path / "c.jsonl", config=config)
+    assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
+    # two saves of one corpus write the same bytes, companions included
+    assert (tmp_path / "c.jsonl.npz").read_bytes() == (tmp_path / "a.jsonl.npz").read_bytes()
+    save_corpus(corp, tmp_path / "d.npz", config=config)
+    assert (tmp_path / "d.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    assert not (tmp_path / "b.npz.npz").exists()  # an .npz gets no companion
+    # numpy reads the binary corpus's arrays
+    with np.load(tmp_path / "b.npz", allow_pickle=False) as npz:
+        np.testing.assert_array_equal(npz["features"], corp.features)
+        np.testing.assert_array_equal(npz["true_lengths"], corp.true_lengths)
+
+
+def test_a_jsonl_changed_after_its_save_loads_as_without_a_companion(tmp_path):
+    feats = np.zeros((3, 3, 2))
+    feats[:, :2] = [[1.5, -2.0], [0.25, 3.0]]
+    feats[2, 1] = 0.0
+    path, plain = tmp_path / "c.jsonl", tmp_path / "plain.jsonl"
+    save_corpus(Corpus.from_arrays(feats, [2, 2, 1], ["a", "b", "c"], ["s"] * 3,
+                                   ["none"] * 3), path, config={"seed": 1})
+    original, companion = path.read_bytes(), (tmp_path / "c.jsonl.npz").read_bytes()
+    variants = [original[:-1], original + b"\n"]
+    for at, byte in enumerate(original):
+        for value in (byte ^ 1, ord("9") if byte != ord("9") else ord("1")):
+            variants.append(original[:at] + bytes([value]) + original[at + 1:])
+    loaded = 0
+    for text in variants:
+        path.write_bytes(text)
+        plain.write_bytes(text)
+        outcome = _outcome(path, 1)
+        assert outcome == _outcome(plain, 1)
+        loaded += isinstance(outcome, list)
+    assert (tmp_path / "c.jsonl.npz").read_bytes() == companion
+    assert 0 < loaded < len(variants)
+
+
+def _npy(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=True)
+    return buffer.getvalue()
+
+
+def _members(path):
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _zip(members):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    return buffer.getvalue()
+
+
+def _with(**changes):
+    """Rewrite a binary corpus's members: a name maps to new bytes, or None
+    to drop it."""
+    def spoil(members):
+        members = dict(members)
+        for name, data in changes.items():
+            name = name.replace("_npy", ".npy").replace("_json", ".json")
+            if data is None:
+                del members[name]
+            else:
+                members[name] = data
+        return _zip(members)
+    return spoil
+
+
+def _flip_last_feature_byte(members):
+    data = bytearray(_zip(members))
+    data[bytes(data).index(members["features.npy"]) + len(members["features.npy"]) - 1] ^= 1
+    return bytes(data)
+
+
+_FEATURES_2 = np.zeros((2, 4, 3))
+_FEATURES_2[:, :2] = 1.0
+_BAD_NPZ = {
+    "missing-features": _with(features_npy=None),
+    "missing-strings": _with(strings_json=None),
+    "float32-features": _with(features_npy=_npy(_FEATURES_2.astype(np.float32))),
+    "big-endian-features": _with(features_npy=_npy(_FEATURES_2.astype(">f8"))),
+    "2-d-features": _with(features_npy=_npy(_FEATURES_2.reshape(2, 12))),
+    "features-of-other-p": _with(features_npy=_npy(np.zeros((2, 5, 3)))),
+    "fortran-features": _with(features_npy=_npy(np.asfortranarray(_FEATURES_2))),
+    "short-data": _with(features_npy=_npy(_FEATURES_2)[:-8]),
+    "pickled-object-lengths": _with(true_lengths_npy=_npy(np.array([2, 2], dtype=object))),
+    "lengths-of-other-m": _with(true_lengths_npy=_npy(np.array([2, 2, 2]))),
+    "strings-not-lists": _with(strings_json=b'{"glosses": "ab"}'),
+    "strings-not-an-object": _with(strings_json=b'["a", "b"]'),
+    "gloss-not-a-string": _with(strings_json=json.dumps(
+        {"glosses": ["a", 5], "signers": ["s", "s"], "noises": ["none", "none"]}).encode()),
+    "foreign-header": _with(header_json=b'{"format": "other"}'),
+    "truncated-zip": lambda members: _zip(members)[:-40],
+    "half-a-zip": lambda members: _zip(members)[:len(_zip(members)) // 2],
+    "flipped-feature-byte": _flip_last_feature_byte,
+    "not-a-zip": lambda members: b'{"format": "mh-corpus"}\n',
+    "empty": lambda members: b"",
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(_BAD_NPZ))
+def test_a_bad_npz_raises_and_a_bad_companion_is_a_silent_miss(tmp_path, spoil):
+    corp = Corpus.from_arrays(_FEATURES_2, [2, 2], ["a", "b"], ["s", "s"], ["none", "none"])
+    path = tmp_path / "c.jsonl"
+    save_corpus(corp, path)
+    companion = tmp_path / "c.jsonl.npz"
+    bad = _BAD_NPZ[spoil](_members(companion))  # keeps the digest member when it can
+    (tmp_path / "bad.npz").write_bytes(bad)
+    with pytest.raises((ParseError, InvariantViolation)):
+        load_corpus(tmp_path / "bad.npz")
+    companion.write_bytes(bad)
+    _assert_identical(load_corpus(path), load_corpus(_without_companion(path)))
+
+
+def test_every_damaged_npz_gives_a_corpus_or_an_mh_phone_error(tmp_path):
+    save_corpus(_edge_corpus("d-3"), tmp_path / "c.npz")
+    raw, path = (tmp_path / "c.npz").read_bytes(), tmp_path / "damaged.npz"
+    loaded = 0
+    for at, byte in enumerate(raw):
+        for damaged in (raw[:at], raw[:at] + bytes([byte ^ 1]) + raw[at + 1:]):
+            path.write_bytes(damaged)
+            try:
+                load_corpus(path)
+                loaded += 1
+            except (ParseError, InvariantViolation):
+                pass
+    assert loaded < len(raw)  # only bytes that do not reach the data may change
+
+
+def test_a_stale_companion_is_not_read(tmp_path):
+    path = tmp_path / "c.jsonl"
+    old = Corpus.from_arrays(_FEATURES_2, [2, 2], ["a", "b"], ["s", "s"], ["none", "none"])
+    save_corpus(old, tmp_path / "old.jsonl")
+    save_corpus(_edge_corpus("d-3"), path)
+    os.replace(tmp_path / "old.jsonl.npz", tmp_path / "c.jsonl.npz")
+    with mock.patch.object(corpus_module, "_decode", wraps=corpus_module._decode) as decode:
+        _assert_identical(load_corpus(path), _edge_corpus("d-3"))
+    assert decode.called
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_save_to_a_pipe_writes_no_companion_and_reads_nothing_back(tmp_path):
+    corp = _edge_corpus("non-ascii")
+    save_corpus(corp, tmp_path / "file.jsonl")
+    fifo = tmp_path / "pipe.jsonl"
+    os.mkfifo(fifo)
+    # a save that opened the pipe again to read it back would wait forever
+    saver = threading.Thread(target=save_corpus, args=(corp, fifo), daemon=True)
+    saver.start()
+    received = fifo.read_bytes()
+    saver.join(timeout=30)
+    assert not saver.is_alive()
+    assert received == (tmp_path / "file.jsonl").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["file.jsonl", "file.jsonl.npz", "pipe.jsonl"]
+
+
+def test_from_arrays_rejects_glosses_and_signers_that_are_not_strings():
+    feats = np.ones((2, 1, 2))
+    with pytest.raises(InvariantViolation, match="^sign 0: gloss must be a string, got int$"):
+        Corpus.from_arrays(feats, [1, 1], [5, "b"], ["s", "s"], ["none", "none"])
+    with pytest.raises(InvariantViolation,
+                       match="^sign 1: signer must be a string, got NoneType$") as err:
+        Corpus.from_arrays(feats, [1, 1], ["a", "b"], ["s", None], ["none", "none"])
+    assert err.value.sign == 1
+    corp = Corpus.from_arrays(feats, [1, 1], np.array(["a", "b"]), ["s", "t"], ["none"] * 2)
+    assert corp.glosses.tolist() == ["a", "b"]
 
 
 _HYPER = Hyperparams().to_dict()

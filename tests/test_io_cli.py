@@ -258,6 +258,44 @@ def test_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_a_directory_at_the_companion_path_does_not_stop_a_save(tmp_path, monkeypatch):
+    texts = []
+    for run in ("free", "blocked"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        if run == "blocked":
+            os.mkdir("c.jsonl.npz")
+        assert _run("synth", "--m-signs", "20", "--p-frames", "6", "--seed", "2",
+                    "--out", "c.jsonl") == 0
+        texts.append((tmp_path / run / "c.jsonl").read_bytes())
+    assert texts[1] == texts[0]
+    assert sorted(os.listdir(tmp_path / "blocked")) == ["c.jsonl", "c.jsonl.npz"]  # no temp file
+    assert os.path.isdir(tmp_path / "blocked" / "c.jsonl.npz")
+    assert not os.listdir(tmp_path / "blocked" / "c.jsonl.npz")
+
+
+def test_cli_fits_the_same_model_from_a_jsonl_its_companion_or_an_npz(tmp_path, capsys):
+    synth = ("synth", "--n-states", "3", "--m-signs", "30", "--p-frames", "8", "--seed", "5")
+    assert _run(*synth, "--out", str(tmp_path / "c.jsonl")) == 0
+    assert _run(*synth, "--out", str(tmp_path / "c.npz")) == 0
+    (tmp_path / "plain.jsonl").write_bytes((tmp_path / "c.jsonl").read_bytes())
+    params = []
+    for corpus in ("c.jsonl", "plain.jsonl", "c.npz"):  # the companion, the decoder, npz
+        out = tmp_path / f"{corpus}.model.json"
+        assert _run("train", "--corpus", str(tmp_path / corpus), "--n-states", "3",
+                    "--max-iters", "5", "--seed", "5", "--out", str(out)) == 0
+        obj = load_json(out)
+        del obj["config"]  # it records the corpus path
+        params.append(obj)
+    assert params[1] == params[0] and params[2] == params[0]
+    (tmp_path / "bad.npz").write_bytes((tmp_path / "c.npz").read_bytes()[:-30])
+    capsys.readouterr()
+    assert _run("train", "--corpus", str(tmp_path / "bad.npz"),
+                "--out", str(tmp_path / "m.json")) == 1
+    assert capsys.readouterr().err.startswith(
+        "mh-phone: error: not a readable binary corpus: ")
+
+
 def test_cli_rejects_a_model_file_with_non_finite_weights(tmp_path, capsys):
     model_path = tmp_path / "gmm.json"
     save_model(model_path, _gmm(), Hyperparams())
