@@ -11,12 +11,12 @@ A Corpus is columnar: read-only `features` (M, P, D), `true_lengths` (M,) and
 built by its one validating constructor, `Corpus.from_arrays`, which checks all
 signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
 
-`save_corpus` and `load_corpus` split the JSON work of a large corpus over
-forked processes, up to one per usable core; the file, and the corpus or
-error a load gives, do not depend on the number of processes. A path ending
-in `.npz` holds a binary corpus instead, and every JSONL saved to a regular
-file gets a binary companion `<path>.npz` that a load reads in its place
-while the JSONL's SHA-256 still matches the one it records.
+`save_corpus` splits the JSON encoding of a large corpus over forked
+processes, up to one per usable core; the file does not depend on the number
+of processes. `load_corpus` decodes a JSONL in one pass in this process. A
+path ending in `.npz` holds a binary corpus instead, and every JSONL saved to
+a regular file gets a binary companion `<path>.npz` that a load reads in its
+place while the JSONL's SHA-256 still matches the one it records.
 """
 
 import hashlib
@@ -31,7 +31,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +112,21 @@ def check_signs(features, lengths, noises):
                                                 noise=noises[sign]), sign=sign)
 
 
+_TYPES = (("true_length", (int, np.integer), "an integer"), ("gloss", str, "a string"),
+          ("signer", str, "a string"))
+
+
+def _check_types(lengths, glosses, signers):
+    """Check that every true length is an integer and every gloss and signer
+    a string, column by column; raises on the first bad value, with its
+    sign's index as the error's `sign`."""
+    for (what, kind, name), column in zip(_TYPES, (lengths, glosses, signers)):
+        for sign, value in enumerate(column):
+            if not isinstance(value, kind):
+                raise InvariantViolation(f"{what} must be {name}, got {type(value).__name__}",
+                                         sign=sign)
+
+
 @dataclass(frozen=True)
 class RawSign:
     """A sign as it comes off the keypoint extractor, before normalization."""
@@ -145,6 +159,7 @@ class SignSequence:
         feats = np.array(self.features, dtype=float)
         if feats.ndim != 2:
             raise InvariantViolation("features must be a frames-by-dimensions matrix")
+        _check_types([self.true_length], [self.gloss], [self.signer])
         check_signs(feats[None], np.array([self.true_length]),
                     np.array([self.noise], dtype=object))
         feats.flags.writeable = False
@@ -192,8 +207,8 @@ class Corpus:
     @classmethod
     def from_arrays(cls, features, true_lengths, glosses, signers, noises) -> "Corpus":
         """The one validating constructor: copy the columns, check that every
-        gloss and signer is a string and every sign passes `check_signs`, and
-        store the columns read-only.
+        true length is an integer, every gloss and signer a string and every
+        sign passes `check_signs`, and store the columns read-only.
 
         A float64 `features` array that owns its data and is already
         read-only is kept without a copy; any other is copied, so a caller's
@@ -201,17 +216,14 @@ class Corpus:
         if not (type(features) is np.ndarray and features.dtype == np.float64
                 and features.flags.owndata and not features.flags.writeable):
             features = np.array(features, dtype=float)
-        columns = (np.array(true_lengths, dtype=np.int64),
-                   *(np.array(column, dtype=object) for column in (glosses, signers, noises)))
+        columns = [np.array(column, dtype=object)
+                   for column in (true_lengths, glosses, signers, noises)]
         if features.ndim != 3 or not len(features) or any(
                 c.shape != features.shape[:1] for c in columns):
             raise InvariantViolation("a corpus needs (M, P, D) features with M >= 1 and "
                                      "one true length, gloss, signer and noise per sign")
-        for what, column in (("gloss", columns[1]), ("signer", columns[2])):
-            for sign, value in enumerate(column):
-                if not isinstance(value, str):
-                    raise InvariantViolation(
-                        f"{what} must be a string, got {type(value).__name__}", sign=sign)
+        _check_types(*columns[:3])
+        columns[0] = columns[0].astype(np.int64)
         check_signs(features, columns[0], columns[3])
         corpus = object.__new__(cls)
         for name, column in zip(cls.__slots__, (features, *columns)):
@@ -255,17 +267,13 @@ class Corpus:
 # well above that. Measured break-even of 1 against 2 workers on a 2-core host
 # (Python 3.11; medians of 15 interleaved runs, in ms; N=10 synth corpora):
 #
-#   load, file MB       2.4      3.2      4.0      6.0
-#     1 / 2 workers    55/58    99/78   124/96  195/141
 #   save, values        40k      58k      75k     115k
 #     1 / 2 workers    38/41    71/56    92/77   141/99
 #
-# The pool tied or lost at the first size and won at least 12 of 15 runs at
-# the others, but an earlier set of 9 loads at 3.2 MB was a tie. So a load
-# uses a pool from 4 MiB of file and a save from 80 000 feature values (about
-# 420 signs of 13 frames). Below two workers' worth, IO stays in this process.
+# The pool lost at the first size and won at least 12 of 15 runs at the
+# others, so a save uses a pool from 80 000 feature values (about 420 signs of
+# 13 frames). Below two workers' worth, the save stays in this process.
 MIN_VALUES_PER_WORKER = 40_000
-MIN_BYTES_PER_WORKER = 2 << 20
 CHUNKS_PER_WORKER = 4
 
 _SAVING = None  # the corpus the workers of a save pool encode, set when they start
@@ -502,68 +510,6 @@ def _parse_record(obj, p, d):
     return frames, obj["gloss"], obj["signer"], obj["noise"]
 
 
-class _Chunk(NamedTuple):
-    """One parsed byte range of a corpus file: its line count, the line of
-    each record in it (counted from the range's start), the record columns,
-    and all their data frames stacked into one (rows, D) array."""
-
-    lines: int
-    record_lines: list
-    lengths: list
-    glosses: list
-    signers: list
-    noises: list
-    frames: np.ndarray
-
-
-class _Failure(NamedTuple):
-    """The first bad line of a byte range, as data: pickling would drop the
-    `line`, `sign` and `check` of the library's exceptions."""
-
-    error: type
-    line: int
-    detail: str
-
-
-def _line_starts(fh, start, stop, n):
-    """Offsets that cut bytes start..stop of the file into up to n ranges of
-    about equal size, each starting at a line start."""
-    cuts = [start]
-    for k in range(1, n):
-        fh.seek(start + (stop - start) * k // n - 1)
-        fh.readline()  # to the start of the first line at or after the cut
-        if cuts[-1] < fh.tell() < stop:
-            cuts.append(fh.tell())
-    return cuts + [stop]
-
-
-def _decode(path, span, p, d):
-    """Parse the lines in the byte range span of a corpus file into a _Chunk,
-    or give the _Failure of its first bad line."""
-    start, stop = span
-    record_lines, blocks, glosses, signers, noises = [], [], [], [], []
-    line = 0
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        for line, raw in enumerate(fh, start=1):
-            if raw.strip():
-                try:
-                    frames, gloss, signer, noise = _parse_record(_parse_json(raw, "record"), p, d)
-                except (ParseError, InvariantViolation) as exc:
-                    return _Failure(type(exc), line, str(exc))
-                record_lines.append(line)
-                blocks.append(frames)
-                glosses.append(gloss)
-                signers.append(signer)
-                noises.append(noise)
-            start += len(raw)
-            if start >= stop:
-                break
-    lengths = [len(b) for b in blocks]
-    frames = np.concatenate(blocks) if blocks else np.empty((0, d))
-    return _Chunk(line, record_lines, lengths, glosses, signers, noises, frames)
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -638,14 +584,32 @@ def _read_companion(path):
     return None
 
 
+def _decode(fh, p, d):
+    """The records on the lines of the open corpus file `fh` after its
+    header, as columns: each record's line, true length, gloss, signer and
+    noise, and all their data frames stacked into one (rows, D) array. The
+    first bad line raises an error that gives its line number."""
+    records = []
+    for line, raw in enumerate(fh, start=2):
+        if raw.strip():
+            try:
+                records.append((line, *_parse_record(_parse_json(raw, "record"), p, d)))
+            except (ParseError, InvariantViolation) as exc:
+                raise _at_line(type(exc), line, str(exc)) from None
+    if not records:
+        raise InvariantViolation("corpus file contains a header but no signs")
+    lines, blocks, glosses, signers, noises = zip(*records)
+    return lines, [len(b) for b in blocks], glosses, signers, noises, np.concatenate(blocks)
+
+
 def load_corpus(path) -> Corpus:
     """Read a corpus: a binary one when the path ends in `.npz`, else JSONL.
 
     A JSONL is read from its companion `<path>.npz` when that holds the
-    JSONL's SHA-256; otherwise every sign is parsed, repadded and validated,
-    and every error names the line at fault. A large enough file is parsed
-    by forked processes, each taking byte ranges that start at line starts;
-    the corpus, or the error, is the same for every worker count.
+    JSONL's SHA-256; otherwise every sign is parsed, repadded and validated
+    in one pass, and every error names the line at fault: the first bad
+    line in file order, and a line that fails to parse before any sign that
+    fails `check_signs`.
     """
     if _is_npz(path):
         return _read_npz(path)
@@ -660,33 +624,13 @@ def load_corpus(path) -> Corpus:
             p, d = _parse_header(first)
         except (ParseError, InvariantViolation) as exc:
             raise _at_line(type(exc), 1, str(exc)) from None
-        body, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        n = _pool_size(size - body, MIN_BYTES_PER_WORKER)
-        cuts = _line_starts(fh, body, size, n * CHUNKS_PER_WORKER if n > 1 else 1)
-    n = min(n, len(cuts) - 1)
-    chunks, offset = [], 1  # line 1 is the header
-    with _ordered_map(n) as map_:
-        for chunk in map_(partial(_decode, path, p=p, d=d), zip(cuts, cuts[1:])):
-            if isinstance(chunk, _Failure):
-                raise _at_line(chunk.error, offset + chunk.line, chunk.detail)
-            chunks.append(chunk._replace(record_lines=[offset + i for i in chunk.record_lines]))
-            offset += chunk.lines
-    lines, lengths, glosses, signers, noises = (
-        list(chain.from_iterable(getattr(chunk, name) for chunk in chunks))
-        for name in ("record_lines", "lengths", "glosses", "signers", "noises"))
-    if not lines:
-        raise InvariantViolation("corpus file contains a header but no signs")
+        lines, lengths, glosses, signers, noises, frames = _decode(fh, p, d)
     try:
         features = np.zeros((len(lines), p, d))
-        filled = np.arange(p) < np.array(lengths)[:, None]
-        at = 0
-        for chunk in chunks:
-            end = at + len(chunk.lengths)
-            features[at:end][filled[at:end]] = chunk.frames
-            at = end
+        features[np.arange(p) < np.array(lengths)[:, None]] = frames
         # the stacked frames go before check_signs runs; the frozen padded
         # array becomes the corpus's own, without a copy
-        del chunks, chunk
+        del frames
         features.flags.writeable = False
         return Corpus.from_arrays(features, lengths, glosses, signers, noises)
     except InvariantViolation as exc:  # raised by check_signs, so exc.sign is set

@@ -254,7 +254,7 @@ def _load_peak_over_features(tmp_path, cores, companion=False):
     load = _load_from_companion if companion else load_corpus
     save(synth_corpus(truth, 300, seed=6)[0], path)
     with _cores(cores):
-        load(path)  # a first pool imports multiprocessing's pool modules
+        load(path)  # a first load imports what loads need
         tracemalloc.start()
         try:
             corp = load(path)
@@ -272,7 +272,7 @@ def test_load_corpus_holds_the_padded_features_once(tmp_path):
 
 def test_pooled_load_holds_the_padded_features_once(tmp_path, pooled):
     assert _load_peak_over_features(tmp_path, 2) < 2
-    assert pooled[-1] == 2
+    assert len(pooled) == 1  # the save's; neither load asks for a pool
 
 
 def test_a_companion_load_holds_the_features_once(tmp_path):
@@ -496,12 +496,11 @@ def _corpus_files(draw):
     return b"\n".join(lines)
 
 
-def _outcome(path, cores):
-    """The columns of the corpus that `load_corpus` gives with `cores` usable
-    cores, or its error's type and text."""
+def _outcome(path):
+    """The columns of the corpus that `load_corpus` gives, or its error's
+    type and text."""
     try:
-        with _cores(cores):
-            corpus = load_corpus(path)
+        corpus = load_corpus(path)
     except MhPhoneError as exc:
         return type(exc), str(exc)
     assert isinstance(corpus, Corpus)
@@ -513,17 +512,14 @@ def _outcome(path, cores):
 def test_load_fuzzed_files_give_a_corpus_or_an_mh_phone_error(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
     path.write_bytes(text)
-    serial = _outcome(path, 1)
-    with mock.patch.object(corpus_module, "MIN_BYTES_PER_WORKER", 1):
-        assert _outcome(path, 2) == serial
-    assert not multiprocessing.active_children()
+    _outcome(path)
 
 
-# ------------------------------------------------- corpus IO in a process pool
+# ---------------------- corpus IO on several usable cores: saves fork, loads never
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Corpus IO with the per-worker minimums at 1, so that any usable core
+    """Corpus saves with the per-worker minimum at 1, so that any usable core
     count above 1 forks a pool; gives the pool size each call chose."""
     sizes = []
     pool_size = corpus_module._pool_size
@@ -533,7 +529,6 @@ def pooled(monkeypatch):
         return sizes[-1]
 
     monkeypatch.setattr(corpus_module, "MIN_VALUES_PER_WORKER", 1)
-    monkeypatch.setattr(corpus_module, "MIN_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(corpus_module, "_pool_size", spy)
     return sizes
 
@@ -560,31 +555,27 @@ def test_pooled_save_writes_the_same_bytes_for_any_worker_count(tmp_path, pooled
     assert texts[0].decode().split("\n")[1:] == records + [""]
 
 
-def _save_and_load_on_two_cores(corp, path):
+def _save_on_two_cores(corp, path):
     with _cores(2):
-        _save_jsonl_only(corp, path)
-        assert not multiprocessing.active_children()
-        loaded = load_corpus(path)
-        assert not multiprocessing.active_children()
-    return path.read_bytes(), loaded
+        save_corpus(corp, path)
+    assert not multiprocessing.active_children()
+    return path.read_bytes()
 
 
 def test_pooled_io_stays_in_this_process_while_another_thread_runs(tmp_path, pooled):
     corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
-    text, loaded = _save_and_load_on_two_cores(corp, tmp_path / "alone.jsonl")
+    text = _save_on_two_cores(corp, tmp_path / "alone.jsonl")
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        threaded_text, threaded = _save_and_load_on_two_cores(corp, tmp_path / "threaded.jsonl")
+        threaded_text = _save_on_two_cores(corp, tmp_path / "threaded.jsonl")
     finally:
         release.set()
         thread.join()
-    # forking a process with a live thread is unsafe, so both calls pick 1
-    assert pooled == [2, 2, 1, 1]
+    # forking a process with a live thread is unsafe, so the second save picks 1
+    assert pooled == [2, 1]
     assert threaded_text == text
-    _assert_same_columns(threaded, loaded)
-    _assert_same_columns(loaded, corp)
 
 
 _SPELLINGS = {
@@ -604,7 +595,18 @@ def test_pooled_load_gives_the_same_corpus_for_any_worker_count(tmp_path, pooled
         with _cores(cores):
             _assert_same_columns(load_corpus(path), corp)
         assert not multiprocessing.active_children()
-    assert pooled[1:] == [1, 2, 3]  # after the save that wrote the file
+    assert len(pooled) == 1  # the save's; no load asks for a pool
+
+
+def test_a_jsonl_load_without_a_companion_never_asks_for_a_pool(tmp_path):
+    corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
+    path = tmp_path / "c.jsonl"
+    _save_jsonl_only(corp, path)
+    with _cores(4), mock.patch.object(corpus_module, "_pool_size",
+                                      wraps=corpus_module._pool_size) as pool_size:
+        _assert_same_columns(load_corpus(path), corp)
+    assert pool_size.call_count == 0
+    assert not multiprocessing.active_children()
 
 
 def _file_with_bad_lines(path, bad):
@@ -622,7 +624,7 @@ def _file_with_bad_lines(path, bad):
     return at
 
 
-def _pooled_and_serial_errors(path, pooled):
+def _errors_on_one_to_three_cores(path, pooled):
     errors = []
     for cores in (1, 2, 3):
         with _cores(cores), pytest.raises(MhPhoneError) as info:
@@ -630,7 +632,7 @@ def _pooled_and_serial_errors(path, pooled):
         assert not multiprocessing.active_children()
         exc = info.value
         errors.append((type(exc), str(exc), getattr(exc, "line", None)))
-    assert pooled == [1, 2, 3]
+    assert pooled == []
     assert errors[1] == errors[0] and errors[2] == errors[0]
     return errors[0]
 
@@ -651,7 +653,7 @@ def test_pooled_load_raises_what_the_serial_load_raises(tmp_path, pooled, bad, e
                                                         check, sign):
     path = tmp_path / "c.jsonl"
     line = _file_with_bad_lines(path, {sign: bad})[sign]
-    kind, message, _ = _pooled_and_serial_errors(path, pooled)
+    kind, message, _ = _errors_on_one_to_three_cores(path, pooled)
     assert kind is error
     assert message.startswith(f"line {line}: {check}")
 
@@ -660,7 +662,7 @@ def test_pooled_load_raises_the_first_bad_line_in_file_order(tmp_path, pooled):
     path = tmp_path / "c.jsonl"
     # a sign that fails check_signs early, then two records that fail to parse
     lines = _file_with_bad_lines(path, {3: _END_TOKEN, 17: "[", 28: "{"})
-    assert _pooled_and_serial_errors(path, pooled) == (
+    assert _errors_on_one_to_three_cores(path, pooled) == (
         ParseError, f"line {lines[17]}: malformed JSON record: Expecting value", lines[17])
 
 
@@ -755,8 +757,8 @@ def test_a_jsonl_changed_after_its_save_loads_as_without_a_companion(tmp_path):
     for text in variants:
         path.write_bytes(text)
         plain.write_bytes(text)
-        outcome = _outcome(path, 1)
-        assert outcome == _outcome(plain, 1)
+        outcome = _outcome(path)
+        assert outcome == _outcome(plain)
         loaded += isinstance(outcome, list)
     assert (tmp_path / "c.jsonl.npz").read_bytes() == companion
     assert 0 < loaded < len(variants)
@@ -894,6 +896,19 @@ def test_from_arrays_rejects_glosses_and_signers_that_are_not_strings():
     assert err.value.sign == 1
     corp = Corpus.from_arrays(feats, [1, 1], np.array(["a", "b"]), ["s", "t"], ["none"] * 2)
     assert corp.glosses.tolist() == ["a", "b"]
+
+
+def test_signs_and_corpora_reject_a_true_length_that_is_not_an_integer():
+    feats = np.ones((2, 3))
+    with pytest.raises(InvariantViolation, match="^sign 0: gloss must be a string, got int$"):
+        SignSequence(gloss=5, features=feats, true_length=2, signer=None)
+    with pytest.raises(InvariantViolation,
+                       match="^sign 0: true_length must be an integer, got float$"):
+        SignSequence(gloss="g", features=feats, true_length=1.5)
+    with pytest.raises(InvariantViolation,
+                       match="^sign 1: true_length must be an integer, got float$"):
+        Corpus.from_arrays(np.ones((2, 3, 2)), [3, 2.9], ["a", "b"], ["s", "s"], ["none"] * 2)
+    assert SignSequence(gloss="g", features=feats, true_length=np.int64(2)).true_length == 2
 
 
 _HYPER = Hyperparams().to_dict()
