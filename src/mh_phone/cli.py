@@ -23,7 +23,7 @@ from . import baselines, interpret, model
 from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus, usable_cores
 from .discriminator import evaluate_generator
 from .errors import InvariantViolation, MhPhoneError, NotEnoughData, ParseError
-from .io import dump_json, load_model, save_model, validate_artifact
+from .io import dump_json, load_model, output_file, save_model, validate_artifact
 from .params import MODEL_KINDS, Hyperparams, ModelParams, make_truth_params
 from .seeding import component_seed
 
@@ -158,7 +158,8 @@ def cmd_generate(args):
                        exact_end_token=not args.noisy_end_token)
     if args.out.lower().endswith(".csv"):
         m, p, d = corp.dims
-        np.savetxt(args.out, corp.features.reshape(m, p * d), delimiter=",", fmt="%.17g")
+        with output_file(args.out) as fh:
+            np.savetxt(fh, corp.features.reshape(m, p * d), delimiter=",", fmt="%.17g")
     else:
         save_corpus(corp, args.out, config=_config(args))
     log.info("wrote %d sampled signs to %s", len(corp), args.out)

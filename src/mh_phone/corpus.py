@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
 from .estimation import gaussian_frames, markov_chain_sample
+from .io import output_file, writes_in_place
 from .params import Assignment, ModelParams, json_numbers
 
 KEYPOINTS = (
@@ -342,8 +343,10 @@ def save_corpus(corpus: Corpus, path, config=None):
     JSONL trims padding rows; a load reapplies them. A large enough corpus
     is encoded by forked processes, each taking contiguous runs of signs;
     the file is byte-identical for every worker count. A JSONL written to a
-    regular file also gets its binary companion `<path>.npz`, written beside
-    it and renamed into place; one that cannot be written is left out.
+    regular file also gets its binary companion `<path>.npz`, written after
+    the JSONL is in place; one that cannot be written is left out. Every
+    file goes through `io.output_file`, so a save that fails or is
+    interrupted leaves the old file, never part of the new one.
     """
     m, p, d = corpus.dims
     if d == N_FEATURES:
@@ -355,22 +358,27 @@ def save_corpus(corpus: Corpus, path, config=None):
     if config is not None:
         header["config"] = config
     if _is_npz(path):
-        _write_npz(path, corpus, header)
+        with output_file(path) as fh:
+            _write_npz(fh, corpus, header)
         return
+    # a pipe or device gets no companion, and a companion takes the place of
+    # nothing but a file
+    companion = _companion(path)
+    regular = not (writes_in_place(path) or writes_in_place(companion))
     n = _pool_size(int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
     # one sign at a time in this process, about CHUNKS_PER_WORKER runs per worker in a pool
     runs = min(m, n * CHUNKS_PER_WORKER) if n > 1 else m
     spans = [(m * i // runs, m * (i + 1) // runs) for i in range(runs)]
     encode = partial(_encode, corpus=corpus) if n == 1 else _encode
     digest = hashlib.sha256()
-    with _ordered_map(n, _share_corpus, (corpus,)) as map_, open(path, "wb") as fh:
+    with _ordered_map(n, _share_corpus, (corpus,)) as map_, output_file(path) as fh:
         for text in chain([json.dumps(header) + "\n"], map_(encode, spans)):
             data = text.encode("utf-8")
             digest.update(data)
             fh.write(data)
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    if regular:
-        _write_companion(path, corpus, header, digest.hexdigest())
+    if regular:  # a companion that cannot be written (a full disk) is left out
+        with suppress(OSError), output_file(companion) as fh:
+            _write_npz(fh, corpus, header, digest.hexdigest())
 
 
 # A binary corpus is a zip archive of stored members: `header.json` (the JSONL
@@ -426,11 +434,11 @@ def _feature_blocks(corpus):
         yield memoryview(block).cast("B")
 
 
-def _write_npz(path, corpus, header, digest=None):
-    """Write `corpus` as a binary corpus; given `digest`, as the companion of
-    the JSONL with that SHA-256."""
+def _write_npz(fh, corpus, header, digest=None):
+    """Write `corpus` as a binary corpus to the binary handle `fh`; given
+    `digest`, as the companion of the JSONL with that SHA-256."""
     strings = {name: getattr(corpus, name).tolist() for name in ("glosses", "signers", "noises")}
-    with zipfile.ZipFile(path, "w") as zf:
+    with zipfile.ZipFile(fh, "w") as zf:
         zf.writestr(_member("header.json"), json.dumps(header))
         if digest is not None:
             zf.writestr(_member(_DIGEST), digest)
@@ -438,19 +446,6 @@ def _write_npz(path, corpus, header, digest=None):
         _write_npy(zf, "true_lengths.npy", corpus.true_lengths,
                    [memoryview(corpus.true_lengths).cast("B")])
         _write_npy(zf, "features.npy", corpus.features, _feature_blocks(corpus))
-
-
-def _write_companion(path, corpus, header, digest):
-    """Write the companion of the JSONL at `path` through a temporary file
-    renamed into place, or leave it out when that fails."""
-    companion = _companion(path)
-    temp = f"{companion}.{os.getpid()}.tmp"
-    try:
-        _write_npz(temp, corpus, header, digest)
-        os.replace(temp, companion)
-    except OSError:  # a full disk, a read-only directory, a directory at the companion's path
-        with suppress(OSError):
-            os.remove(temp)
 
 
 def _at_line(error, line, detail):

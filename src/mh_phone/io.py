@@ -4,10 +4,14 @@ Everything is written through json.dumps with default float repr, so a rerun
 of the same pipeline produces byte-identical artifacts. Outputs are checked
 before they touch disk, models are saved and loaded through one strict parse,
 and the JSON schemas in `schemas/` are documentation the library never reads.
+Every file mh-phone writes, here or elsewhere, goes through `output_file`.
 """
 
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 
 from .errors import InvariantViolation, ParseError
@@ -36,11 +40,48 @@ def validate_artifact(kind: str, obj) -> None:
         _parse_model(obj)
 
 
+def writes_in_place(path) -> bool:
+    """Whether `output_file` writes `path` where it is: the path is there
+    and is not a regular file (a pipe, a device, a directory)."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return False
+
+
+@contextmanager
+def output_file(path):
+    """A binary handle on `<path>.<pid>.tmp` beside the file at `path` (or
+    beside the file a symlink there points to, keeping the link), renamed
+    onto it when the block completes and removed when it raises: a failing
+    or interrupted write leaves the old file or none, never a prefix. Nothing
+    is synced, so a power loss is not covered. A path for which
+    `writes_in_place` holds is written directly."""
+    path = os.fsdecode(path)
+    if writes_in_place(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(temp, "wb")
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def dump_json(path, obj) -> None:
     """Deterministic JSON writer; rejects NaN and infinity."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    with output_file(path) as fh:
+        fh.write((json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def load_json(path):

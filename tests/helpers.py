@@ -13,6 +13,11 @@ from mh_phone.estimation import emission_loglik
 from mh_phone.params import ModelParams, make_truth_params
 
 
+def file_bytes(directory):
+    """The name and bytes of every file in `directory`."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 def random_params(rng, n_states, n_features):
     """A valid random model: Dirichlet rows, spread means, positive variances."""
     pi = rng.dirichlet(np.ones(n_states))

@@ -27,7 +27,7 @@ from mh_phone.errors import (DegenerateScale, InvariantViolation, MhPhoneError,
 from mh_phone.io import load_model
 from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams, make_truth_params
 
-from helpers import random_corpus, raw_frame
+from helpers import file_bytes, random_corpus, raw_frame
 
 
 def test_normalize_translated_unit_shoulders():
@@ -247,37 +247,31 @@ def _load_from_companion(path):
         return load_corpus(path)
 
 
-def _load_peak_over_features(tmp_path, cores, companion=False):
+def _load_peak_over_features(tmp_path, companion=False):
     truth = make_truth_params(5, 14, seed=5)
     path = tmp_path / "c.jsonl"
     save = save_corpus if companion else _save_jsonl_only
     load = _load_from_companion if companion else load_corpus
     save(synth_corpus(truth, 300, seed=6)[0], path)
-    with _cores(cores):
-        load(path)  # a first load imports what loads need
-        tracemalloc.start()
-        try:
-            corp = load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    load(path)  # a first load imports what loads need
+    tracemalloc.start()
+    try:
+        corp = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return peak / corp.features.nbytes
 
 
 def test_load_corpus_holds_the_padded_features_once(tmp_path):
     # the stacked frames and the padded array overlap; a copy of the padded
     # array on top of them took the peak to about 2.25 times the features
-    assert _load_peak_over_features(tmp_path, 1) < 2
-
-
-def test_pooled_load_holds_the_padded_features_once(tmp_path, pooled):
-    assert _load_peak_over_features(tmp_path, 2) < 2
-    assert len(pooled) == 1  # the save's; neither load asks for a pool
+    assert _load_peak_over_features(tmp_path) < 2
 
 
 def test_a_companion_load_holds_the_features_once(tmp_path):
     # the features are read in blocks into the corpus's own array
-    assert _load_peak_over_features(tmp_path, 1, companion=True) < 2
+    assert _load_peak_over_features(tmp_path, companion=True) < 2
 
 
 def test_without_noise_gives_the_corpus_itself_when_nothing_is_dropped():
@@ -578,6 +572,50 @@ def test_pooled_io_stays_in_this_process_while_another_thread_runs(tmp_path, poo
     assert threaded_text == text
 
 
+def _interrupting_the_record_of(gloss):
+    """json.dumps, with a Ctrl-C while it encodes the record of `gloss`."""
+    dumps = json.dumps
+
+    def interrupted(obj, *args, **kwargs):
+        if isinstance(obj, dict) and obj.get("gloss") == gloss:
+            raise KeyboardInterrupt
+        return dumps(obj, *args, **kwargs)
+    return mock.patch.object(json, "dumps", interrupted)
+
+
+@pytest.mark.parametrize("cores", [1, 2], ids=["serial", "pooled"])
+def test_an_interrupted_save_leaves_the_old_corpus_and_companion(tmp_path, pooled, cores):
+    old = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
+    path = tmp_path / "c.jsonl"
+    save_corpus(old, path)
+    before = file_bytes(tmp_path)
+    new = synth_corpus(make_truth_params(3, 4, seed=3), 41, seed=4)[0]
+    # the last of a pool's 8 runs, so the runs before it are written first
+    with _cores(cores), _interrupting_the_record_of(new.glosses[-1]), \
+            pytest.raises(KeyboardInterrupt):
+        save_corpus(new, path)
+    assert pooled[-1] == cores
+    assert not multiprocessing.active_children()
+    assert file_bytes(tmp_path) == before  # no temporary file either
+    _assert_identical(load_corpus(path), old)
+
+
+def test_an_interrupted_npz_save_leaves_the_old_file(tmp_path):
+    path = tmp_path / "c.npz"
+    save_corpus(synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0], path)
+    before = file_bytes(tmp_path)
+    blocks = corpus_module._feature_blocks
+
+    def interrupted(corpus):
+        yield next(blocks(corpus))
+        raise KeyboardInterrupt
+    new = synth_corpus(make_truth_params(3, 4, seed=3), 3000, seed=4)[0]
+    with mock.patch.object(corpus_module, "_feature_blocks", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        save_corpus(new, path)
+    assert file_bytes(tmp_path) == before
+
+
 _SPELLINGS = {
     "blank-lines": lambda lines: "\n".join(x for line in lines for x in (line, "", " \t")),
     "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
@@ -586,16 +624,12 @@ _SPELLINGS = {
 
 
 @pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
-def test_pooled_load_gives_the_same_corpus_for_any_worker_count(tmp_path, pooled, spelling):
+def test_a_jsonl_load_reads_any_spelling_of_its_lines(tmp_path, spelling):
     corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
     path = tmp_path / "c.jsonl"
     _save_jsonl_only(corp, path)
     path.write_bytes(_SPELLINGS[spelling](path.read_text().splitlines()).encode())
-    for cores in (1, 2, 3):
-        with _cores(cores):
-            _assert_same_columns(load_corpus(path), corp)
-        assert not multiprocessing.active_children()
-    assert len(pooled) == 1  # the save's; no load asks for a pool
+    _assert_same_columns(load_corpus(path), corp)
 
 
 def test_a_jsonl_load_without_a_companion_never_asks_for_a_pool(tmp_path):
@@ -624,17 +658,11 @@ def _file_with_bad_lines(path, bad):
     return at
 
 
-def _errors_on_one_to_three_cores(path, pooled):
-    errors = []
-    for cores in (1, 2, 3):
-        with _cores(cores), pytest.raises(MhPhoneError) as info:
-            load_corpus(path)
-        assert not multiprocessing.active_children()
-        exc = info.value
-        errors.append((type(exc), str(exc), getattr(exc, "line", None)))
-    assert pooled == []
-    assert errors[1] == errors[0] and errors[2] == errors[0]
-    return errors[0]
+def _load_error(path):
+    with pytest.raises(MhPhoneError) as info:
+        load_corpus(path)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "line", None)
 
 
 _END_TOKEN = json.dumps(_record([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
@@ -648,21 +676,20 @@ _END_TOKEN = json.dumps(_record([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     ('{"gloss": "g", "signer": "s", "noise": "none", "frames": [[NaN, 1, 2]]}',
      InvariantViolation, "features must be finite"),
 ], ids=["json", "too-long", "signer", "end-token", "nan"])
-@pytest.mark.parametrize("sign", [20, 29], ids=["later-chunk", "last-chunk"])
-def test_pooled_load_raises_what_the_serial_load_raises(tmp_path, pooled, bad, error,
-                                                        check, sign):
+@pytest.mark.parametrize("sign", [20, 29], ids=["middle", "last"])
+def test_a_jsonl_load_names_the_line_of_a_bad_record(tmp_path, bad, error, check, sign):
     path = tmp_path / "c.jsonl"
     line = _file_with_bad_lines(path, {sign: bad})[sign]
-    kind, message, _ = _errors_on_one_to_three_cores(path, pooled)
+    kind, message, _ = _load_error(path)
     assert kind is error
     assert message.startswith(f"line {line}: {check}")
 
 
-def test_pooled_load_raises_the_first_bad_line_in_file_order(tmp_path, pooled):
+def test_a_jsonl_load_raises_the_first_bad_line_in_file_order(tmp_path):
     path = tmp_path / "c.jsonl"
     # a sign that fails check_signs early, then two records that fail to parse
     lines = _file_with_bad_lines(path, {3: _END_TOKEN, 17: "[", 28: "{"})
-    assert _errors_on_one_to_three_cores(path, pooled) == (
+    assert _load_error(path) == (
         ParseError, f"line {lines[17]}: malformed JSON record: Expecting value", lines[17])
 
 

@@ -9,6 +9,9 @@ import re
 import subprocess
 import sys
 import warnings
+from itertools import islice
+from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -22,7 +25,7 @@ from mh_phone.io import (dump_json, load_json, load_model, model_kind, save_mode
                          validate_artifact)
 from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams
 
-from helpers import load_schema, random_params
+from helpers import file_bytes, load_schema, random_params
 
 
 # ---------------------------------------------------------------- io
@@ -121,6 +124,21 @@ def test_dump_json_rejects_non_finite(tmp_path):
         dump_json(tmp_path / "x.json", {"v": math.nan})
     with pytest.raises(ValueError):
         dump_json(tmp_path / "x.json", {"v": math.inf})
+
+
+def test_an_interrupted_save_model_leaves_the_old_file(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(path, random_params(np.random.default_rng(80), 3, 4), Hyperparams())
+    before = file_bytes(tmp_path)
+    iterencode = json.JSONEncoder.iterencode
+
+    def interrupted(self, obj, *args, **kwargs):  # a Ctrl-C after 20 pieces of JSON
+        yield from islice(iterencode(self, obj, *args, **kwargs), 20)
+        raise KeyboardInterrupt
+    with mock.patch.object(json.JSONEncoder, "iterencode", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        save_model(path, random_params(np.random.default_rng(81), 3, 4), Hyperparams())
+    assert file_bytes(tmp_path) == before  # no temporary file either
 
 
 def test_json_preserves_float_precision(tmp_path):
@@ -272,6 +290,40 @@ def test_cli_a_directory_at_the_companion_path_does_not_stop_a_save(tmp_path, mo
     assert sorted(os.listdir(tmp_path / "blocked")) == ["c.jsonl", "c.jsonl.npz"]  # no temp file
     assert os.path.isdir(tmp_path / "blocked" / "c.jsonl.npz")
     assert not os.listdir(tmp_path / "blocked" / "c.jsonl.npz")
+
+
+def test_cli_out_through_a_symlink_replaces_the_file_and_keeps_the_link(tmp_path, monkeypatch):
+    texts = []
+    for run in ("plain", "linked"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        if run == "linked":
+            os.mkdir("data")
+            Path("data/c.jsonl").write_text("old\n")
+            os.symlink("data/c.jsonl", "c.jsonl")
+        assert _run("synth", "--m-signs", "20", "--p-frames", "6", "--seed", "2",
+                    "--out", "c.jsonl") == 0
+        texts.append(Path("c.jsonl").read_bytes())
+    assert texts[1] == texts[0]
+    assert os.readlink("c.jsonl") == "data/c.jsonl"
+    assert sorted(os.listdir()) == ["c.jsonl", "c.jsonl.npz", "data"]
+    assert os.listdir("data") == ["c.jsonl"]  # no temporary file
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--m-signs", "20", "--out", "out.jsonl"),
+    ("synth", "--m-signs", "20", "--out", "out.npz"),
+    ("train", "--corpus", "corpus.jsonl", "--max-iters", "2", "--out", "out.json"),
+    ("generate", "--model", "truth.json", "--n", "3", "--out", "out.csv"),
+], ids=["jsonl", "npz", "model", "csv"])
+def test_cli_a_directory_at_the_output_path_exits_two(tiny_pipeline, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tiny_pipeline[0])
+    os.mkdir(argv[-1])
+    before = sorted(os.listdir())
+    assert _run(*argv) == 2
+    assert "mh-phone: error:" in capsys.readouterr().err
+    assert sorted(os.listdir()) == before
+    assert not os.listdir(argv[-1])
 
 
 def test_cli_fits_the_same_model_from_a_jsonl_its_companion_or_an_npz(tmp_path, capsys):
@@ -509,6 +561,23 @@ def test_cli_generate_csv_bytes_are_deterministic_and_pinned(tiny_pipeline):
                     "--p-frames", "3", "--out", str(tmp_path / name), "--seed", "3") == 0
         digests.add(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
     assert digests == {"b9d3c2eefca0645d326fb07bf6fce18b8253dc470152a275302606fdb5e38e3b"}
+
+
+def test_cli_an_interrupted_csv_generate_leaves_the_old_file(tiny_pipeline, monkeypatch):
+    tmp_path, _ = tiny_pipeline
+    argv = ("generate", "--model", str(tmp_path / "truth.json"), "--n", "5",
+            "--p-frames", "10", "--out", str(tmp_path / "g.csv"))
+    assert _run(*argv, "--seed", "1") == 0
+    before = file_bytes(tmp_path)
+    savetxt = np.savetxt
+
+    def interrupted(fname, rows, **kwargs):  # a Ctrl-C after two rows
+        savetxt(fname, rows[:2], **kwargs)
+        raise KeyboardInterrupt
+    monkeypatch.setattr(np, "savetxt", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _run(*argv, "--seed", "2")
+    assert file_bytes(tmp_path) == before  # no temporary file either
 
 
 @pytest.mark.parametrize("kind, noisy", [("dbn", False), ("dbn", True), ("gmm", False),
