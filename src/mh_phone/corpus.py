@@ -23,7 +23,6 @@ import hashlib
 import io
 import json
 import os
-import stat
 import threading
 import zipfile
 import zlib
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
 from .estimation import gaussian_frames, markov_chain_sample
-from .io import output_file, writes_in_place
+from .io import output_file, special_file
 from .params import Assignment, ModelParams, json_numbers
 
 KEYPOINTS = (
@@ -361,10 +360,7 @@ def save_corpus(corpus: Corpus, path, config=None):
         with output_file(path) as fh:
             _write_npz(fh, corpus, header)
         return
-    # a pipe or device gets no companion, and a companion takes the place of
-    # nothing but a file
     companion = _companion(path)
-    regular = not (writes_in_place(path) or writes_in_place(companion))
     n = _pool_size(int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
     # one sign at a time in this process, about CHUNKS_PER_WORKER runs per worker in a pool
     runs = min(m, n * CHUNKS_PER_WORKER) if n > 1 else m
@@ -376,7 +372,7 @@ def save_corpus(corpus: Corpus, path, config=None):
             data = text.encode("utf-8")
             digest.update(data)
             fh.write(data)
-    if regular:  # a companion that cannot be written (a full disk) is left out
+    if companion:  # one that cannot be written (a full disk) is left out
         with suppress(OSError), output_file(companion) as fh:
             _write_npz(fh, corpus, header, digest.hexdigest())
 
@@ -396,7 +392,11 @@ def _is_npz(path):
 
 
 def _companion(path):
-    return os.fsdecode(path) + ".npz"
+    """The JSONL `path`'s binary companion `<path>.npz`, or None where either
+    path holds a pipe, device or directory: a pipe reads once, so it is not
+    hashed, and a companion takes the place of nothing but a file."""
+    companion = os.fsdecode(path) + ".npz"
+    return None if special_file(path) or special_file(companion) else companion
 
 
 def _member(name):
@@ -565,20 +565,6 @@ def _read_npz(path, jsonl=None):
                                                    ("glosses", "signers", "noises")))
 
 
-def _read_companion(path):
-    """The corpus in the companion of the JSONL `path`, or None when there is
-    none, when it was written with other JSONL bytes, or when it is faulty
-    in any way; the JSONL decoder then has the last word. Costs one `stat`
-    when there is no companion."""
-    companion = _companion(path)
-    try:
-        if stat.S_ISREG(os.stat(companion).st_mode) and stat.S_ISREG(os.stat(path).st_mode):
-            return _read_npz(companion, jsonl=path)
-    except (ParseError, InvariantViolation, OSError):
-        pass
-    return None
-
-
 def _decode(fh, p, d):
     """The records on the lines of the open corpus file `fh` after its
     header, as columns: each record's line, true length, gloss, signer and
@@ -608,9 +594,12 @@ def load_corpus(path) -> Corpus:
     """
     if _is_npz(path):
         return _read_npz(path)
-    corpus = _read_companion(path)
-    if corpus is not None:
-        return corpus
+    # a companion that is missing, faulty or written with other JSONL bytes
+    # leaves the last word to the decoder
+    companion = _companion(path)
+    if companion:
+        with suppress(ParseError, InvariantViolation, OSError):
+            return _read_npz(companion, jsonl=path)
     with open(path, "rb") as fh:
         first = fh.readline()
         if not first:

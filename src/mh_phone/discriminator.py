@@ -178,14 +178,14 @@ def _last_hidden(ws, d, out):
     return out
 
 
-def _forward(net: GruNet, batch, ws):
-    """Run the recurrence over a (B, P, D) batch, writing every step's gates
-    and next hidden state into the workspace `ws` built for it; returns the
+def _forward(net: GruNet, ws):
+    """Run the recurrence over the batch the workspace `ws` was built for,
+    writing every step's gates and next hidden state into it; returns the
     logits."""
     d = net.input_dim
     w_z, w_r, w_c, b_z, b_r, b_c = net.w_z, net.w_r, net.w_c, net.b_z, net.b_r, net.b_c
     a, s1, s2 = ws.scratch[:3]
-    for t in range(batch.shape[1]):
+    for t in range(len(ws.zs)):
         joint, joint_c = ws.joint[t], ws.joint_c[t]
         h, z, r, hc = joint[:, d:], ws.zs[t], ws.rs[t], ws.hcs[t]
         # z, r = sigmoid(joint @ w + b); hc = tanh([x, r * h] @ w_c + b_c);
@@ -249,8 +249,7 @@ def gru_forward(net: GruNet, sequence) -> float:
     if seq.ndim != 2:
         raise InvariantViolation("sequence must be a (frames, features) matrix")
     _check_width(net, seq.shape[1])
-    seq = seq[None]
-    prob = float(_sigmoid(_forward(net, seq, _Workspace(net, seq)))[0])
+    prob = float(_sigmoid(_forward(net, _Workspace(net, seq[None])))[0])
     tiny = 1e-15
     return min(max(prob, tiny), 1.0 - tiny)
 
@@ -258,10 +257,10 @@ def gru_forward(net: GruNet, sequence) -> float:
 def bce_loss(net: GruNet, batch, labels) -> float:
     """Mean binary cross-entropy of the net on a labeled batch."""
     batch, labels = _as_labeled_batch(net, batch, labels, "score")
-    return _bce_from_logits(_forward(net, batch, _Workspace(net, batch)), labels)
+    return _bce_from_logits(_forward(net, _Workspace(net, batch)), labels)
 
 
-def _backward(net: GruNet, batch, ws, logits, labels) -> np.ndarray:
+def _backward(net: GruNet, ws, logits, labels) -> np.ndarray:
     """Backpropagation through time over the workspace one `_forward` filled:
     the gradient of the mean BCE as a flat vector in theta's layout."""
     b = logits.shape[0]
@@ -279,7 +278,7 @@ def _backward(net: GruNet, batch, ws, logits, labels) -> np.ndarray:
     grad[-1] = dlogits.sum()
     np.outer(dlogits, net.w_out, out=dh)
 
-    for t in reversed(range(batch.shape[1])):
+    for t in reversed(range(len(ws.zs))):
         joint, joint_c = ws.joint[t], ws.joint_c[t]
         h_prev, z, r, hc = joint[:, d:], ws.zs[t], ws.rs[t], ws.hcs[t]
         # dz = dh * (h_prev - hc), da_c = dh * (1 - z) * (1 - hc * hc)
@@ -306,11 +305,11 @@ def _backward(net: GruNet, batch, ws, logits, labels) -> np.ndarray:
     return grad
 
 
-def _loss_and_grad(net: GruNet, batch, labels, ws):
-    """(mean BCE, flat gradient) from one forward pass over a checked batch,
-    through the workspace `ws`."""
-    logits = _forward(net, batch, ws)
-    return _bce_from_logits(logits, labels), _backward(net, batch, ws, logits, labels)
+def _loss_and_grad(net: GruNet, labels, ws):
+    """(mean BCE, flat gradient) from one forward pass over the checked batch
+    the workspace `ws` was built for."""
+    logits = _forward(net, ws)
+    return _bce_from_logits(logits, labels), _backward(net, ws, logits, labels)
 
 
 def gru_grad(net: GruNet, batch, labels) -> GruNet:
@@ -319,7 +318,7 @@ def gru_grad(net: GruNet, batch, labels) -> GruNet:
     Returned as a GruNet whose blocks hold the gradients.
     """
     batch, labels = _as_labeled_batch(net, batch, labels, "take gradients on")
-    _, grad = _loss_and_grad(net, batch, labels, _Workspace(net, batch))
+    _, grad = _loss_and_grad(net, labels, _Workspace(net, batch))
     return net.from_vector(grad)
 
 
@@ -341,7 +340,7 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
     ws = _Workspace(net, batch)
     trace = []
     for t in range(1, epochs + 1):
-        loss, grad = _loss_and_grad(net, batch, labels, ws)
+        loss, grad = _loss_and_grad(net, labels, ws)
         trace.append(loss)
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
@@ -349,7 +348,7 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         net = net.from_vector(theta)
-    trace.append(_bce_from_logits(_forward(net, batch, ws), labels))
+    trace.append(_bce_from_logits(_forward(net, ws), labels))
     return net, trace
 
 

@@ -10,7 +10,7 @@ Every file mh-phone writes, here or elsewhere, goes through `output_file`.
 import json
 import math
 import os
-import stat
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 
@@ -40,30 +40,41 @@ def validate_artifact(kind: str, obj) -> None:
         _parse_model(obj)
 
 
-def writes_in_place(path) -> bool:
-    """Whether `output_file` writes `path` where it is: the path is there
-    and is not a regular file (a pipe, a device, a directory)."""
-    try:
-        return not stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        return False
+def special_file(path) -> bool:
+    """Whether something other than a regular file is at `path`: a pipe, a
+    device, a directory. A path that names nothing, or that the OS rejects
+    (a name too long, a NUL byte), is not special: this never raises."""
+    return not os.path.isfile(path) and os.path.exists(path)
+
+
+def _temp_name(target):
+    """`<name>.<id>.tmp` beside `target`, with `<name>` its name cut by the
+    suffix's length (to no less than that, and between UTF-8 characters), so
+    it fits wherever the target's name fits. The id is the writing thread's,
+    the pid in a main thread: names the cut makes alike never collide."""
+    head, name = os.path.split(os.fsencode(target))
+    suffix = b".%d.tmp" % threading.get_native_id()
+    keep = max(len(name) - len(suffix), len(suffix))
+    while 0 < keep < len(name) and 0x80 <= name[keep] < 0xC0:  # a continuation byte
+        keep -= 1
+    return os.fsdecode(os.path.join(head, name[:keep] + suffix))
 
 
 @contextmanager
 def output_file(path):
-    """A binary handle on `<path>.<pid>.tmp` beside the file at `path` (or
-    beside the file a symlink there points to, keeping the link), renamed
-    onto it when the block completes and removed when it raises: a failing
-    or interrupted write leaves the old file or none, never a prefix. Nothing
-    is synced, so a power loss is not covered. A path for which
-    `writes_in_place` holds is written directly."""
+    """A binary handle on a temporary file (see `_temp_name`) beside the
+    file at `path` (or beside the file a symlink there points to, keeping
+    the link), renamed onto it when the block completes and removed when it
+    raises: a failing or interrupted write leaves the old file or none,
+    never a prefix. Nothing is synced, so a power loss is not covered. A
+    `special_file` is written where it is."""
     path = os.fsdecode(path)
-    if writes_in_place(path):
+    if special_file(path):
         with open(path, "wb") as fh:
             yield fh
         return
     target = os.path.realpath(path)
-    temp = f"{target}.{os.getpid()}.tmp"
+    temp = _temp_name(target)
     try:
         fh = open(temp, "wb")
     except OSError as exc:  # name the path asked for, not the temporary file

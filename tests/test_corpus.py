@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -614,6 +615,41 @@ def test_an_interrupted_npz_save_leaves_the_old_file(tmp_path):
             pytest.raises(KeyboardInterrupt):
         save_corpus(new, path)
     assert file_bytes(tmp_path) == before
+
+
+_LONG_NAMES = {f"{n}-bytes": "c" * (n - 6) + ".jsonl" for n in (200, *range(242, 256))}
+# two-byte characters from an even and from an odd offset: whatever the
+# length of the temporary suffix, one of the two names is cut mid-character
+_LONG_NAMES["utf-8-254-bytes"] = "\u00e9" * 124 + ".jsonl"
+_LONG_NAMES["utf-8-254-bytes-shifted"] = "c" + "\u00e9" * 123 + "c.jsonl"
+
+
+@pytest.mark.parametrize("name", list(_LONG_NAMES.values()), ids=list(_LONG_NAMES))
+def test_a_save_to_any_legal_name_replaces_it_whole_and_loads_back(tmp_path, name):
+    size, name_max = len(os.fsencode(name)), os.pathconf(tmp_path, "PC_NAME_MAX")
+    if size > name_max:
+        pytest.skip(f"this file system's names stop at {name_max} bytes")
+    corp = _edge_corpus("non-ascii")
+    path = tmp_path / name
+    path.write_text("old\n")
+    os.chmod(path, 0o600)
+    with mock.patch.object(os, "replace", wraps=os.replace) as replace:
+        save_corpus(corp, path)
+    for temp, target in (call.args for call in replace.call_args_list):
+        temp, target = (os.fsencode(os.path.basename(p)) for p in (temp, target))
+        assert len(temp) <= len(target)
+        temp.decode("utf-8")  # cut between characters
+    # the companion's name is 4 bytes longer; where that does not fit there is none
+    with_companion = size + len(".npz") <= name_max
+    assert replace.call_count == 1 + with_companion
+    assert sorted(os.listdir(tmp_path)) == [name, name + ".npz"][:1 + with_companion]
+    umask = os.umask(0)
+    os.umask(umask)
+    for kept in os.listdir(tmp_path):
+        assert stat.S_IMODE(os.stat(tmp_path / kept).st_mode) == 0o666 & ~umask
+    with mock.patch.object(corpus_module, "_decode", wraps=corpus_module._decode) as decode:
+        _assert_identical(load_corpus(path), corp)
+    assert decode.called != with_companion
 
 
 _SPELLINGS = {

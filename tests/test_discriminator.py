@@ -214,9 +214,9 @@ def test_train_gru_runs_one_forward_per_epoch_plus_one(monkeypatch, epochs):
     calls = []
     forward = discriminator._forward
 
-    def counting(*args):
-        calls.append(args)
-        return forward(*args)
+    def counting(net, ws):
+        calls.append(ws)
+        return forward(net, ws)
 
     monkeypatch.setattr(discriminator, "_forward", counting)
     rng = np.random.default_rng(80)
@@ -512,9 +512,9 @@ def test_one_workspace_serves_a_whole_training(monkeypatch):
     spaces = []
     forward = discriminator._forward
 
-    def recording(net, batch, ws):
+    def recording(net, ws):
         spaces.append(ws)
-        return forward(net, batch, ws)
+        return forward(net, ws)
 
     monkeypatch.setattr(discriminator, "_forward", recording)
     rng = np.random.default_rng(86)
@@ -545,10 +545,10 @@ def test_a_warm_step_allocates_nothing_per_frame():
         labels = (np.arange(b) % 2).astype(float)
         net = GruNet.random(d, h, rng)
         ws = discriminator._Workspace(net, batch)
-        discriminator._loss_and_grad(net, batch, labels, ws)
+        discriminator._loss_and_grad(net, labels, ws)
         tracemalloc.start()
         try:
-            discriminator._loss_and_grad(net, batch, labels, ws)
+            discriminator._loss_and_grad(net, labels, ws)
             peaks[p] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

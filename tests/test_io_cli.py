@@ -8,7 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -21,8 +23,8 @@ from mh_phone.baselines import GmmLdaParams, GmmParams
 from mh_phone.cli import build_parser, main, usable_cores
 from mh_phone.corpus import load_corpus
 from mh_phone.errors import InvariantViolation, ParseError
-from mh_phone.io import (dump_json, load_json, load_model, model_kind, save_model,
-                         validate_artifact)
+from mh_phone.io import (dump_json, load_json, load_model, model_kind, output_file,
+                         save_model, special_file, validate_artifact)
 from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams
 
 from helpers import file_bytes, load_schema, random_params
@@ -139,6 +141,39 @@ def test_an_interrupted_save_model_leaves_the_old_file(tmp_path):
             pytest.raises(KeyboardInterrupt):
         save_model(path, random_params(np.random.default_rng(81), 3, 4), Hyperparams())
     assert file_bytes(tmp_path) == before  # no temporary file either
+
+
+def test_special_file_answers_for_any_path(tmp_path):
+    (tmp_path / "file").write_text("x")
+    assert special_file(tmp_path)
+    assert not special_file(tmp_path / "file")
+    assert not special_file(tmp_path / "missing")
+    # paths the OS rejects: a name too long, a file used as a directory, a NUL byte
+    for rejected in ("n" * 4096, "file/below", "nul\0byte"):
+        assert not special_file(tmp_path / rejected)
+
+
+def test_two_threads_writing_alike_names_at_once_each_get_their_own_bytes(tmp_path):
+    # the temporary name cuts the last bytes of a name, where these two differ
+    first, second = (tmp_path / f"train_seed_{seed}.jsonl" for seed in (1, 2))
+    opened, written = threading.Event(), threading.Event()
+
+    def write_first():
+        with output_file(first) as fh:
+            fh.write(b"first\n")
+            opened.set()
+            written.wait(timeout=30)
+    writer = threading.Thread(target=write_first)
+    writer.start()
+    assert opened.wait(timeout=30)
+    with output_file(second) as fh:
+        fh.write(b"second\n")
+    written.set()
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert first.read_bytes() == b"first\n"
+    assert second.read_bytes() == b"second\n"
+    assert sorted(os.listdir(tmp_path)) == [first.name, second.name]
 
 
 def test_json_preserves_float_precision(tmp_path):
@@ -326,6 +361,23 @@ def test_cli_a_directory_at_the_output_path_exits_two(tiny_pipeline, monkeypatch
     assert not os.listdir(argv[-1])
 
 
+@pytest.mark.parametrize("argv, read", [
+    (("train", "--corpus", "corpus.jsonl", "--max-iters", "2", "--out", ".json"), load_model),
+    (("generate", "--model", "truth.json", "--n", "3", "--out", ".csv"),
+     partial(np.loadtxt, delimiter=",")),
+    (("generate", "--model", "truth.json", "--n", "3", "--out", ".npz"), load_corpus),
+    (("evaluate", "--real", "corpus.jsonl", "--model", "truth.json", "--seeds", "1",
+      "--epochs", "2", "--hidden", "2", "--report", ".json"), load_json),
+], ids=["model", "csv", "npz", "report"])
+def test_cli_writes_an_output_with_a_250_byte_name(tiny_pipeline, monkeypatch, argv, read):
+    monkeypatch.chdir(tiny_pipeline[0])
+    name = "o" * (250 - len(argv[-1])) + argv[-1]
+    before = set(os.listdir())
+    assert _run(*argv[:-1], name) == 0
+    assert set(os.listdir()) == before | {name}  # no temporary file left
+    read(name)
+
+
 def test_cli_fits_the_same_model_from_a_jsonl_its_companion_or_an_npz(tmp_path, capsys):
     synth = ("synth", "--n-states", "3", "--m-signs", "30", "--p-frames", "8", "--seed", "5")
     assert _run(*synth, "--out", str(tmp_path / "c.jsonl")) == 0
@@ -496,11 +548,21 @@ def test_cli_bad_log_level(tiny_pipeline):
     assert rc == 1
 
 
-def test_cli_log_level_from_environment(tiny_pipeline, monkeypatch):
+def test_cli_log_level_from_environment(tiny_pipeline):
+    # a fresh interpreter: in this one the test runner's log handlers make
+    # logging.basicConfig a no-op
     tmp_path, corpus = tiny_pipeline
-    monkeypatch.setenv("MH_PHONE_LOG", "debug")
-    assert _run("train", "--corpus", str(corpus),
-                "--out", str(tmp_path / "m.json"), "--max-iters", "5") == 0
+    train = ("-m", "mh_phone.cli", "train", "--corpus", str(corpus),
+             "--out", str(tmp_path / "m.json"), "--max-iters", "5")
+    told = _fresh_python(*train, MH_PHONE_LOG="info")
+    assert told.returncode == 0
+    assert "INFO mh_phone: dbn fit:" in told.stderr
+    flagged = _fresh_python(*train, "--log-level", "warning", MH_PHONE_LOG="info")
+    assert flagged.returncode == 0
+    assert "INFO" not in flagged.stderr
+    unknown = _fresh_python(*train, MH_PHONE_LOG="chatty")
+    assert unknown.returncode == 1
+    assert "unknown log level 'chatty'" in unknown.stderr
 
 
 def test_cli_excludes_broken_signs_by_default(tmp_path):
@@ -891,11 +953,18 @@ def test_load_model_reports_unreadable_json(tmp_path, raw):
         load_model(path)
 
 
-def _imported_by_the_cli(module):
+def _fresh_python(*args, **env):
+    """Run `python *args` in a new interpreter that imports this mh_phone,
+    with the environment variables `env` on top of this one's."""
     src = os.path.dirname(os.path.dirname(sys.modules["mh_phone"].__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+
+
+def _imported_by_the_cli(module):
     code = f"import sys, mh_phone.cli; print({module!r} in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
     return done.stdout.strip() == "True"
 
 
