@@ -40,7 +40,9 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
 
     def step():
         nonlocal weights, mu, sigma, loglik
-        labels = np.argmax(loglik + safe_log(weights), axis=1)
+        loglik += safe_log(weights)  # in place: the table is not read again
+        labels = np.argmax(loglik, axis=1)
+        loglik = None  # freed before the M-step and the next table are built
         counts, mu = emission_means(frames, labels, n_components, sigma, hyper)
         weights = dirichlet_map(counts, hyper.alpha)
         sigma = emission_sigma(frames, labels, mu, hyper)

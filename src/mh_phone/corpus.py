@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
-from .estimation import gaussian_frames, markov_chain_sample
+from .estimation import ROW_BLOCK, gaussian_frames, markov_chain_sample
 from .io import output_file, special_file
 from .params import Assignment, ModelParams, json_numbers
 
@@ -259,7 +259,9 @@ class Corpus:
         if not kept.any():
             raise InvariantViolation(
                 f"corpus is empty after dropping noise levels {levels}")
-        return Corpus.from_arrays(self.features[kept], self.true_lengths[kept],
+        features = self.features[kept]
+        features.flags.writeable = False  # a new array, so the corpus adopts it without a copy
+        return Corpus.from_arrays(features, self.true_lengths[kept],
                                   self.glosses[kept], self.signers[kept], self.noises[kept])
 
 
@@ -325,14 +327,14 @@ def _share_corpus(corpus):
 
 
 def _encode(span, corpus=None):
-    """The JSONL records of signs span[0] to span[1] - 1 of `corpus`, by
-    default the one the save pool's workers started with."""
+    """The UTF-8 JSONL records of signs span[0] to span[1] - 1 of `corpus`,
+    by default the one the save pool's workers started with."""
     corpus = _SAVING if corpus is None else corpus
     return "".join(
         json.dumps({"gloss": corpus.glosses[k], "signer": corpus.signers[k],
                     "noise": corpus.noises[k],
                     "frames": corpus.features[k, :corpus.true_lengths[k]].tolist()}) + "\n"
-        for k in range(*span))
+        for k in range(*span)).encode("utf-8")
 
 
 def save_corpus(corpus: Corpus, path, config=None):
@@ -362,14 +364,15 @@ def save_corpus(corpus: Corpus, path, config=None):
         return
     companion = _companion(path)
     n = _pool_size(int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
-    # one sign at a time in this process, about CHUNKS_PER_WORKER runs per worker in a pool
-    runs = min(m, n * CHUNKS_PER_WORKER) if n > 1 else m
+    # one sign at a time in this process; in a pool, runs of at most
+    # ROW_BLOCK frames and at least CHUNKS_PER_WORKER per worker, so this
+    # process holds a few runs' bytes at a time, whatever the corpus's size
+    runs = m if n == 1 else min(m, max(n * CHUNKS_PER_WORKER, -(-m * p // ROW_BLOCK)))
     spans = [(m * i // runs, m * (i + 1) // runs) for i in range(runs)]
     encode = partial(_encode, corpus=corpus) if n == 1 else _encode
     digest = hashlib.sha256()
     with _ordered_map(n, _share_corpus, (corpus,)) as map_, output_file(path) as fh:
-        for text in chain([json.dumps(header) + "\n"], map_(encode, spans)):
-            data = text.encode("utf-8")
+        for data in chain([(json.dumps(header) + "\n").encode("utf-8")], map_(encode, spans)):
             digest.update(data)
             fh.write(data)
     if companion:  # one that cannot be written (a full disk) is left out
@@ -655,8 +658,11 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
 def sampled_corpus(features, lengths, gloss_prefix) -> Corpus:
     """Sampled (M, P, D) features as a corpus: sign i has lengths[i] data
     rows, gloss `<gloss_prefix>-<i>` (i zero-padded to at least five digits),
-    signer "sampler" and noise "none"."""
+    signer "sampler" and noise "none". `features` must be a new float64
+    array that owns its data: it is frozen and becomes the corpus's own,
+    without a copy."""
     m_signs = features.shape[0]
+    features.flags.writeable = False
     width = max(5, len(str(m_signs - 1)))
     return Corpus.from_arrays(features, lengths,
                               [f"{gloss_prefix}-{i:0{width}d}" for i in range(m_signs)],

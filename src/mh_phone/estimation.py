@@ -30,6 +30,44 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 GOLDEN_TOL = 1e-8  # bracket width at which the golden-section search stops
 
+# Rows of an (F, D) frame array that a row-blocked kernel holds at once. A
+# power of two, so every block starts where a BLAS matrix-vector kernel that
+# takes rows in groups of 4 or 8 starts a group in one call over all rows.
+ROW_BLOCK = 1 << 13
+
+
+def row_blocks(n_rows, d):
+    """Contiguous slices of ROW_BLOCK rows covering range(n_rows) in order.
+
+    A last block of one row joins the one before: numpy multiplies a single
+    row by a vector with a dot product, whose bits differ from those of a
+    matrix-vector product over more rows. With d = 1 one slice covers every
+    row, because numpy sums an (F, 1) column pairwise, not row by row."""
+    step = ROW_BLOCK if d > 1 else max(n_rows, 1)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+def block_scratch(blocks, d, extra=0):
+    """An uninitialised (rows, d) buffer with room for the longest of
+    `blocks` plus `extra` rows."""
+    return np.empty((max((s.stop - s.start for s in blocks), default=0) + extra, d))
+
+
+def carried_sum(scratch, n, total):
+    """`total` plus the sums down axis 0 of rows 1..n of `scratch`, with the
+    bits of numpy's axis-0 sum of one array holding the rows summed into
+    `total` followed by these. For D > 1 numpy adds the rows of a C-order
+    array to a running total one at a time, starting from +0.0, so the total
+    carried in row 0 continues that chain. total=None starts one (the only
+    block of a D = 1 column, see `row_blocks`)."""
+    if total is None:
+        return scratch[1:n + 1].sum(axis=0)
+    scratch[0] = total
+    return scratch[:n + 1].sum(axis=0)
+
 
 def golden_section_max(fn, lo, hi):
     """Argmax of a unimodal function on [lo, hi], within GOLDEN_TOL.
@@ -107,10 +145,11 @@ def emission_loglik(frames, mu, sigma):
 
     frames: (..., D); mu: (N, D); sigma: (D,) variances. Returns (..., N).
     The Mahalanobis term is expanded as |x|^2_w - 2 x.(w mu) + |mu|^2_w with
-    w = 1/sigma, so the largest temporary is the (..., N) result itself, not
-    an (..., N, D) difference. The expansion cancels when frames sit near
-    their prototype far from the origin; the error stays within a few ulps of
-    |x|^2_w + |mu|^2_w.
+    w = 1/sigma, so no (..., N, D) difference is built. The |x|^2_w term is
+    taken ROW_BLOCK frames at a time, so the (..., N) result and one block
+    of squared frames are the only large temporaries. The expansion cancels
+    when frames sit near their prototype far from the origin; the error
+    stays within a few ulps of |x|^2_w + |mu|^2_w.
     """
     x = np.asarray(frames, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -118,7 +157,11 @@ def emission_loglik(frames, mu, sigma):
     flat = x.reshape(-1, x.shape[-1])
     out = flat @ (mu * w).T
     out *= -2.0
-    out += ((flat * flat) @ w)[:, None]
+    blocks = row_blocks(len(flat), flat.shape[1])
+    squares = block_scratch(blocks, flat.shape[1])
+    for s in blocks:
+        block = np.multiply(flat[s], flat[s], out=squares[:s.stop - s.start])
+        out[s] += (block @ w)[:, None]
     out += (mu * mu) @ w  # out holds the Mahalanobis term
     out += np.sum(np.log(2.0 * np.pi * sigma))
     out *= -0.5
@@ -181,21 +224,60 @@ def map_sigma(sq_sums, n_obs, mu_sigma, sigma_sigma):
     return out
 
 
-def seed_emissions(rng, data, k):
-    """(mu, sigma) seeded from an (F, D) block of frames: k rows of data by
-    farthest-point picks from a random start, and the per-dimension std of
-    data floored at SIGMA_INIT_FLOOR. Raises NotEnoughData when F < k."""
-    if data.shape[0] < k:
-        raise NotEnoughData(f"{data.shape[0]} frames cannot seed {k} prototypes")
-    chosen = [int(rng.integers(len(data)))]
-    d2 = ((data - data[chosen[0]]) ** 2).sum(axis=1)
-    d2[chosen[0]] = -1.0
-    for _ in range(k - 1):
-        nxt = int(np.argmax(d2))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((data - data[nxt]) ** 2).sum(axis=1))
-        d2[nxt] = -1.0
-    return data[chosen], np.maximum(data.std(axis=0), SIGMA_INIT_FLOOR)
+def seed_emissions(rng, features, k, lengths=None):
+    """(mu, sigma) seeded from the data frames of (..., D) features: every
+    row, or with (M,) `lengths` the first lengths[i] rows of each sign i of
+    (M, P, D) features. mu holds k data frames picked farthest-point from a
+    random start, sigma the per-dimension std of the data frames floored at
+    SIGMA_INIT_FLOOR. Raises NotEnoughData when there are fewer than k.
+
+    The data frames are copied ROW_BLOCK at a time, never all at once, and
+    every distance and sum keeps the bits of the one-array formulas."""
+    d = features.shape[-1]
+    flat = features.reshape(-1, d)
+    if lengths is None:
+        rows_of = np.arange(len(flat))
+    else:  # the row of each data frame, in row order
+        rows_of = np.flatnonzero(np.arange(features.shape[1]) < lengths[:, None])
+    n = len(rows_of)
+    if n < k:
+        raise NotEnoughData(f"{n} frames cannot seed {k} prototypes")
+    blocks = row_blocks(n, d)  # of data frames
+    scratch = block_scratch(blocks, d, extra=1)  # row 0 carries `carried_sum`'s total
+
+    def data_blocks():
+        """Each block of data frames in turn, copied to scratch[1:]."""
+        for s in blocks:
+            rows = scratch[1:1 + s.stop - s.start]
+            np.take(flat, rows_of[s], axis=0, out=rows, mode="clip")  # clip: no buffering
+            yield s, rows
+
+    # farthest-point picks; a picked frame's distance is -1, so it is never picked again
+    chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
+    while len(chosen) < k:
+        x = flat[rows_of[chosen[-1]]]
+        for s, rows in data_blocks():
+            rows -= x
+            rows *= rows
+            np.minimum(d2[s], rows.sum(axis=1), out=d2[s])
+        d2[chosen[-1]] = -1.0
+        chosen.append(int(np.argmax(d2)))
+
+    def column_sums(mean):
+        """Sums over the data frames of (frame - mean)^2, or of the frames
+        themselves for mean=None."""
+        total = None
+        for _, rows in data_blocks():
+            if mean is not None:
+                np.subtract(rows, mean, out=rows)
+                np.square(rows, out=rows)
+            total = carried_sum(scratch, len(rows), total)
+        return total
+
+    # numpy's std: the mean, then the mean squared deviation from it
+    std = np.sqrt(column_sums(column_sums(None) / n) / n)
+    return flat[rows_of[chosen]], np.maximum(std, SIGMA_INIT_FLOOR)
 
 
 def draw_categorical(rng, probs, shape):
@@ -211,8 +293,18 @@ def draw_categorical(rng, probs, shape):
 
 
 def gaussian_frames(rng, mu, sigma, labels):
-    """One draw from N(mu[l], diag(sigma)) for each label l: labels.shape + (D,)."""
-    return mu[labels] + rng.standard_normal(labels.shape + mu.shape[1:]) * np.sqrt(sigma)
+    """One draw from N(mu[l], diag(sigma)) for each label l: a new array of
+    labels.shape + (D,). The normals are drawn into it and scaled in place,
+    and the means are added ROW_BLOCK rows at a time, so it is the only
+    array of its size; the bits are those of
+    mu[labels] + rng.standard_normal(labels.shape + (D,)) * sqrt(sigma)."""
+    out = np.empty(labels.shape + mu.shape[1:])
+    rng.standard_normal(out=out)
+    out *= np.sqrt(sigma)
+    flat, flat_labels = out.reshape(-1, mu.shape[1]), labels.reshape(-1)
+    for s in row_blocks(len(flat), mu.shape[1]):
+        flat[s] += mu[flat_labels[s]]
+    return out
 
 
 def markov_chain_sample(rng, pi, trans, n_chains, length):

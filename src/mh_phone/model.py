@@ -24,8 +24,9 @@ import numpy as np
 
 from .corpus import DEFAULT_FRAMES, Corpus, synth_corpus
 from .errors import InvariantViolation
-from .estimation import (dirichlet_map, emission_loglik, hard_em, map_log_joint, map_means,
-                         map_sigma, pair_counts, safe_log, seed_emissions)
+from .estimation import (block_scratch, carried_sum, dirichlet_map, emission_loglik, hard_em,
+                         map_log_joint, map_means, map_sigma, pair_counts, row_blocks, safe_log,
+                         seed_emissions)
 from .params import Assignment, Hyperparams, ModelParams
 
 
@@ -38,11 +39,9 @@ def init_params(n_states, corpus: Corpus, seed=0) -> ModelParams:
     """
     if n_states < 2:
         raise InvariantViolation("n_states must be at least 2 (end state plus one prototype)")
-    _, p, d = corpus.dims
-    mask = np.arange(p)[None, :] < corpus.true_lengths[:, None]
-    protos, sigma = seed_emissions(np.random.default_rng(seed), corpus.features[mask],
-                                   n_states - 1)
-    mu = np.vstack([np.zeros(d), protos])
+    protos, sigma = seed_emissions(np.random.default_rng(seed), corpus.features,
+                                   n_states - 1, corpus.true_lengths)
+    mu = np.vstack([np.zeros(corpus.dims[2]), protos])
     pi = np.full(n_states, 1.0 / n_states)
     trans = np.full((n_states, n_states), 1.0 / n_states)
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
@@ -120,12 +119,20 @@ def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
 
 def emission_sigma(frames, labels, mu, hyper: Hyperparams):
     """Emission M-step, second half: MAP shared variances of the residuals
-    of the frames about their prototypes in mu. The residuals are squared in
-    place, so the step holds one (F, D) temporary."""
-    residuals = mu[labels]
-    np.subtract(frames, residuals, out=residuals)
-    residuals *= residuals
-    return map_sigma(residuals.sum(axis=0), frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
+    of the (F, D) frames about their prototypes in mu. The residuals are
+    built and squared ROW_BLOCK rows at a time, and their sums keep the bits
+    of one sum over all rows (`carried_sum`)."""
+    d = frames.shape[1]
+    blocks = row_blocks(len(frames), d)
+    scratch = block_scratch(blocks, d, extra=1)  # row 0 carries the total
+    total = None
+    for s in blocks:
+        residuals = scratch[1:1 + s.stop - s.start]
+        np.take(mu, labels[s], axis=0, out=residuals)
+        np.subtract(frames[s], residuals, out=residuals)
+        residuals *= residuals
+        total = carried_sum(scratch, len(residuals), total)
+    return map_sigma(total, frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
 
 
 def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
@@ -202,6 +209,7 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
     def step():
         nonlocal params, assignment, loglik
         assignment = assign(params, loglik, threads=threads)
+        loglik = None  # the table goes before the M-step and the next table are built
         params = m_step(corpus, assignment, hyper, params)
         loglik = emission_loglik(corpus.features, params.mu, params.sigma)
         return log_joint(params, assignment, hyper, loglik)

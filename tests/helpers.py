@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from mh_phone.corpus import Corpus, SignSequence, synth_corpus
-from mh_phone.estimation import emission_loglik
+from mh_phone.estimation import SIGMA_INIT_FLOOR, emission_loglik, map_sigma
 from mh_phone.params import ModelParams, make_truth_params
 
 
@@ -117,3 +117,55 @@ def align_states(fit_mu, true_mu):
     for r, c in zip(rows, cols):
         perm[c + 1] = r + 1
     return perm
+
+
+# The one-array formulas that the row-blocked kernels replaced, kept verbatim
+# as references: each kernel must give their bits for every row count.
+
+def full_gaussian_frames(rng, mu, sigma, labels):
+    """`estimation.gaussian_frames` as one array expression."""
+    return mu[labels] + rng.standard_normal(labels.shape + mu.shape[1:]) * np.sqrt(sigma)
+
+
+def full_seed_emissions(rng, data, k):
+    """`estimation.seed_emissions` over an (F, D) array of data frames."""
+    chosen = [int(rng.integers(len(data)))]
+    d2 = ((data - data[chosen[0]]) ** 2).sum(axis=1)
+    d2[chosen[0]] = -1.0
+    for _ in range(k - 1):
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((data - data[nxt]) ** 2).sum(axis=1))
+        d2[nxt] = -1.0
+    return data[chosen], np.maximum(data.std(axis=0), SIGMA_INIT_FLOOR)
+
+
+def full_init_seeds(corpus, k, seed):
+    """`seed_emissions` as `model.init_params` called it: over a copy of
+    every non-padding frame."""
+    _, p, _ = corpus.dims
+    mask = np.arange(p)[None, :] < corpus.true_lengths[:, None]
+    return full_seed_emissions(np.random.default_rng(seed), corpus.features[mask], k)
+
+
+def full_emission_loglik(frames, mu, sigma):
+    """`estimation.emission_loglik` with |x|^2_w over all frames at once."""
+    x = np.asarray(frames, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    w = 1.0 / np.asarray(sigma, dtype=float)
+    flat = x.reshape(-1, x.shape[-1])
+    out = flat @ (mu * w).T
+    out *= -2.0
+    out += ((flat * flat) @ w)[:, None]
+    out += (mu * mu) @ w
+    out += np.sum(np.log(2.0 * np.pi * sigma))
+    out *= -0.5
+    return out.reshape(x.shape[:-1] + mu.shape[:1])
+
+
+def full_emission_sigma(frames, labels, mu, hyper):
+    """`model.emission_sigma` with one (F, D) array of squared residuals."""
+    residuals = mu[labels]
+    np.subtract(frames, residuals, out=residuals)
+    residuals *= residuals
+    return map_sigma(residuals.sum(axis=0), frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)

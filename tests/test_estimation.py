@@ -1,21 +1,27 @@
 """Estimation primitives against closed forms and scipy oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from mh_phone import estimation, model
+from mh_phone.corpus import Corpus, synth_corpus
 from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO, SIGMA_INIT_FLOOR,
-                                 dirichlet_logpdf,
-                                 dirichlet_map, emission_loglik,
+                                 block_scratch, carried_sum, dirichlet_logpdf,
+                                 dirichlet_map, emission_loglik, gaussian_frames,
                                  golden_section_max, lognormal_logpdf,
                                  map_log_joint, map_means, map_sigma,
                                  markov_chain_sample, normal_logpdf, pair_counts,
-                                 relative_change, safe_log)
-from mh_phone.params import Hyperparams
+                                 relative_change, row_blocks, safe_log, seed_emissions)
+from mh_phone.model import emission_sigma, init_params, m_step
+from mh_phone.params import Hyperparams, make_truth_params
 
-from helpers import broadcast_emission_loglik, label_digest
+import helpers
+from helpers import (broadcast_emission_loglik, full_emission_loglik, full_emission_sigma,
+                     full_gaussian_frames, full_init_seeds, full_seed_emissions, label_digest)
 
 
 def test_golden_section_finds_quadratic_vertex():
@@ -340,3 +346,157 @@ def test_markov_chain_sample_draws_are_pinned():
     chains = markov_chain_sample(np.random.default_rng(7), pi, trans, 500, 30)
     assert label_digest(chains) == (
         "7fe6c985b8895f935319928e212b7fdedb165280f50a7fba67b7d5e2bec94fbb")
+
+
+# Row-blocked kernels: with a small block, every row count around it gives
+# the bits of the one-array formulas in helpers.py.
+BLOCK = 16
+ROW_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK // 2)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(estimation, "ROW_BLOCK", BLOCK)
+
+
+def _spread_rows(rng, shape):
+    """Normal draws each scaled by up to six decades, so that a sum taken in
+    another order shows in the last bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_row_blocks_cover_the_rows_in_order_without_a_lone_last_row(small_blocks):
+    for rows in range(0, 4 * BLOCK):
+        blocks = row_blocks(rows, 14)
+        assert [i for s in blocks for i in range(s.start, s.stop)] == list(range(rows))
+        assert all(s.stop - s.start <= BLOCK + 1 for s in blocks)
+        assert rows < 2 or all(s.stop - s.start > 1 for s in blocks)
+    # numpy sums a one-column array pairwise, so it is never split
+    assert row_blocks(5 * BLOCK, 1) == [slice(0, 5 * BLOCK)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 14])
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_sums_carried_over_row_blocks_keep_the_bits_of_one_array(small_blocks, rows, d):
+    x = _spread_rows(np.random.default_rng(rows), (rows, d))
+    blocks = row_blocks(rows, d)
+    scratch = block_scratch(blocks, d, extra=1)
+    total = None
+    for s in blocks:
+        scratch[1:1 + s.stop - s.start] = x[s]
+        total = carried_sum(scratch, s.stop - s.start, total)
+    assert _same_bits(total, x.sum(axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 14])
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_gaussian_frames_keeps_the_bits_of_one_array(small_blocks, rows, d):
+    rng = np.random.default_rng(rows)
+    mu = _spread_rows(rng, (4, d))
+    sigma = rng.uniform(0.01, 3.0, size=d)
+    labels = rng.integers(0, 4, size=(rows, 3))
+    got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = gaussian_frames(got_rng, mu, sigma, labels)
+    assert _same_bits(got, full_gaussian_frames(want_rng, mu, sigma, labels))
+    assert got.flags.owndata and got.flags.c_contiguous
+    assert got_rng.random() == want_rng.random()  # the same draws were taken
+
+
+# (M, P) shapes whose M * P rows are the row counts above; P > 1 has padding
+SHAPES = ((1, 1), (5, 3), (8, 2), (17, 1), (11, 3), (10, 4))
+
+
+@pytest.mark.parametrize("d", [1, 14])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_seeding_keeps_the_bits_of_one_array(small_blocks, shape, d):
+    m, p = shape
+    rng = np.random.default_rng(m * p)
+    lengths = rng.integers(1, p + 1, size=m)
+    features = _spread_rows(rng, (m, p, d))
+    features[np.arange(p) >= lengths[:, None]] = 0.0
+    corpus = Corpus.from_arrays(features, lengths, ["g"] * m, ["s"] * m, ["none"] * m)
+    k = min(3, int(lengths.sum()))
+    params = init_params(k + 1, corpus, seed=m)
+    protos, sigma = full_init_seeds(corpus, k, seed=m)
+    assert _same_bits(params.mu[1:], protos) and _same_bits(params.sigma, sigma)
+    # the mixtures seed from every row, padding included
+    flat = features.reshape(-1, d)
+    got = seed_emissions(np.random.default_rng(m), corpus.features, min(3, m * p))
+    want = full_seed_emissions(np.random.default_rng(m), flat, min(3, m * p))
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("d", [1, 14])
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_emission_table_keeps_the_bits_of_one_array(small_blocks, rows, d):
+    # several draws: a row's |x|^2_w from another BLAS path differs in about
+    # half of them
+    rng = np.random.default_rng(rows)
+    for _ in range(8):
+        frames = _spread_rows(rng, (rows, d))
+        mu = _spread_rows(rng, (5, d))
+        sigma = rng.uniform(0.01, 3.0, size=d)
+        want = full_emission_loglik(frames, mu, sigma)
+        assert _same_bits(emission_loglik(frames, mu, sigma), want)
+        assert _same_bits(emission_loglik(frames.reshape(rows, 1, d), mu, sigma),
+                          want.reshape(rows, 1, 5))
+
+
+@pytest.mark.parametrize("d", [1, 14])
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_emission_sigma_keeps_the_bits_of_one_array(small_blocks, monkeypatch, rows, d):
+    # the sums of squares themselves: the sigma search rounds away most changes
+    for module in (model, helpers):
+        monkeypatch.setattr(module, "map_sigma", lambda sq_sums, *_: sq_sums)
+    rng = np.random.default_rng(rows)
+    frames = _spread_rows(rng, (rows, d))
+    labels = rng.integers(0, 5, size=rows)
+    mu = _spread_rows(rng, (5, d))
+    hyper = Hyperparams()
+    assert _same_bits(emission_sigma(frames, labels, mu, hyper),
+                      full_emission_sigma(frames, labels, mu, hyper))
+
+
+# Peak memory of the fit's layers, as a share of the features. Each holds the
+# (F, N) emission table, or less, and one row block; before the row blocks
+# each built (F, D) temporaries: 1.14 (init_params), 1.0 (m_step) and 1.43
+# (emission_loglik) times the features.
+GUARD_BLOCK = 1024
+
+
+@pytest.fixture(scope="module")
+def fit_inputs():
+    corpus, assignment = synth_corpus(make_truth_params(5, n_features=14, seed=5), 2000, seed=6)
+    return corpus, assignment, init_params(5, corpus, seed=1)
+
+
+def _peak_over_features(fn, corpus):
+    fn()  # a first call imports what it needs
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / corpus.features.nbytes
+
+
+@pytest.mark.parametrize("layer", ["init_params", "m_step", "emission_loglik"])
+def test_a_fit_layer_holds_the_table_and_one_block(monkeypatch, fit_inputs, layer):
+    monkeypatch.setattr(estimation, "ROW_BLOCK", GUARD_BLOCK)
+    corpus, assignment, params = fit_inputs
+    m, p, d = corpus.dims
+    calls = {
+        "init_params": lambda: init_params(5, corpus, seed=1),
+        "m_step": lambda: m_step(corpus, assignment, Hyperparams(), params),
+        "emission_loglik": lambda: emission_loglik(corpus.features, params.mu, params.sigma),
+    }
+    table = m * p * 5 * 8
+    block = GUARD_BLOCK * d * 8
+    bound = (table + block) / corpus.features.nbytes + 0.02
+    assert _peak_over_features(calls[layer], corpus) < bound
