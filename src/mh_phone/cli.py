@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import baselines, interpret, model
-from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus, usable_cores
+from .corpus import DEFAULT_FRAMES, load_corpus, save_corpus, synth_corpus
 from .discriminator import evaluate_generator
 from .errors import InvariantViolation, MhPhoneError, NotEnoughData, ParseError
 from .io import dump_json, load_model, output_file, save_model, validate_artifact
@@ -67,6 +67,15 @@ _non_negative_float = _checked(float, "a number", lambda v: 0 <= v < math.inf,
                                "finite and at least 0")
 _probability = _checked(float, "a number", lambda v: 0 <= v <= 1, "between 0 and 1")
 _fraction = _checked(float, "a number", lambda v: 0 < v < 1, "strictly between 0 and 1")
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the OS
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux and a few Unixes
+        return os.cpu_count() or 1
 
 
 def _setup_logging(flag_level):

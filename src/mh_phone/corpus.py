@@ -11,9 +11,9 @@ A Corpus is columnar: read-only `features` (M, P, D), `true_lengths` (M,) and
 built by its one validating constructor, `Corpus.from_arrays`, which checks all
 signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
 
-`save_corpus` splits the JSON encoding of a large corpus over forked
-processes, up to one per usable core; the file does not depend on the number
-of processes. `load_corpus` decodes a JSONL in one pass in this process. A
+`save_corpus` writes a JSONL in one pass in this process, spelling the
+floats of a run of signs at once with the numpy kernel of `floatrepr`, byte
+for byte as `json.dumps`. `load_corpus` decodes a JSONL in one pass too. A
 path ending in `.npz` holds a binary corpus instead, and every JSONL saved to
 a regular file gets a binary companion `<path>.npz` that a load reads in its
 place while the JSONL's SHA-256 still matches the one it records.
@@ -23,10 +23,9 @@ import hashlib
 import io
 import json
 import os
-import threading
 import zipfile
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -34,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
-from .estimation import ROW_BLOCK, gaussian_frames, markov_chain_sample
+from .estimation import gaussian_frames, markov_chain_sample
 from .io import output_file, special_file
 from .params import Assignment, ModelParams, json_numbers
 
@@ -265,89 +264,43 @@ class Corpus:
                                   self.glosses[kept], self.signers[kept], self.noises[kept])
 
 
-# A fork pool takes 15-25 ms to start and tear down, so it pays only for work
-# well above that. Measured break-even of 1 against 2 workers on a 2-core host
-# (Python 3.11; medians of 15 interleaved runs, in ms; N=10 synth corpora):
-#
-#   save, values        40k      58k      75k     115k
-#     1 / 2 workers    38/41    71/56    92/77   141/99
-#
-# The pool lost at the first size and won at least 12 of 15 runs at the
-# others, so a save uses a pool from 80 000 feature values (about 420 signs of
-# 13 frames). Below two workers' worth, the save stays in this process.
-MIN_VALUES_PER_WORKER = 40_000
-CHUNKS_PER_WORKER = 4
-
-_SAVING = None  # the corpus the workers of a save pool encode, set when they start
+def _head(corpus, k):
+    """The start of sign k's JSONL record, up to the "[[" of its frames: the
+    text `json.dumps` gives the record, with each string its own call."""
+    return ('{"gloss": %s, "signer": %s, "noise": %s, "frames": [[' % (
+        json.dumps(corpus.glosses[k]), json.dumps(corpus.signers[k]),
+        json.dumps(corpus.noises[k]))).encode("utf-8")
 
 
-def usable_cores() -> int:
-    """The cores this process may run on: its CPU affinity where the OS
-    reports one, else the machine's core count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux and a few Unixes
-        return os.cpu_count() or 1
-
-
-def _pool_size(work, minimum):
-    """Processes to split `work` over, at most one per usable core: 1,
-    meaning this process, unless at least two workers get `minimum` of it
-    each, `fork` exists, and no other thread runs here (forking a process
-    with live threads is unsafe)."""
-    n = min(usable_cores(), work // minimum)
-    if n < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing  # only a pool needs it; importing it costs every CLI start ~10 ms
-    return n if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
-@contextmanager
-def _ordered_map(n, initializer=None, initargs=()):
-    """The builtin `map` when n is 1, else the ordered `map` of n forked
-    processes. On every way out, tasks not yet started are cancelled and the
-    workers finish and are joined. (`multiprocessing.Pool.terminate` kills
-    its workers instead; one killed while it sends a result leaves the
-    pool's result lock held, and the terminate hangs.)"""
-    if n == 1:
-        yield map
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), initializer, initargs)
-    try:
-        yield pool.map
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _share_corpus(corpus):
-    global _SAVING
-    _SAVING = corpus
-
-
-def _encode(span, corpus=None):
-    """The UTF-8 JSONL records of signs span[0] to span[1] - 1 of `corpus`,
-    by default the one the save pool's workers started with."""
-    corpus = _SAVING if corpus is None else corpus
-    return "".join(
-        json.dumps({"gloss": corpus.glosses[k], "signer": corpus.signers[k],
-                    "noise": corpus.noises[k],
-                    "frames": corpus.features[k, :corpus.true_lengths[k]].tolist()}) + "\n"
-        for k in range(*span)).encode("utf-8")
+def _records(corpus):
+    """The UTF-8 JSONL records of `corpus`, a run of signs at a time: as
+    many as hold at most `floatrepr.BLOCK_VALUES` data values (one sign at
+    least), written by one call of `floatrepr.rows_text`."""
+    from . import floatrepr  # only a JSONL save needs it; compiling it costs every CLI start
+    m, p, d = corpus.dims
+    lengths = corpus.true_lengths
+    ends = np.cumsum(lengths)
+    start, budget = 0, max(1, floatrepr.BLOCK_VALUES // d)
+    while start < m:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - lengths[start] + budget,
+                                                  "right")))
+        yield floatrepr.rows_text(
+            corpus.features[start:stop][np.arange(p) < lengths[start:stop, None]],
+            lengths[start:stop], [_head(corpus, k) for k in range(start, stop)], b"]]}\n")
+        start = stop
 
 
 def save_corpus(corpus: Corpus, path, config=None):
     """Write a corpus as JSONL, one header line then one record per sign, or
     as a binary corpus when the path ends in `.npz`.
 
-    JSONL trims padding rows; a load reapplies them. A large enough corpus
-    is encoded by forked processes, each taking contiguous runs of signs;
-    the file is byte-identical for every worker count. A JSONL written to a
-    regular file also gets its binary companion `<path>.npz`, written after
-    the JSONL is in place; one that cannot be written is left out. Every
-    file goes through `io.output_file`, so a save that fails or is
-    interrupted leaves the old file, never part of the new one.
+    JSONL trims padding rows; a load reapplies them. Every value is spelled
+    as `json.dumps` spells it, by `floatrepr.rows_text`, a run of signs at a
+    time. A JSONL written to a regular file also gets its binary companion
+    `<path>.npz`, written after the JSONL is in place; one that cannot be
+    written is left out. Every file goes through `io.output_file`, so a
+    save that fails or is interrupted leaves the old file, never part of
+    the new one.
     """
     m, p, d = corpus.dims
     if d == N_FEATURES:
@@ -363,18 +316,12 @@ def save_corpus(corpus: Corpus, path, config=None):
             _write_npz(fh, corpus, header)
         return
     companion = _companion(path)
-    n = _pool_size(int(corpus.true_lengths.sum()) * d, MIN_VALUES_PER_WORKER)
-    # one sign at a time in this process; in a pool, runs of at most
-    # ROW_BLOCK frames and at least CHUNKS_PER_WORKER per worker, so this
-    # process holds a few runs' bytes at a time, whatever the corpus's size
-    runs = m if n == 1 else min(m, max(n * CHUNKS_PER_WORKER, -(-m * p // ROW_BLOCK)))
-    spans = [(m * i // runs, m * (i + 1) // runs) for i in range(runs)]
-    encode = partial(_encode, corpus=corpus) if n == 1 else _encode
     digest = hashlib.sha256()
-    with _ordered_map(n, _share_corpus, (corpus,)) as map_, output_file(path) as fh:
-        for data in chain([(json.dumps(header) + "\n").encode("utf-8")], map_(encode, spans)):
+    with output_file(path) as fh:
+        for data in chain([(json.dumps(header) + "\n").encode("utf-8")], _records(corpus)):
             digest.update(data)
             fh.write(data)
+            del data  # not held while the next run is built
     if companion:  # one that cannot be written (a full disk) is left out
         with suppress(OSError), output_file(companion) as fh:
             _write_npz(fh, corpus, header, digest.hexdigest())

@@ -169,3 +169,25 @@ def full_emission_sigma(frames, labels, mu, hyper):
     np.subtract(frames, residuals, out=residuals)
     residuals *= residuals
     return map_sigma(residuals.sum(axis=0), frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
+
+
+def float_families(rng, n):
+    """n finite float64 values of each family a float-to-text writer must
+    spell right, by name: Gaussian, Gaussian scaled by 10^-25 ... 10^25,
+    rounded to 0-16 decimals, whole numbers up to 2^53, dyadic fractions,
+    short decimals, random bit patterns, and the doubles beside powers of
+    ten."""
+    gaussian = rng.normal(size=n)
+    decimals = 10.0 ** rng.integers(0, 17, size=n)
+    bits = rng.integers(0, 2 ** 64, size=2 * n, dtype=np.uint64).view(np.float64)
+    powers = 10.0 ** rng.integers(-8, 20, size=n)
+    return {
+        "gaussian": gaussian,
+        "scaled": gaussian * 10.0 ** rng.integers(-25, 26, size=n),
+        "rounded": np.rint(rng.normal(0.0, 100.0, size=n) * decimals) / decimals,
+        "whole": rng.integers(-2 ** 53, 2 ** 53, size=n, endpoint=True).astype(np.float64),
+        "dyadic": rng.integers(-2 ** 20, 2 ** 20, size=n) / 2.0 ** rng.integers(0, 60, size=n),
+        "short": rng.integers(-10 ** 6, 10 ** 6, size=n) / 10.0 ** rng.integers(0, 12, size=n),
+        "bits": bits[np.isfinite(bits)][:n],
+        "beside-powers-of-ten": np.nextafter(powers, np.where(rng.random(n) < 0.5, 0.0, np.inf)),
+    }

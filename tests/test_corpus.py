@@ -2,7 +2,6 @@
 
 import io
 import json
-import multiprocessing
 import os
 import stat
 import subprocess
@@ -11,6 +10,7 @@ import textwrap
 import threading
 import tracemalloc
 import zipfile
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mh_phone import corpus as corpus_module
+from mh_phone import floatrepr
 from mh_phone.corpus import (FEATURE_ORDER, KEYPOINTS, N_FEATURES, NOISE_LEVELS,
                              Corpus, RawSign, SignSequence, ingest_raw_sign,
                              load_corpus, normalize_pose, pad_sign,
@@ -227,11 +228,6 @@ def test_from_arrays_copies_writable_or_borrowed_features():
     corp = Corpus.from_arrays(view, *_columns(3))
     feats[:] = 7.0
     np.testing.assert_array_equal(corp.features, 5.0)
-
-
-def _cores(n):
-    """Corpus IO as on a host with n usable cores."""
-    return mock.patch.object(corpus_module, "usable_cores", lambda: n)
 
 
 def _save_jsonl_only(corp, path, config=None):
@@ -541,41 +537,47 @@ def test_load_fuzzed_files_give_a_corpus_or_an_mh_phone_error(tmp_path_factory, 
     _outcome(path)
 
 
-# ---------------------- corpus IO on several usable cores: saves fork, loads never
+# ---------------------- JSONL saves: one process, json.dumps's bytes
 
-@pytest.fixture
-def pooled(monkeypatch):
-    """Corpus saves with the per-worker minimum at 1, so that any usable core
-    count above 1 forks a pool; gives the pool size each call chose."""
-    sizes = []
-    pool_size = corpus_module._pool_size
-
-    def spy(*args):
-        sizes.append(pool_size(*args))
-        return sizes[-1]
-
-    monkeypatch.setattr(corpus_module, "MIN_VALUES_PER_WORKER", 1)
-    monkeypatch.setattr(corpus_module, "_pool_size", spy)
-    return sizes
+def _reference_jsonl(corpus, config=None):
+    """The JSONL json.dumps writes for `corpus`, a record at a time: the
+    bytes `save_corpus` must give."""
+    m, p, d = corpus.dims
+    header = {"format": "mh-corpus", "version": 1, "D": d, "P": p,
+              "feature_order": list(FEATURE_ORDER) if d == N_FEATURES else
+              [f"f{i}" for i in range(d)]}
+    if config is not None:
+        header["config"] = config
+    records = [json.dumps({"gloss": s.gloss, "signer": s.signer, "noise": s.noise,
+                           "frames": s.features[:s.true_length].tolist()}) for s in corpus]
+    return "".join(line + "\n" for line in [json.dumps(header), *records]).encode()
 
 
-def test_a_pooled_save_holds_a_few_runs_in_this_process(tmp_path, monkeypatch, pooled):
-    # the pool returns UTF-8 runs of at most ROW_BLOCK frames; with a quarter
-    # of a worker's signs per run, each also held as a str, this process
-    # peaked at 0.89 times the features
-    monkeypatch.setattr(corpus_module, "ROW_BLOCK", 1024)
-    share = corpus_module._share_corpus
+def _ingested_corpus(m, seed):
+    """`m` signs through `ingest_raw_sign`, so every frame's head point is an
+    exact zero; glosses that JSON escapes."""
+    rng = np.random.default_rng(seed)
+    return Corpus([ingest_raw_sign(RawSign(
+        gloss=f'g"{i}\u00e9\\', signer_id=f"s{i % 3}", noise_level="low",
+        frames=[{name: tuple(rng.normal(0.0, 50.0, size=2)) for name in KEYPOINTS}
+                for _ in range(rng.integers(1, 26))])) for i in range(m)])
 
-    def share_untraced(corp):  # a worker's allocations are not this process's
-        tracemalloc.stop()
-        share(corp)
 
-    monkeypatch.setattr(corpus_module, "_share_corpus", share_untraced)
+@pytest.mark.parametrize("source", ["synth", "ingested"])
+def test_a_saved_jsonl_is_the_text_json_dumps_writes(tmp_path, source):
+    corp = (synth_corpus(make_truth_params(5, 14, seed=3), 400, seed=4)[0]
+            if source == "synth" else _ingested_corpus(120, seed=5))
+    path = tmp_path / "c.jsonl"
+    save_corpus(corp, path, config={"seed": 4, "source": source})
+    assert path.read_bytes() == _reference_jsonl(corp, {"seed": 4, "source": source})
+
+
+def test_a_save_holds_a_few_runs_in_this_process(tmp_path):
+    # the float text is built a run of at most floatrepr.BLOCK_VALUES values
+    # at a time; this process peaked at 0.24 times the features
     corp = synth_corpus(make_truth_params(5, 14, seed=5), 2000, seed=6)[0]
-    with _cores(2):
-        save_corpus(corp, tmp_path / "warm.jsonl")
-        _, peak = _traced_peak(lambda: save_corpus(corp, tmp_path / "c.jsonl"))
-    assert pooled == [2, 2]
+    save_corpus(corp, tmp_path / "warm.jsonl")  # builds the kernel's tables
+    _, peak = _traced_peak(lambda: save_corpus(corp, tmp_path / "c.jsonl"))
     assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "warm.jsonl").read_bytes()
     assert peak / corp.features.nbytes < 0.3
 
@@ -585,70 +587,55 @@ def _assert_same_columns(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-@pytest.mark.parametrize("m", [7, 41])  # fewer signs than runs; runs that do not divide M
-def test_pooled_save_writes_the_same_bytes_for_any_worker_count(tmp_path, pooled, m):
+@pytest.mark.parametrize("m", [7, 41])  # runs of several signs, and signs longer than a run
+def test_a_save_writes_each_record_as_json_dumps_does(tmp_path, monkeypatch, m):
+    monkeypatch.setattr(floatrepr, "BLOCK_VALUES", 50)  # runs of at most 12 frames
     corp = synth_corpus(make_truth_params(3, 4, seed=1), m, seed=2)[0]
-    texts = []
-    for cores in (1, 2, 3):
-        path = tmp_path / f"{cores}.jsonl"
-        with _cores(cores):
-            save_corpus(corp, path, config={"seed": 1})
-        assert not multiprocessing.active_children()
-        texts.append(path.read_bytes())
-    assert pooled == [1, 2, 3]
-    assert texts[1] == texts[0] and texts[2] == texts[0]
-    records = [json.dumps({"gloss": s.gloss, "signer": s.signer, "noise": s.noise,
-                           "frames": s.features[:s.true_length].tolist()}) for s in corp]
-    assert texts[0].decode().split("\n")[1:] == records + [""]
-
-
-def _save_on_two_cores(corp, path):
-    with _cores(2):
-        save_corpus(corp, path)
-    assert not multiprocessing.active_children()
-    return path.read_bytes()
-
-
-def test_pooled_io_stays_in_this_process_while_another_thread_runs(tmp_path, pooled):
-    corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
-    text = _save_on_two_cores(corp, tmp_path / "alone.jsonl")
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        threaded_text = _save_on_two_cores(corp, tmp_path / "threaded.jsonl")
-    finally:
-        release.set()
-        thread.join()
-    # forking a process with a live thread is unsafe, so the second save picks 1
-    assert pooled == [2, 1]
-    assert threaded_text == text
+    path = tmp_path / "c.jsonl"
+    save_corpus(corp, path, config={"seed": 1})
+    assert path.read_bytes() == _reference_jsonl(corp, {"seed": 1})
 
 
 def _interrupting_the_record_of(gloss):
-    """json.dumps, with a Ctrl-C while it encodes the record of `gloss`."""
+    """json.dumps, with a Ctrl-C while it encodes the gloss `gloss`."""
     dumps = json.dumps
 
     def interrupted(obj, *args, **kwargs):
-        if isinstance(obj, dict) and obj.get("gloss") == gloss:
+        if obj == gloss:
             raise KeyboardInterrupt
         return dumps(obj, *args, **kwargs)
     return mock.patch.object(json, "dumps", interrupted)
 
 
-@pytest.mark.parametrize("cores", [1, 2], ids=["serial", "pooled"])
-def test_an_interrupted_save_leaves_the_old_corpus_and_companion(tmp_path, pooled, cores):
+@contextmanager
+def _interrupting_the_kernel(new):
+    """With runs of at most 10 frames, a Ctrl-C in the digit search of the
+    third run, so two runs are in the file before it."""
+    search, calls = floatrepr.shortest_digits, []
+
+    def interrupted(values):
+        calls.append(len(values))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return search(values)
+    with mock.patch.object(floatrepr, "BLOCK_VALUES", 40), \
+            mock.patch.object(floatrepr, "shortest_digits", interrupted):
+        try:
+            yield
+        finally:
+            assert len(calls) == 3 and new.true_lengths.sum() > 3 * 10
+
+
+@pytest.mark.parametrize("interrupting", [lambda new: _interrupting_the_record_of(
+    new.glosses[-1]), _interrupting_the_kernel], ids=["serial", "mid-kernel"])
+def test_an_interrupted_save_leaves_the_old_corpus_and_companion(tmp_path, interrupting):
     old = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
     path = tmp_path / "c.jsonl"
     save_corpus(old, path)
     before = file_bytes(tmp_path)
     new = synth_corpus(make_truth_params(3, 4, seed=3), 41, seed=4)[0]
-    # the last of a pool's 8 runs, so the runs before it are written first
-    with _cores(cores), _interrupting_the_record_of(new.glosses[-1]), \
-            pytest.raises(KeyboardInterrupt):
+    with pytest.raises(KeyboardInterrupt), interrupting(new):
         save_corpus(new, path)
-    assert pooled[-1] == cores
-    assert not multiprocessing.active_children()
     assert file_bytes(tmp_path) == before  # no temporary file either
     _assert_identical(load_corpus(path), old)
 
@@ -718,17 +705,6 @@ def test_a_jsonl_load_reads_any_spelling_of_its_lines(tmp_path, spelling):
     _save_jsonl_only(corp, path)
     path.write_bytes(_SPELLINGS[spelling](path.read_text().splitlines()).encode())
     _assert_same_columns(load_corpus(path), corp)
-
-
-def test_a_jsonl_load_without_a_companion_never_asks_for_a_pool(tmp_path):
-    corp = synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0]
-    path = tmp_path / "c.jsonl"
-    _save_jsonl_only(corp, path)
-    with _cores(4), mock.patch.object(corpus_module, "_pool_size",
-                                      wraps=corpus_module._pool_size) as pool_size:
-        _assert_same_columns(load_corpus(path), corp)
-    assert pool_size.call_count == 0
-    assert not multiprocessing.active_children()
 
 
 def _file_with_bad_lines(path, bad):

@@ -21,11 +21,11 @@ import pytest
 
 from mh_phone.baselines import GmmLdaParams, GmmParams
 from mh_phone.cli import build_parser, main, usable_cores
-from mh_phone.corpus import load_corpus
+from mh_phone.corpus import load_corpus, save_corpus, synth_corpus
 from mh_phone.errors import InvariantViolation, ParseError
 from mh_phone.io import (dump_json, load_json, load_model, model_kind, output_file,
                          save_model, special_file, validate_artifact)
-from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams
+from mh_phone.params import MODEL_KINDS, Hyperparams, ModelParams, make_truth_params
 
 from helpers import file_bytes, load_schema, random_params
 
@@ -973,5 +973,19 @@ def test_importing_the_cli_does_not_import_jsonschema():
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # only a corpus large enough for a process pool imports it
+    # nothing in mh_phone starts a process
     assert not _imported_by_the_cli("multiprocessing")
+
+
+@pytest.mark.parametrize("companion", [True, False], ids=["companion", "decoder"])
+def test_only_a_save_imports_the_float_text_kernel_and_builds_its_tables(tmp_path, companion):
+    path = tmp_path / "c.jsonl"
+    save_corpus(synth_corpus(make_truth_params(3, 4, seed=1), 20, seed=2)[0], path)
+    if not companion:
+        os.remove(tmp_path / "c.jsonl.npz")
+    code = ("import sys, mh_phone.cli; from mh_phone import corpus; "
+            f"corpus.load_corpus({str(path)!r}); print('mh_phone.floatrepr' in sys.modules); "
+            "from mh_phone import floatrepr; print(floatrepr._tables.cache_info().currsize)")
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "0"]
