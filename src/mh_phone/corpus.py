@@ -9,7 +9,8 @@ all-zero end token, and zero rows always form a contiguous suffix.
 A Corpus is columnar: read-only `features` (M, P, D), `true_lengths` (M,) and
 (M,) `glosses`, `signers` and `noises` arrays, and nothing else. Every corpus is
 built by its one validating constructor, `Corpus.from_arrays`, which checks all
-signs at once with `check_signs`; indexing a corpus gives a `SignSequence`.
+signs at once with `check_signs`; `ingest_raw_signs` normalizes and pads raw
+keypoint signs into one.
 
 `save_corpus` writes a JSONL in one pass in this process, spelling the
 floats of a run of signs at once with the numpy kernel of `floatrepr`, byte
@@ -144,64 +145,14 @@ class RawSign:
         object.__setattr__(self, "frames", tuple(self.frames))
 
 
-@dataclass(frozen=True)
-class SignSequence:
-    """A normalized, padded sign: features is (P, D) with true_length data rows."""
-
-    gloss: str
-    features: np.ndarray
-    true_length: int
-    signer: str = ""
-    noise: str = "none"
-
-    def __post_init__(self):
-        feats = np.array(self.features, dtype=float)
-        if feats.ndim != 2:
-            raise InvariantViolation("features must be a frames-by-dimensions matrix")
-        _check_types([self.true_length], [self.gloss], [self.signer])
-        check_signs(feats[None], np.array([self.true_length]),
-                    np.array([self.noise], dtype=object))
-        feats.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-
-
-def pad_sign(frames, n_frames=DEFAULT_FRAMES, *, gloss="", signer="", noise="none") -> SignSequence:
-    """Pad a (L, D) block of data frames with zero rows up to n_frames."""
-    arr = np.asarray(frames, dtype=float)
-    if arr.ndim != 2:
-        raise InvariantViolation("frames must be a 2-D array")
-    length = arr.shape[0]
-    if length > n_frames:
-        raise TooLong(f"sign has {length} frames, more than the padded length {n_frames}")
-    out = np.zeros((n_frames, arr.shape[1]))
-    out[:length] = arr
-    return SignSequence(gloss=gloss, features=out, true_length=length,
-                        signer=signer, noise=noise)
-
-
-def ingest_raw_sign(raw: RawSign, n_frames=DEFAULT_FRAMES) -> SignSequence:
-    """Normalize every frame of a RawSign and pad to n_frames."""
-    data = np.stack([normalize_pose(frame) for frame in raw.frames])
-    return pad_sign(data, n_frames, gloss=raw.gloss, signer=raw.signer_id,
-                    noise=raw.noise_level)
-
-
 class Corpus:
-    """An immutable collection of signs with consistent dimensions.
-
-    `Corpus(signs)` stacks SignSequence objects of one shape."""
+    """An immutable collection of signs with consistent dimensions, built by
+    `Corpus.from_arrays`."""
 
     __slots__ = ("features", "true_lengths", "glosses", "signers", "noises")
 
-    def __new__(cls, signs):
-        signs = tuple(signs)
-        shapes = sorted({s.features.shape for s in signs})
-        if len(shapes) != 1:
-            raise InvariantViolation(
-                f"a corpus needs at least one sign and one shape, got shapes {shapes}")
-        return cls.from_arrays(np.stack([s.features for s in signs]),
-                               [s.true_length for s in signs], [s.gloss for s in signs],
-                               [s.signer for s in signs], [s.noise for s in signs])
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build a Corpus with Corpus.from_arrays")
 
     @classmethod
     def from_arrays(cls, features, true_lengths, glosses, signers, noises) -> "Corpus":
@@ -236,14 +187,6 @@ class Corpus:
     def __len__(self):
         return len(self.true_lengths)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, i) -> SignSequence:
-        return SignSequence(gloss=self.glosses[i], features=self.features[i],
-                            true_length=int(self.true_lengths[i]),
-                            signer=self.signers[i], noise=self.noises[i])
-
     @property
     def dims(self):
         """(M, P, D): sign count, padded frame count, feature count."""
@@ -264,12 +207,33 @@ class Corpus:
                                   self.glosses[kept], self.signers[kept], self.noises[kept])
 
 
-def _head(corpus, k):
-    """The start of sign k's JSONL record, up to the "[[" of its frames: the
-    text `json.dumps` gives the record, with each string its own call."""
-    return ('{"gloss": %s, "signer": %s, "noise": %s, "frames": [[' % (
-        json.dumps(corpus.glosses[k]), json.dumps(corpus.signers[k]),
-        json.dumps(corpus.noises[k]))).encode("utf-8")
+def ingest_raw_signs(raws, n_frames=DEFAULT_FRAMES) -> Corpus:
+    """Normalize every frame of each RawSign and pad the signs with the
+    all-zero end token to n_frames, as one corpus. Raises TooLong for a sign
+    with more than n_frames frames, InvariantViolation for no signs."""
+    raws = list(raws)
+    lengths = [len(raw.frames) for raw in raws]
+    too_long = [length for length in lengths if length > n_frames]
+    if too_long:
+        raise TooLong(f"sign has {too_long[0]} frames, more than the padded length {n_frames}")
+    features = np.zeros((len(raws), n_frames, N_FEATURES))
+    for i, raw in enumerate(raws):
+        features[i, :lengths[i]] = [normalize_pose(frame) for frame in raw.frames]
+    features.flags.writeable = False  # a new array, so the corpus adopts it without a copy
+    return Corpus.from_arrays(features, lengths, [raw.gloss for raw in raws],
+                              [raw.signer_id for raw in raws], [raw.noise_level for raw in raws])
+
+
+def _heads(corpus, start, stop):
+    """The start of the JSONL record of each sign in [start, stop), up to the
+    "[[" of its frames: the text `json.dumps` gives the record. Each gloss is
+    escaped on its own, each distinct signer and noise string of the run once."""
+    glosses, signers, noises = (column[start:stop] for column in
+                                (corpus.glosses, corpus.signers, corpus.noises))
+    escaped = {text: json.dumps(text) for text in {*signers, *noises}}
+    return [('{"gloss": %s, "signer": %s, "noise": %s, "frames": [[' % (
+        json.dumps(gloss), escaped[signer], escaped[noise])).encode("utf-8")
+        for gloss, signer, noise in zip(glosses, signers, noises)]
 
 
 def _records(corpus):
@@ -286,7 +250,7 @@ def _records(corpus):
                                                   "right")))
         yield floatrepr.rows_text(
             corpus.features[start:stop][np.arange(p) < lengths[start:stop, None]],
-            lengths[start:stop], [_head(corpus, k) for k in range(start, stop)], b"]]}\n")
+            lengths[start:stop], _heads(corpus, start, stop), b"]]}\n")
         start = stop
 
 

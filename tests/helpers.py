@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from mh_phone.corpus import Corpus, SignSequence, synth_corpus
+from mh_phone.corpus import Corpus, synth_corpus
 from mh_phone.estimation import SIGMA_INIT_FLOOR, emission_loglik, map_sigma
 from mh_phone.params import ModelParams, make_truth_params
 
@@ -29,23 +29,21 @@ def random_params(rng, n_states, n_features):
 
 
 def random_corpus(rng, m, p, d, pad=True):
-    """Random corpus; with pad=True each sign gets a random true length."""
-    signs = []
+    """Random corpus; with pad=True each sign gets a random true length,
+    drawn just before its frames."""
+    features, lengths = np.zeros((m, p, d)), []
     for i in range(m):
-        length = int(rng.integers(1, p + 1)) if pad else p
-        block = np.zeros((p, d))
-        block[:length] = rng.normal(0.0, 1.0, size=(length, d))
-        signs.append(SignSequence(gloss=f"r{i:03d}", features=block,
-                                  true_length=length))
-    return Corpus(signs)
+        lengths.append(int(rng.integers(1, p + 1)) if pad else p)
+        features[i, :lengths[i]] = rng.normal(0.0, 1.0, size=(lengths[i], d))
+    return Corpus.from_arrays(features, lengths, [f"r{i:03d}" for i in range(m)], [""] * m,
+                              ["none"] * m)
 
 
 def corpus_from_features(feats):
     """Wrap an (M, P, D) array of nonzero frames as full-length signs."""
-    feats = np.asarray(feats, dtype=float)
-    m, p, _ = feats.shape
-    return Corpus([SignSequence(gloss=f"w{i:03d}", features=feats[i], true_length=p)
-                   for i in range(m)])
+    m, p, _ = np.shape(feats)
+    return Corpus.from_arrays(feats, [p] * m, [f"w{i:03d}" for i in range(m)], [""] * m,
+                              ["none"] * m)
 
 
 def load_schema(kind):

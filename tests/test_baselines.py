@@ -264,7 +264,7 @@ def test_sample_gmm_shapes_glosses_and_determinism():
     b = sample_gmm(params, 4, n_frames=6, seed=49)
     assert a.dims == (4, 6, 1)
     np.testing.assert_array_equal(a.features, b.features)
-    assert a[0].gloss == "gmm-00000"
+    assert a.glosses[0] == "gmm-00000"
     assert np.all(a.true_lengths == 6)
 
 
@@ -288,7 +288,7 @@ def test_sample_gmm_lda_deterministic():
     a = sample_gmm_lda(params, 5, n_frames=4, seed=51)
     b = sample_gmm_lda(params, 5, n_frames=4, seed=51)
     np.testing.assert_array_equal(a.features, b.features)
-    assert a[0].gloss == "gmm-lda-00000"
+    assert a.glosses[0] == "gmm-lda-00000"
 
 
 def test_mixture_sample_draws_are_pinned():

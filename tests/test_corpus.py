@@ -1,5 +1,6 @@
 """Corpus tests: pose normalization, padding, JSONL and binary persistence, synthesis."""
 
+import hashlib
 import io
 import json
 import os
@@ -21,9 +22,8 @@ from hypothesis import strategies as st
 from mh_phone import corpus as corpus_module
 from mh_phone import floatrepr
 from mh_phone.corpus import (FEATURE_ORDER, KEYPOINTS, N_FEATURES, NOISE_LEVELS,
-                             Corpus, RawSign, SignSequence, ingest_raw_sign,
-                             load_corpus, normalize_pose, pad_sign,
-                             save_corpus, synth_corpus)
+                             Corpus, RawSign, ingest_raw_signs, load_corpus,
+                             normalize_pose, save_corpus, synth_corpus)
 from mh_phone.errors import (DegenerateScale, InvariantViolation, MhPhoneError,
                              ParseError, TooLong)
 from mh_phone.io import load_model
@@ -88,45 +88,62 @@ def test_normalize_rejects_missing_or_bad_keypoints():
         normalize_pose(raw_frame(rwr=(np.nan, 0.0)))
 
 
+def _raw_signs(*lengths):
+    """Raw signs of the given frame counts, each frame a random pose."""
+    rng = np.random.default_rng(sum(lengths))
+    return [RawSign(gloss=f"g{i}", signer_id=f"s{i}", noise_level="none",
+                    frames=[{name: tuple(rng.normal(size=2)) for name in KEYPOINTS}
+                            for _ in range(length)])
+            for i, length in enumerate(lengths)]
+
+
+def _normalized(raw):
+    return np.stack([normalize_pose(frame) for frame in raw.frames])
+
+
 def test_pad_adds_zero_suffix():
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=(3, N_FEATURES))
-    sign = pad_sign(data, 8)
-    assert sign.true_length == 3
-    assert sign.features.shape == (8, N_FEATURES)
-    assert np.array_equal(sign.features[:3], data)
-    assert not sign.features[3:].any()
+    raws = _raw_signs(3, 1)
+    corp = ingest_raw_signs(raws, 8)
+    assert corp.true_lengths.tolist() == [3, 1]
+    assert corp.dims == (2, 8, N_FEATURES)
+    np.testing.assert_array_equal(corp.features[0, :3], _normalized(raws[0]))
+    np.testing.assert_array_equal(corp.features[1, :1], _normalized(raws[1]))
+    assert not corp.features[0, 3:].any() and not corp.features[1, 1:].any()
 
 
 def test_pad_exact_fit_unchanged():
-    rng = np.random.default_rng(1)
-    data = rng.normal(size=(25, N_FEATURES))
-    sign = pad_sign(data, 25)
-    assert sign.true_length == 25
-    assert np.array_equal(sign.features, data)
+    raws = _raw_signs(25)
+    corp = ingest_raw_signs(raws, 25)
+    assert corp.true_lengths.tolist() == [25]
+    np.testing.assert_array_equal(corp.features[0], _normalized(raws[0]))
 
 
 def test_pad_too_long():
-    with pytest.raises(TooLong):
-        pad_sign(np.ones((26, N_FEATURES)), 25)
+    with pytest.raises(TooLong, match="^sign has 26 frames, more than the padded length 25$"):
+        ingest_raw_signs(_raw_signs(3, 26), 25)
+
+
+def test_ingest_needs_at_least_one_sign():
+    with pytest.raises(InvariantViolation, match="M >= 1"):
+        ingest_raw_signs([])
 
 
 def test_sign_rejects_payload_after_zero_row():
-    feats = np.ones((4, 3))
-    feats[1] = 0.0
-    with pytest.raises(InvariantViolation, match="contiguous suffix"):
-        SignSequence(gloss="g", features=feats, true_length=4)
+    feats = np.ones((1, 4, 3))
+    feats[0, 1] = 0.0
+    with pytest.raises(InvariantViolation, match="^sign 0: .*contiguous suffix"):
+        Corpus.from_arrays(feats, [4], ["g"], [""], ["none"])
 
 
 def test_sign_rejects_nonzero_padding():
-    with pytest.raises(InvariantViolation, match="past true_length"):
-        SignSequence(gloss="g", features=np.ones((4, 3)), true_length=2)
+    with pytest.raises(InvariantViolation, match="^sign 0: .*past true_length"):
+        Corpus.from_arrays(np.ones((1, 4, 3)), [2], ["g"], [""], ["none"])
 
 
 def test_sign_features_are_read_only():
-    sign = pad_sign(np.ones((2, 4)), 5)
+    corp = ingest_raw_signs(_raw_signs(2), 5)
     with pytest.raises(ValueError):
-        sign.features[0, 0] = 9.0
+        corp.features[0, 0, 0] = 9.0
 
 
 def test_raw_sign_validation():
@@ -141,23 +158,25 @@ def test_ingest_normalizes_and_pads():
     frames = [raw_frame(head=(k, 0.0), rsh=(k + 1.0, 0.0), lsh=(k - 1.0, 0.0))
               for k in range(4)]
     raw = RawSign(gloss="wave", signer_id="s1", noise_level="low", frames=frames)
-    sign = ingest_raw_sign(raw, n_frames=6)
-    assert sign.true_length == 4
-    assert sign.noise == "low"
-    assert sign.features.shape == (6, N_FEATURES)
-    assert np.array_equal(sign.features[0], normalize_pose(frames[0]))
+    corp = ingest_raw_signs([raw], n_frames=6)
+    assert corp.true_lengths.tolist() == [4]
+    assert (corp.glosses.tolist(), corp.signers.tolist(), corp.noises.tolist()) == (
+        ["wave"], ["s1"], ["low"])
+    assert corp.dims == (1, 6, N_FEATURES)
+    assert np.array_equal(corp.features[0, 0], normalize_pose(frames[0]))
 
 
 def test_corpus_dims_filter_and_immutability():
     rng = np.random.default_rng(5)
-    signs = [pad_sign(rng.normal(size=(3, 6)), 5, gloss=f"g{i}",
-                      noise="broken" if i % 2 else "none") for i in range(4)]
-    corp = Corpus(signs)
+    feats = np.zeros((4, 5, 6))
+    feats[:, :3] = rng.normal(size=(4, 3, 6))
+    corp = Corpus.from_arrays(feats, [3] * 4, [f"g{i}" for i in range(4)], [""] * 4,
+                              ["broken" if i % 2 else "none" for i in range(4)])
     assert corp.dims == (4, 5, 6)
-    assert len(corp) == 4 and corp[1].gloss == "g1"
+    assert len(corp) == 4 and corp.glosses[1] == "g1"
     kept = corp.without_noise("broken")
     assert len(kept) == 2
-    assert all(s.noise == "none" for s in kept)
+    assert kept.noises.tolist() == ["none", "none"]
     with pytest.raises(InvariantViolation):
         corp.without_noise("broken", "none")
     with pytest.raises(ValueError):
@@ -169,42 +188,33 @@ def test_corpus_dims_filter_and_immutability():
 COLUMNS = ("features", "true_lengths", "glosses", "signers", "noises")
 
 
-def _mixed_signs(m=6, p=5, d=3):
+def _mixed_corpus(m=6, p=5, d=3):
+    """m signs of 1 to p data rows, two signers and every noise level."""
     rng = np.random.default_rng(12)
-    return [pad_sign(rng.normal(size=(1 + k % p, d)), p, gloss=f"g{k}",
-                     signer=f"s{k % 2}", noise=NOISE_LEVELS[k % len(NOISE_LEVELS)])
-            for k in range(m)]
-
-
-def _assert_same_sign(got, want):
-    assert (got.gloss, got.signer, got.noise, got.true_length) == (
-        want.gloss, want.signer, want.noise, want.true_length)
-    np.testing.assert_array_equal(got.features, want.features)
-
-
-def test_corpus_from_signs_and_from_arrays_agree():
-    signs = _mixed_signs()
-    corp = Corpus(signs)
-    same = Corpus.from_arrays(np.stack([s.features for s in signs]),
-                              [s.true_length for s in signs], [s.gloss for s in signs],
-                              [s.signer for s in signs], [s.noise for s in signs])
-    for name in COLUMNS:
-        np.testing.assert_array_equal(getattr(corp, name), getattr(same, name))
-    assert corp.dims == same.dims == (6, 5, 3)
-    for k, sign in enumerate(signs):
-        _assert_same_sign(corp[k], sign)
-    for got, want in zip(corp, signs, strict=True):
-        _assert_same_sign(got, want)
+    feats = np.zeros((m, p, d))
+    lengths = [1 + k % p for k in range(m)]
+    for k in range(m):
+        feats[k, :lengths[k]] = rng.normal(size=(lengths[k], d))
+    return Corpus.from_arrays(feats, lengths, [f"g{k}" for k in range(m)],
+                              [f"s{k % 2}" for k in range(m)],
+                              [NOISE_LEVELS[k % len(NOISE_LEVELS)] for k in range(m)])
 
 
 def test_corpus_columns_are_read_only():
-    corp = Corpus(_mixed_signs())
+    corp = _mixed_corpus()
     for name in COLUMNS:
         column = getattr(corp, name)
         with pytest.raises(ValueError):
             column[0] = column[1]
         with pytest.raises(AttributeError):
             setattr(corp, name, column.copy())
+
+
+def test_a_corpus_is_built_only_by_from_arrays():
+    corp = _mixed_corpus()
+    for args in [(), tuple(getattr(corp, name) for name in COLUMNS)]:
+        with pytest.raises(TypeError, match="Corpus.from_arrays"):
+            Corpus(*args)
 
 
 def _columns(m):
@@ -303,17 +313,17 @@ def test_synth_corpus_holds_the_features_once():
 
 
 def test_without_noise_gives_the_corpus_itself_when_nothing_is_dropped():
-    corp = Corpus(_mixed_signs())
+    corp = _mixed_corpus()
     assert corp.without_noise("absent") is corp
 
 
 def test_without_noise_keeps_the_order_of_the_remaining_signs():
-    signs = _mixed_signs(m=12)
-    kept = Corpus(signs).without_noise("low", "broken")
-    want = [s for s in signs if s.noise not in ("low", "broken")]
-    assert list(kept.glosses) == [s.gloss for s in want]
-    for got, sign in zip(kept, want, strict=True):
-        _assert_same_sign(got, sign)
+    corp = _mixed_corpus(m=12)
+    kept = corp.without_noise("low", "broken")
+    want = ~np.isin(corp.noises, ("low", "broken"))
+    assert kept.glosses.tolist() == ["g0", "g2", "g3", "g5", "g7", "g8", "g10"]
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(kept, name), getattr(corp, name)[want])
 
 
 def _spoil_finite(feats, lengths, noises):
@@ -356,12 +366,12 @@ def test_batch_check_names_the_bad_sign(spoil, match):
 
 
 def test_corpus_rejects_mixed_shapes():
-    a = pad_sign(np.ones((2, 4)), 5)
-    b = pad_sign(np.ones((2, 3)), 5)
-    with pytest.raises(InvariantViolation, match="shape"):
-        Corpus([a, b])
-    with pytest.raises(InvariantViolation):
-        Corpus([])
+    feats = np.ones((2, 5, 3))
+    for args in [(feats[0], [5], ["g"]), (feats, [5], ["g", "h"]), (feats, [5, 5], ["g"]),
+                 (feats[:0], [], [])]:  # the last has no signs
+        m = len(args[1])
+        with pytest.raises(InvariantViolation, match="^a corpus needs"):
+            Corpus.from_arrays(*args, [""] * m, ["none"] * m)
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -373,7 +383,7 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.dims == corp.dims
     assert np.array_equal(back.features, corp.features)
     assert np.array_equal(back.true_lengths, corp.true_lengths)
-    assert [s.gloss for s in back] == [s.gloss for s in corp]
+    assert back.glosses.tolist() == corp.glosses.tolist()
     header = json.loads(path.read_text().splitlines()[0])
     assert header["format"] == "mh-corpus" and header["version"] == 1
     assert header["D"] == N_FEATURES and header["P"] == 7
@@ -548,19 +558,21 @@ def _reference_jsonl(corpus, config=None):
               [f"f{i}" for i in range(d)]}
     if config is not None:
         header["config"] = config
-    records = [json.dumps({"gloss": s.gloss, "signer": s.signer, "noise": s.noise,
-                           "frames": s.features[:s.true_length].tolist()}) for s in corpus]
+    records = [json.dumps({"gloss": gloss, "signer": signer, "noise": noise,
+                           "frames": features[:length].tolist()})
+               for features, length, gloss, signer, noise in zip(
+                   *(getattr(corpus, name) for name in COLUMNS))]
     return "".join(line + "\n" for line in [json.dumps(header), *records]).encode()
 
 
 def _ingested_corpus(m, seed):
-    """`m` signs through `ingest_raw_sign`, so every frame's head point is an
-    exact zero; glosses that JSON escapes."""
+    """`m` signs through `ingest_raw_signs`, so every frame's head point is
+    an exact zero; glosses that JSON escapes."""
     rng = np.random.default_rng(seed)
-    return Corpus([ingest_raw_sign(RawSign(
+    return ingest_raw_signs([RawSign(
         gloss=f'g"{i}\u00e9\\', signer_id=f"s{i % 3}", noise_level="low",
         frames=[{name: tuple(rng.normal(0.0, 50.0, size=2)) for name in KEYPOINTS}
-                for _ in range(rng.integers(1, 26))])) for i in range(m)])
+                for _ in range(rng.integers(1, 26))]) for i in range(m)])
 
 
 @pytest.mark.parametrize("source", ["synth", "ingested"])
@@ -570,6 +582,14 @@ def test_a_saved_jsonl_is_the_text_json_dumps_writes(tmp_path, source):
     path = tmp_path / "c.jsonl"
     save_corpus(corp, path, config={"seed": 4, "source": source})
     assert path.read_bytes() == _reference_jsonl(corp, {"seed": 4, "source": source})
+
+
+def test_ingested_signs_save_the_bytes_they_saved_one_sign_at_a_time(tmp_path):
+    # the SHA-256 of this JSONL when each raw sign was padded and checked on
+    # its own before the signs were stacked into a corpus
+    save_corpus(_ingested_corpus(120, seed=5), tmp_path / "c.jsonl")
+    assert hashlib.sha256((tmp_path / "c.jsonl").read_bytes()).hexdigest() == (
+        "9e77de713f70f92eac3c62ef167257d2fe33d557d16e2c9a4e3e4bff52defbe8")
 
 
 def test_a_save_holds_a_few_runs_in_this_process(tmp_path):
@@ -990,16 +1010,16 @@ def test_from_arrays_rejects_glosses_and_signers_that_are_not_strings():
 
 
 def test_signs_and_corpora_reject_a_true_length_that_is_not_an_integer():
-    feats = np.ones((2, 3))
+    feats = np.ones((1, 2, 3))
     with pytest.raises(InvariantViolation, match="^sign 0: gloss must be a string, got int$"):
-        SignSequence(gloss=5, features=feats, true_length=2, signer=None)
+        Corpus.from_arrays(feats, [2], [5], [None], ["none"])
     with pytest.raises(InvariantViolation,
                        match="^sign 0: true_length must be an integer, got float$"):
-        SignSequence(gloss="g", features=feats, true_length=1.5)
+        Corpus.from_arrays(feats, [1.5], ["g"], [""], ["none"])
     with pytest.raises(InvariantViolation,
                        match="^sign 1: true_length must be an integer, got float$"):
         Corpus.from_arrays(np.ones((2, 3, 2)), [3, 2.9], ["a", "b"], ["s", "s"], ["none"] * 2)
-    assert SignSequence(gloss="g", features=feats, true_length=np.int64(2)).true_length == 2
+    assert Corpus.from_arrays(feats, [np.int64(2)], ["g"], [""], ["none"]).true_lengths[0] == 2
 
 
 _HYPER = Hyperparams().to_dict()
@@ -1105,7 +1125,7 @@ def test_synth_same_seed_identical():
     b, lb = synth_corpus(truth, 12, seed=77)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(la.labels, lb.labels)
-    assert [s.gloss for s in a] == [s.gloss for s in b]
+    assert a.glosses.tolist() == b.glosses.tolist()
 
 
 def test_synth_noisy_end_token_keeps_full_length():
@@ -1119,9 +1139,8 @@ def test_synth_exact_end_token_zero_suffix():
     truth = make_truth_params(4, 6, seed=7, end_prob=0.3)
     corp, assign = synth_corpus(truth, 60, seed=8, n_frames=12)
     entered = np.cumsum(assign.labels == 0, axis=1) > 0
-    for i, sign in enumerate(corp):
-        length = sign.true_length
-        assert not sign.features[length:].any()
+    for i, (features, length) in enumerate(zip(corp.features, corp.true_lengths)):
+        assert not features[length:].any()
         if entered[i].any():
             assert length == max(1, int(np.argmax(entered[i])))
         else:

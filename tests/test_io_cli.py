@@ -569,15 +569,14 @@ def test_cli_excludes_broken_signs_by_default(tmp_path):
     # Hand-build a corpus where one sign is marked broken and sits far away;
     # training with and without it must differ, and the default must match
     # training on the clean subset.
-    from mh_phone.corpus import Corpus, SignSequence, save_corpus
+    from mh_phone.corpus import Corpus, save_corpus
 
     rng = np.random.default_rng(83)
-    clean = [SignSequence(gloss=f"c{i}", features=rng.normal(0, 0.3, (6, 2)) + 1.0,
-                          true_length=6, noise="low") for i in range(8)]
-    broken = [SignSequence(gloss="b0", features=np.full((6, 2), 40.0),
-                           true_length=6, noise="broken")]
+    features = np.concatenate([rng.normal(0, 0.3, (8, 6, 2)) + 1.0, np.full((1, 6, 2), 40.0)])
+    glosses = [f"c{i}" for i in range(8)] + ["b0"]
+    mixed = Corpus.from_arrays(features, [6] * 9, glosses, [""] * 9, ["low"] * 8 + ["broken"])
     path = tmp_path / "mix.jsonl"
-    save_corpus(Corpus(clean + broken), path)
+    save_corpus(mixed, path)
 
     out_default = tmp_path / "default.json"
     out_subset = tmp_path / "subset.json"
@@ -585,7 +584,7 @@ def test_cli_excludes_broken_signs_by_default(tmp_path):
     assert _run("train", "--corpus", str(path), "--out", str(out_default),
                 "--n-states", "2", "--max-iters", "10", "--seed", "4") == 0
     clean_path = tmp_path / "clean.jsonl"
-    save_corpus(Corpus(clean), clean_path)
+    save_corpus(mixed.without_noise("broken"), clean_path)
     assert _run("train", "--corpus", str(clean_path), "--out", str(out_subset),
                 "--n-states", "2", "--max-iters", "10", "--seed", "4") == 0
     assert _run("train", "--corpus", str(path), "--out", str(out_all),
@@ -975,6 +974,13 @@ def test_importing_the_cli_does_not_import_jsonschema():
 def test_importing_the_cli_does_not_import_multiprocessing():
     # nothing in mh_phone starts a process
     assert not _imported_by_the_cli("multiprocessing")
+
+
+def test_every_exported_name_resolves():
+    import mh_phone
+    namespace = {}
+    exec("from mh_phone import *", namespace)  # raises for a listed name the package lacks
+    assert set(mh_phone.__all__) <= namespace.keys()
 
 
 @pytest.mark.parametrize("companion", [True, False], ids=["companion", "decoder"])

@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize, stats
 
 from mh_phone import model
-from mh_phone.corpus import SignSequence, Corpus, synth_corpus
+from mh_phone.corpus import synth_corpus
 from mh_phone.errors import InvariantViolation, NotEnoughData
 from mh_phone.estimation import SIGMA_INIT_FLOOR, emission_loglik, map_sigma
 from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
@@ -458,7 +458,7 @@ def test_sample_delegates_to_chain_sampler():
     got = sample(params, 5, n_frames=8, seed=3)
     want, _ = synth_corpus(params, 5, 3, n_frames=8)
     np.testing.assert_array_equal(got.features, want.features)
-    assert got[0].gloss.startswith("sample-")
+    assert got.glosses[0].startswith("sample-")
 
 
 def test_sample_single_absorbing_prototype():
