@@ -15,7 +15,7 @@ from .model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
                     log_joint, m_step, sample)
 from .params import (Assignment, FitReport, GmmLdaParams, GmmParams,
                      Hyperparams, ModelParams, make_truth_params)
-from .seeding import component_seed, rng_for
+from .seeding import component_seed
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "evaluate_generator", "expected_counts", "expected_hold_length", "fit_em",
     "fit_gmm", "fit_gmm_lda", "format_report", "gru_forward", "gru_grad",
     "ingest_raw_signs", "init_params", "load_corpus", "load_model",
-    "log_joint", "m_step", "make_truth_params", "normalize_pose", "rng_for",
+    "log_joint", "m_step", "make_truth_params", "normalize_pose",
     "sample", "sample_gmm", "sample_gmm_lda", "save_corpus", "save_model",
     "summarize", "synth_corpus", "train_gru", "__version__",
 ]

@@ -13,7 +13,7 @@ prototypes (a mixture of unigrams).
 
 import numpy as np
 
-from .corpus import DEFAULT_FRAMES, Corpus, sampled_corpus
+from .corpus import DEFAULT_FRAMES, Corpus, check_sizes, sampled_corpus
 from .errors import InvariantViolation
 from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
 from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
@@ -115,8 +115,8 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyp
 
 def sample_gmm(params: GmmParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0, return_labels=False):
     """Draw signs whose frames are i.i.d. mixture draws (no temporal structure)."""
+    n_signs, n_frames = check_sizes(n_signs=n_signs, n_frames=n_frames)
     rng = np.random.default_rng(seed)
-    n_signs, n_frames = int(n_signs), int(n_frames)
     labels = draw_categorical(rng, params.weights, (n_signs, n_frames))
     feats = gaussian_frames(rng, params.mu, params.sigma, labels)
     corpus = sampled_corpus(feats, np.full(n_signs, n_frames), "gmm")
@@ -128,8 +128,8 @@ def sample_gmm(params: GmmParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0, retu
 def sample_gmm_lda(params: GmmLdaParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0,
                    return_labels=False):
     """Draw one topic per sign, then frames i.i.d. from that topic's prototypes."""
+    n_signs, n_frames = check_sizes(n_signs=n_signs, n_frames=n_frames)
     rng = np.random.default_rng(seed)
-    n_signs, n_frames = int(n_signs), int(n_frames)
     topics = draw_categorical(rng, params.topic_freq, (n_signs,))
     labels = draw_categorical(rng, params.topic_word[topics][:, None, :], (n_signs, n_frames))
     feats = gaussian_frames(rng, params.mu, params.sigma, labels)

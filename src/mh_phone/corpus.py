@@ -27,7 +27,7 @@ import os
 import zipfile
 import zlib
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
@@ -134,7 +134,7 @@ class RawSign:
     gloss: str
     signer_id: str
     noise_level: str
-    frames: tuple = field(default_factory=tuple)
+    frames: tuple
 
     def __post_init__(self):
         if self.noise_level not in NOISE_LEVELS:
@@ -362,13 +362,6 @@ def _write_npz(fh, corpus, header, digest=None):
         _write_npy(zf, "features.npy", corpus.features, _feature_blocks(corpus))
 
 
-def _at_line(error, line, detail):
-    """The `error` exception for `detail` found on line `line` of a corpus file."""
-    if error is ParseError:
-        return ParseError(detail, line=line)
-    return error(f"line {line}: {detail}")
-
-
 def _parse_json(raw, what):
     try:
         return json.loads(raw)
@@ -490,7 +483,7 @@ def _decode(fh, p, d):
             try:
                 records.append((line, *_parse_record(_parse_json(raw, "record"), p, d)))
             except (ParseError, InvariantViolation) as exc:
-                raise _at_line(type(exc), line, str(exc)) from None
+                raise type(exc)(str(exc), line=line) from None
     if not records:
         raise InvariantViolation("corpus file contains a header but no signs")
     lines, blocks, glosses, signers, noises = zip(*records)
@@ -521,7 +514,7 @@ def load_corpus(path) -> Corpus:
         try:
             p, d = _parse_header(first)
         except (ParseError, InvariantViolation) as exc:
-            raise _at_line(type(exc), 1, str(exc)) from None
+            raise type(exc)(str(exc), line=1) from None
         lines, lengths, glosses, signers, noises, frames = _decode(fh, p, d)
     try:
         features = np.zeros((len(lines), p, d))
@@ -532,10 +525,10 @@ def load_corpus(path) -> Corpus:
         features.flags.writeable = False
         return Corpus.from_arrays(features, lengths, glosses, signers, noises)
     except InvariantViolation as exc:  # raised by check_signs, so exc.sign is set
-        raise InvariantViolation(f"line {lines[exc.sign]}: {exc.check}") from None
+        raise InvariantViolation(exc.check, line=lines[exc.sign]) from None
     except MemoryError:  # the header's P, not the data, sets the padded size
-        raise InvariantViolation(f"line 1: header P={p} pads {len(lines)} signs of {d} features "
-                                 "to more frames than fit in memory") from None
+        raise InvariantViolation(f"header P={p} pads {len(lines)} signs of {d} features to "
+                                 "more frames than fit in memory", line=1) from None
 
 
 def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
@@ -548,22 +541,26 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
     frames are zeroed from the first entry into state 0 onward so zero rows
     form a contiguous suffix; otherwise every frame is a Gaussian draw.
     """
-    m_signs, p = int(m_signs), int(n_frames)
-    for name, value in (("m_signs", m_signs), ("n_frames", p)):
-        if value < 1:
-            raise InvariantViolation(f"{name} must be at least 1, got {value}")
+    m_signs, p = check_sizes(m_signs=m_signs, n_frames=n_frames)
     rng = np.random.default_rng(seed)
     labels = markov_chain_sample(rng, truth.pi, truth.trans, m_signs, p)
     feats = gaussian_frames(rng, truth.mu, truth.sigma, labels)
     if exact_end_token:
         ended = np.cumsum(labels == 0, axis=1) > 0
         feats[ended] = 0.0
-        any_end = ended[:, -1]
-        first_end = np.where(any_end, np.argmax(ended, axis=1), p)
-        lengths = np.clip(first_end, 1, p)
+        lengths = np.maximum(p - ended.sum(axis=1), 1)  # ended is a suffix of each sign
     else:
         lengths = np.full(m_signs, p)
     return sampled_corpus(feats, lengths, gloss_prefix), Assignment(labels=labels)
+
+
+def check_sizes(**sizes):
+    """A sampler's sizes as ints, in keyword order; raises InvariantViolation
+    naming the first below 1. Every sampler calls it before it draws."""
+    for name, value in sizes.items():
+        if int(value) < 1:
+            raise InvariantViolation(f"{name} must be at least 1, got {int(value)}")
+    return tuple(map(int, sizes.values()))
 
 
 def sampled_corpus(features, lengths, gloss_prefix) -> Corpus:

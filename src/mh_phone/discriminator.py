@@ -41,12 +41,12 @@ batch.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import EmptyBatch, InvariantViolation, NotEnoughData
-from .seeding import component_seed, rng_for
+from .seeding import component_seed
 
 LN2 = math.log(2.0)
 
@@ -360,12 +360,10 @@ class EvalReport:
     bce_std: float
     n_seeds: int
     per_seed: list
-    options: dict = field(default_factory=dict)
+    options: dict
 
     def to_dict(self):
-        return {"bce_mean": self.bce_mean, "bce_std": self.bce_std,
-                "n_seeds": self.n_seeds, "per_seed": list(self.per_seed),
-                "options": dict(self.options)}
+        return asdict(self)
 
 
 def _stratified_split(rng, labels, train_frac):
@@ -410,7 +408,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
             raise InvariantViolation(
                 f"generator returned shape {fake_batch.shape}, expected {real_batch.shape}")
         labels = np.concatenate([np.ones(n_real), np.zeros(n_real)])
-        rng = rng_for(seed, f"discriminator/{k}")
+        rng = np.random.default_rng(component_seed(seed, f"discriminator/{k}"))
         train_idx, test_idx = _stratified_split(rng, labels, split)
         # Only the two slices outlive the joined batch and the draw, so the
         # training's workspace can take their memory.

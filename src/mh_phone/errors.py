@@ -20,13 +20,16 @@ class ParseError(MhPhoneError):
 
 
 class InvariantViolation(MhPhoneError):
-    """A structural invariant failed; the message names the failed check, and
-    the sign of a batch it failed on when `sign` is given."""
+    """A structural invariant failed; the message names the failed check, the
+    sign of a batch it failed on when `sign` is given, and the line of a file
+    it failed on when `line` is given, as ParseError does."""
 
-    def __init__(self, check, sign=None):
-        super().__init__(check if sign is None else f"sign {sign}: {check}")
+    def __init__(self, check, sign=None, line=None):
+        message = check if sign is None else f"sign {sign}: {check}"
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.check = check
         self.sign = sign
+        self.line = line
 
 
 class TooLong(InvariantViolation):

@@ -213,10 +213,6 @@ class Assignment:
             raise InvariantViolation("labels must be non-negative state indices")
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def shape(self):
-        return self.labels.shape
-
 
 @dataclass
 class FitReport:
@@ -244,44 +240,38 @@ def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
     n, d = n_states, n_features
 
     spread = max(float(separation), 1.0)
-    mu = None
     for _ in range(1000):
         cand = rng.normal(0.0, spread, size=(n - 1, d))
         if d >= 2:
             cand[:, :2] = 0.0
-        pts = np.vstack([np.zeros(d), cand])
+        mu = np.vstack([np.zeros(d), cand])
         with np.errstate(over="ignore", invalid="ignore"):
-            dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+            dists = np.linalg.norm(mu[:, None, :] - mu[None, :, :], axis=-1)
         if not np.all(np.isfinite(dists)):
             raise InvariantViolation(f"separation {separation:g} is too large: prototype "
                                      "distances overflow float64")
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= separation:
-            mu = pts
             break
-    if mu is None:
+    else:
         raise InvariantViolation("could not place prototypes at the requested separation")
 
     pi = np.zeros(n)
     pi[1:] = rng.dirichlet(np.full(n - 1, 5.0))
     pi /= pi.sum()
 
+    # A live state holds with self_stick, ends with end_prob (at most all it
+    # leaves with; all of it when it is the only live state) and spreads the
+    # rest over the other live states by one Dirichlet row each.
+    leave = 1.0 - float(self_stick)
+    to_end = min(float(end_prob), leave) if n > 2 else leave
     trans = np.zeros((n, n))
     trans[0, 0] = 1.0
-    for i in range(1, n):
-        stay = float(self_stick)
-        leave = 1.0 - stay
-        row = np.zeros(n)
-        row[i] = stay
-        others = [j for j in range(1, n) if j != i]
-        if others:
-            to_end = min(float(end_prob), leave)
-            row[0] = to_end
-            rest = leave - to_end
-            if rest > 0:
-                row[others] = rest * rng.dirichlet(np.full(len(others), 3.0))
-        else:
-            row[0] = leave
-        trans[i] = row / row.sum()
+    trans[1:, 0] = to_end
+    moves = rng.dirichlet(np.full(n - 2, 3.0), size=n - 1)
+    live = trans[1:, 1:]
+    live[~np.eye(n - 1, dtype=bool)] = (leave - to_end) * moves.ravel()
+    np.fill_diagonal(live, float(self_stick))
+    trans /= trans.sum(axis=1, keepdims=True)
 
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=np.full(d, float(sigma)))

@@ -2,12 +2,11 @@
 
 One user-facing --seed drives every random draw in a pipeline. Components
 derive their own independent streams through component_seed, so adding a new
-consumer never perturbs the draws of existing ones.
+consumer never perturbs the draws of existing ones; each seeds its own
+generator with `np.random.default_rng(component_seed(seed, name))`.
 """
 
 import hashlib
-
-import numpy as np
 
 
 def component_seed(seed: int, name: str) -> int:
@@ -18,8 +17,3 @@ def component_seed(seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def rng_for(seed: int, name: str) -> np.random.Generator:
-    """Generator seeded with the component stream for `name`."""
-    return np.random.default_rng(component_seed(seed, name))

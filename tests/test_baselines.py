@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from mh_phone import baselines
+from mh_phone import corpus as corpus_module
 from mh_phone.baselines import (GmmLdaParams, GmmParams, _lda_e_step, fit_gmm, fit_gmm_lda,
                                 sample_gmm, sample_gmm_lda)
 from mh_phone.errors import InvariantViolation, NotEnoughData
 from mh_phone.estimation import dirichlet_map, emission_loglik, safe_log
 from mh_phone.model import emission_means, emission_sigma, m_step
-from mh_phone.params import Assignment, Hyperparams
+from mh_phone.corpus import synth_corpus
+from mh_phone.params import Assignment, Hyperparams, make_truth_params
 
 from helpers import (corpus_from_features, label_digest, params_digest, pinned_corpus,
                      random_params, trace_digest)
@@ -308,3 +310,39 @@ def test_mixture_sample_draws_are_pinned():
         "4bc8b4cf8c5d40a8ffae91415050ca503f58d73c71d45f38c72931f4313c4fb5")
     assert label_digest(labels) == (
         "886a04f3f590f966a6621addd30d9c33b2368c4c30534ecd9d06689710817466")
+
+
+_GMM = GmmParams(weights=[1.0], mu=[[0.0]], sigma=[1.0])
+_LDA = GmmLdaParams(topic_word=[[1.0]], topic_freq=[1.0], doc_topic_prior=1.0,
+                    word_prior=1.0, mu=[[0.0]], sigma=[1.0])
+_TRUTH = make_truth_params(2, 1)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("sampler, size", [
+    (lambda n, p: sample_gmm(_GMM, n, n_frames=p), "n_signs"),
+    (lambda n, p: sample_gmm(_GMM, 3, n_frames=n), "n_frames"),
+    (lambda n, p: sample_gmm_lda(_LDA, n, n_frames=p), "n_signs"),
+    (lambda n, p: sample_gmm_lda(_LDA, 3, n_frames=n), "n_frames"),
+    (lambda n, p: synth_corpus(_TRUTH, n, 0, n_frames=p), "m_signs"),
+    (lambda n, p: synth_corpus(_TRUTH, 3, 0, n_frames=n), "n_frames"),
+], ids=["gmm-signs", "gmm-frames", "lda-signs", "lda-frames", "synth-signs", "synth-frames"])
+def test_samplers_reject_sizes_below_one_before_drawing(monkeypatch, sampler, size, value):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the sizes")
+
+    monkeypatch.setattr(baselines, "draw_categorical", no_draw)
+    monkeypatch.setattr(corpus_module, "markov_chain_sample", no_draw)
+    with pytest.raises(InvariantViolation, match=f"^{size} must be at least 1, got {value}$"):
+        sampler(value, 4)
+
+
+@pytest.mark.parametrize("fit, message", [
+    (lambda c: fit_gmm(c, 0), "n_components must be at least 1"),
+    (lambda c: fit_gmm_lda(c, 0, 2), "n_components and n_topics must be at least 1"),
+    (lambda c: fit_gmm_lda(c, 2, 0), "n_components and n_topics must be at least 1"),
+], ids=["gmm-components", "lda-components", "lda-topics"])
+def test_mixture_fits_need_a_component_and_a_topic(fit, message):
+    corpus = corpus_from_features(np.ones((2, 3, 1)))
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        fit(corpus)

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
+import struct
 import subprocess
 import sys
 import textwrap
@@ -915,6 +917,23 @@ def _flip_last_feature_byte(members):
     return bytes(data)
 
 
+def _npy_version_3(array):
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=(3, 0))
+    return buffer.getvalue()
+
+
+def _features_cut_short(members):
+    """features.npy 8 bytes shorter than the size the zip's central directory
+    states, under the CRC of the bytes that are there: zipfile reads it to
+    its end without an error, so only the load's own read sees it short."""
+    npy = members["features.npy"]
+    data = bytearray(_zip(dict(members, **{"features.npy": npy[:-8]})))
+    entry = bytes(data).rindex(b"features.npy") - 46  # the central directory entry
+    struct.pack_into("<I", data, entry + 24, len(npy))  # its uncompressed size
+    return bytes(data)
+
+
 _FEATURES_2 = np.zeros((2, 4, 3))
 _FEATURES_2[:, :2] = 1.0
 _BAD_NPZ = {
@@ -938,6 +957,8 @@ _BAD_NPZ = {
     "flipped-feature-byte": _flip_last_feature_byte,
     "not-a-zip": lambda members: b'{"format": "mh-corpus"}\n',
     "empty": lambda members: b"",
+    "npy-version-3": _with(features_npy=_npy_version_3(_FEATURES_2)),
+    "features-cut-short": _features_cut_short,
 }
 
 
@@ -953,6 +974,18 @@ def test_a_bad_npz_raises_and_a_bad_companion_is_a_silent_miss(tmp_path, spoil):
         load_corpus(tmp_path / "bad.npz")
     companion.write_bytes(bad)
     _assert_identical(load_corpus(path), load_corpus(_without_companion(path)))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ("npy-version-3", "member features.npy has unsupported .npy version (3, 0)"),
+    ("features-cut-short", "member features.npy is truncated"),
+])
+def test_the_load_checks_npy_members_that_zipfile_reads(tmp_path, spoil, message):
+    corp = Corpus.from_arrays(_FEATURES_2, [2, 2], ["a", "b"], ["s", "s"], ["none", "none"])
+    save_corpus(corp, tmp_path / "c.npz")
+    (tmp_path / "bad.npz").write_bytes(_BAD_NPZ[spoil](_members(tmp_path / "c.npz")))
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_corpus(tmp_path / "bad.npz")
 
 
 def test_every_damaged_npz_gives_a_corpus_or_an_mh_phone_error(tmp_path):
@@ -1101,6 +1134,16 @@ def test_load_refuses_a_header_padding_beyond_memory(tmp_path):
     assert not out.exists()
 
 
+def test_load_names_line_1_when_the_padded_array_cannot_be_allocated(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _write_corpus_file(path, [_record([[1.0, 0.0, 0.0]])] * 2, p=10 ** 12)
+    with mock.patch.object(corpus_module.np, "zeros", side_effect=MemoryError):
+        kind, message, line = _load_error(path)
+    assert (kind, line) == (InvariantViolation, 1)
+    assert message == ("line 1: header P=1000000000000 pads 2 signs of 3 features to more "
+                       "frames than fit in memory")
+
+
 def test_load_record_longer_than_padded_length(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_corpus_file(path, [_record([[1.0, 0.0, 0.0]] * 5)], p=4)
@@ -1168,6 +1211,6 @@ def test_synth_dims_follow_truth_and_request():
     truth = make_truth_params(3, 8, seed=0)
     corp, assign = synth_corpus(truth, 4, seed=1, n_frames=9)
     assert corp.dims == (4, 9, 8)
-    assert assign.shape == (4, 9)
+    assert assign.labels.shape == (4, 9)
     with pytest.raises(InvariantViolation):
         synth_corpus(truth, 0, seed=1)

@@ -428,6 +428,7 @@ def test_train_gru_rejects_negative_epochs():
     ({"lr": 0}, "lr must be positive and finite, got 0.0"),
     ({"lr": -0.5}, "lr must be positive and finite, got -0.5"),
     ({"lr": math.nan}, "lr must be positive and finite, got nan"),
+    ({"hidden_dim": 0}, "hidden_dim must be at least 1, got 0"),
 ])
 def test_evaluate_generator_rejects_bad_counts_before_drawing(kwargs, message):
     real = _real_corpus(77, m=12)
@@ -573,6 +574,19 @@ def test_a_batch_of_the_wrong_width_is_rejected(monkeypatch, fn, width):
     with pytest.raises(InvariantViolation,
                        match=f"^batch has {width} features per frame, the net takes 3$"):
         fn(GruNet.random(3, 2, rng), batch, np.arange(4) % 2)
+
+
+@pytest.mark.parametrize("fn, shape, message", [
+    (lambda net, data: bce_loss(net, data, np.arange(4) % 2), (4, 15),
+     "a batch must be (signs, frames, features)"),
+    (lambda net, data: gru_grad(net, data, np.arange(4) % 2), (4, 5, 3, 1),
+     "a batch must be (signs, frames, features)"),
+    (gru_forward, (5,), "sequence must be a (frames, features) matrix"),
+    (gru_forward, (1, 5, 3), "sequence must be a (frames, features) matrix"),
+], ids=["bce_loss-2d", "gru_grad-4d", "gru_forward-1d", "gru_forward-3d"])
+def test_data_of_the_wrong_rank_is_rejected(fn, shape, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        fn(GruNet.random(3, 2, np.random.default_rng(91)), np.ones(shape))
 
 
 @pytest.mark.parametrize("lr", [0, 0.0, -0.5, math.nan, math.inf, -math.inf])

@@ -62,6 +62,17 @@ def test_model_round_trip_all_kinds(tmp_path):
     np.testing.assert_array_equal(dbn_back.trans, orig.trans)
 
 
+def test_save_model_names_a_model_of_no_known_kind_and_writes_nothing(tmp_path):
+    class Subclass(GmmParams):  # a kind is a parameter class itself, not a subclass
+        pass
+
+    for model in (Hyperparams(), Subclass(**_gmm().to_dict())):
+        with pytest.raises(InvariantViolation,
+                           match=f"^unknown model type {type(model).__name__}$"):
+            save_model(tmp_path / "m.json", model, Hyperparams())
+    assert not os.listdir(tmp_path)
+
+
 def test_load_model_rejects_foreign_and_malformed_files(tmp_path):
     foreign = tmp_path / "foreign.json"
     foreign.write_text('{"format": "other", "version": 1}\n')

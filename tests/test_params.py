@@ -1,5 +1,6 @@
 """Parameter container validation and the synthetic ground-truth builder."""
 
+import hashlib
 import re
 import warnings
 
@@ -110,7 +111,7 @@ def test_model_params_dict_round_trip():
 
 def test_assignment_validation():
     a = Assignment(labels=[[0, 1], [2, 0]])
-    assert a.shape == (2, 2)
+    assert a.labels.shape == (2, 2)
     assert a.labels.dtype == np.int64
     with pytest.raises(ValueError):
         a.labels[0, 0] = 3
@@ -162,6 +163,57 @@ def test_make_truth_deterministic_and_validated():
     assert np.array_equal(a.trans, b.trans)
     with pytest.raises(InvariantViolation):
         make_truth_params(1, 4)
+
+
+# SHA-256 of pi, trans and mu's bytes, recorded before the transition rows
+# were drawn in one call: the 2-state row, an end probability above
+# 1 - self_stick, self_stick = 1 and one feature each keep their bytes.
+_TRUTH_DIGESTS = [
+    ((2, 14, 0, {}), "47933b9010a2be7f848d8501600429694869ffd107bf59e89562f454cf174df6"),
+    ((2, 1, 4, dict(self_stick=1.0)),
+     "aa0b73b5b59a92ac52b5395851552275051c05f79a50cb28ecae718aba7d497b"),
+    ((3, 14, 1, {}), "1fd437b2f7a32180149429665329186844e5b7ed29bd68a4a548715641d221f4"),
+    ((3, 5, 2, dict(end_prob=0.3)),
+     "5dab802f5b9de6cc80b3f4681fdaa5e6c5ed73dad3cdeb85973175d1244a70da"),
+    ((3, 1, 6, dict(self_stick=1.0, separation=1.0)),
+     "21e481005d849df5d0d58d1169903b9b0fe2db593431cd0bafab69b155bd9069"),
+    ((10, 14, 0, {}), "2452fcb7314dcc0dceb85fda0edd836d962ecedac77b5372aa7089c70e2bfb53"),
+    ((10, 5, 8, dict(self_stick=0.6, end_prob=0.5, separation=1.0)),
+     "e11f09cd3f1b260922a0c4ad427a725421624754a7801813d3c209c9dd8fcd3f"),
+    ((12, 14, 3, dict(self_stick=0.7, end_prob=0.1)),
+     "91601e1ed14c5a1195c0b4d21194cecf1433a76353b0e9c9ff42b017c8fb78bb"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _TRUTH_DIGESTS,
+                         ids=[f"n{n}-d{d}-seed{s}" for (n, d, s, _), _ in _TRUTH_DIGESTS])
+def test_make_truth_keeps_its_bytes(args, digest):
+    n, d, seed, options = args
+    truth = make_truth_params(n, d, seed=seed, **options)
+    data = b"".join(a.tobytes() for a in (truth.pi, truth.trans, truth.mu))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, options, message", [
+    ((4, 0), {}, "need at least one feature dimension"),
+    ((10, 3), dict(seed=8, separation=1.0),
+     "could not place prototypes at the requested separation"),
+], ids=["no-features", "unplaceable"])
+def test_make_truth_rejects_what_it_cannot_build(args, options, message):
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        make_truth_params(*args, **options)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("trans", np.full((2, 3), 0.5), "trans must be square and match len(pi)"),
+    ("mu", np.zeros((3, 2)), "mu must have one row per state"),
+    ("mu", np.zeros(2), "mu must have one row per state"),
+], ids=["trans-not-square", "mu-rows", "mu-not-2d"])
+def test_model_params_rejects_shapes_that_do_not_match_pi(field, value, message):
+    kwargs = dict(pi=[0.5, 0.5], trans=np.full((2, 2), 0.5), mu=np.zeros((2, 2)),
+                  sigma=np.ones(2))
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        ModelParams(**dict(kwargs, **{field: value}))
 
 
 @pytest.mark.parametrize("cls, field, value", [
