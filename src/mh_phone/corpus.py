@@ -9,8 +9,8 @@ all-zero end token, and zero rows always form a contiguous suffix.
 A Corpus is columnar: read-only `features` (M, P, D), `true_lengths` (M,) and
 (M,) `glosses`, `signers` and `noises` arrays, and nothing else. Every corpus is
 built by its one validating constructor, `Corpus.from_arrays`, which checks all
-signs at once with `check_signs`; `ingest_raw_signs` normalizes and pads raw
-keypoint signs into one.
+signs at once with `check_signs` and stores C-order features, padding as +0.0;
+`ingest_raw_signs` normalizes and pads raw keypoint signs into one.
 
 `save_corpus` writes a JSONL in one pass in this process, spelling the
 floats of a run of signs at once with the numpy kernel of `floatrepr`, byte
@@ -112,17 +112,23 @@ def check_signs(features, lengths, noises):
                                                 noise=noises[sign]), sign=sign)
 
 
-_TYPES = (("true_length", (int, np.integer), "an integer"), ("gloss", str, "a string"),
-          ("signer", str, "a string"))
+def _is_integer(value):
+    """Whether `value` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_TYPES = (("true_length", _is_integer, "an integer"),
+          ("gloss", lambda value: isinstance(value, str), "a string"),
+          ("signer", lambda value: isinstance(value, str), "a string"))
 
 
 def _check_types(lengths, glosses, signers):
     """Check that every true length is an integer and every gloss and signer
     a string, column by column; raises on the first bad value, with its
     sign's index as the error's `sign`."""
-    for (what, kind, name), column in zip(_TYPES, (lengths, glosses, signers)):
+    for (what, accepts, name), column in zip(_TYPES, (lengths, glosses, signers)):
         for sign, value in enumerate(column):
-            if not isinstance(value, kind):
+            if not accepts(value):
                 raise InvariantViolation(f"{what} must be {name}, got {type(value).__name__}",
                                          sign=sign)
 
@@ -158,14 +164,15 @@ class Corpus:
     def from_arrays(cls, features, true_lengths, glosses, signers, noises) -> "Corpus":
         """The one validating constructor: copy the columns, check that every
         true length is an integer, every gloss and signer a string and every
-        sign passes `check_signs`, and store the columns read-only.
+        sign passes `check_signs`, and store the columns read-only, padding +0.0.
 
-        A float64 `features` array that owns its data and is already
-        read-only is kept without a copy; any other is copied, so a caller's
-        later writes to its array cannot reach the corpus."""
+        A C-order float64 `features` array that owns its data and is already
+        read-only is kept without a copy; any other is copied to C order, so
+        a caller's later writes to its array cannot reach the corpus."""
         if not (type(features) is np.ndarray and features.dtype == np.float64
-                and features.flags.owndata and not features.flags.writeable):
-            features = np.array(features, dtype=float)
+                and features.flags.owndata and not features.flags.writeable
+                and features.flags.c_contiguous):
+            features = np.array(features, dtype=float, order="C")
         columns = [np.array(column, dtype=object)
                    for column in (true_lengths, glosses, signers, noises)]
         if features.ndim != 3 or not len(features) or any(
@@ -175,6 +182,8 @@ class Corpus:
         _check_types(*columns[:3])
         columns[0] = columns[0].astype(np.int64)
         check_signs(features, columns[0], columns[3])
+        features.flags.writeable = True  # allowed: the array owns its data
+        features[np.arange(features.shape[1]) >= columns[0][:, None]] = 0.0
         corpus = object.__new__(cls)
         for name, column in zip(cls.__slots__, (features, *columns)):
             column.flags.writeable = False
@@ -298,7 +307,7 @@ def save_corpus(corpus: Corpus, path, config=None):
 # padding rows +0.0) in numpy's .npy format. A companion adds `jsonl.sha256`,
 # the hex SHA-256 of the JSONL bytes it was written with.
 _DIGEST = "jsonl.sha256"
-_BLOCK_BYTES = 1 << 18  # the unit of buffered binary writes, reads and hashing
+_BLOCK_BYTES = 1 << 18  # the unit of buffered binary reads and hashing
 
 
 def _is_npz(path):
@@ -319,33 +328,16 @@ def _member(name):
     return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
 
 
-def _write_npy(zf, name, array, blocks):
-    """Write `array`'s dtype and shape and the C-order bytes of `blocks` as
-    the .npy member `name`, without a copy of the whole array."""
+def _write_npy(zf, name, array):
+    """Write the C-order `array` as the .npy member `name`, its own buffer
+    after the header, without a copy."""
     head = io.BytesIO()
-    np.lib.format.write_array_header_1_0(head, {
-        "descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
-        "shape": array.shape})
+    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(array))
     info = _member(name)
     info.file_size = head.tell() + array.nbytes  # sizes the member's zip64 fields
     with zf.open(info, "w") as fh:
         fh.write(head.getvalue())
-        for block in blocks:
-            fh.write(block)
-
-
-def _feature_blocks(corpus):
-    """The features in C order, about _BLOCK_BYTES at a time, with every
-    padding row +0.0 as a JSONL load repads it (a -0.0 in padding passes
-    `check_signs`). The blocks share one buffer."""
-    m, p, d = corpus.dims
-    step = max(1, _BLOCK_BYTES // (p * d * 8))
-    buffer = np.empty((min(step, m), p, d))
-    for start in range(0, m, step):
-        block = buffer[:min(step, m - start)]
-        np.copyto(block, corpus.features[start:start + len(block)])
-        block[np.arange(p) >= corpus.true_lengths[start:start + len(block), None]] = 0.0
-        yield memoryview(block).cast("B")
+        fh.write(memoryview(array).cast("B"))
 
 
 def _write_npz(fh, corpus, header, digest=None):
@@ -357,9 +349,8 @@ def _write_npz(fh, corpus, header, digest=None):
         if digest is not None:
             zf.writestr(_member(_DIGEST), digest)
         zf.writestr(_member("strings.json"), json.dumps(strings))
-        _write_npy(zf, "true_lengths.npy", corpus.true_lengths,
-                   [memoryview(corpus.true_lengths).cast("B")])
-        _write_npy(zf, "features.npy", corpus.features, _feature_blocks(corpus))
+        _write_npy(zf, "true_lengths.npy", corpus.true_lengths)
+        _write_npy(zf, "features.npy", corpus.features)
 
 
 def _parse_json(raw, what):
@@ -556,10 +547,12 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
 
 def check_sizes(**sizes):
     """A sampler's sizes as ints, in keyword order; raises InvariantViolation
-    naming the first below 1. Every sampler calls it before it draws."""
+    naming the first that is not an integer or is below 1, before any draw."""
     for name, value in sizes.items():
-        if int(value) < 1:
-            raise InvariantViolation(f"{name} must be at least 1, got {int(value)}")
+        if not _is_integer(value):
+            raise InvariantViolation(f"{name} must be an integer, got {type(value).__name__}")
+        if value < 1:
+            raise InvariantViolation(f"{name} must be at least 1, got {value}")
     return tuple(map(int, sizes.values()))
 
 

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .corpus import DEFAULT_FRAMES, Corpus, synth_corpus
+from .corpus import DEFAULT_FRAMES, Corpus, check_sizes, synth_corpus
 from .errors import InvariantViolation
 from .estimation import (block_scratch, carried_sum, dirichlet_map, emission_loglik, hard_em,
                          map_log_joint, map_means, map_sigma, pair_counts, row_blocks, safe_log,
@@ -221,6 +221,7 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
 def sample(params: ModelParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0,
            exact_end_token=True) -> Corpus:
     """Draw a corpus from the model by ancestral sampling."""
+    n_signs, n_frames = check_sizes(n_signs=n_signs, n_frames=n_frames)
     corpus, _ = synth_corpus(params, n_signs, seed, n_frames=n_frames,
                              exact_end_token=exact_end_token, gloss_prefix="sample")
     return corpus

@@ -9,7 +9,7 @@ from mh_phone.baselines import (GmmLdaParams, GmmParams, _lda_e_step, fit_gmm, f
                                 sample_gmm, sample_gmm_lda)
 from mh_phone.errors import InvariantViolation, NotEnoughData
 from mh_phone.estimation import dirichlet_map, emission_loglik, safe_log
-from mh_phone.model import emission_means, emission_sigma, m_step
+from mh_phone.model import emission_means, emission_sigma, m_step, sample
 from mh_phone.corpus import synth_corpus
 from mh_phone.params import Assignment, Hyperparams, make_truth_params
 
@@ -318,7 +318,11 @@ _LDA = GmmLdaParams(topic_word=[[1.0]], topic_freq=[1.0], doc_topic_prior=1.0,
 _TRUTH = make_truth_params(2, 1)
 
 
-@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("value, message", [
+    (0, "must be at least 1, got 0"), (-1, "must be at least 1, got -1"),
+    (2.7, "must be an integer, got float"), ("5", "must be an integer, got str"),
+    (float("nan"), "must be an integer, got float"), (True, "must be an integer, got bool"),
+], ids=["0", "-1", "2.7", "str", "nan", "bool"])
 @pytest.mark.parametrize("sampler, size", [
     (lambda n, p: sample_gmm(_GMM, n, n_frames=p), "n_signs"),
     (lambda n, p: sample_gmm(_GMM, 3, n_frames=n), "n_frames"),
@@ -326,14 +330,18 @@ _TRUTH = make_truth_params(2, 1)
     (lambda n, p: sample_gmm_lda(_LDA, 3, n_frames=n), "n_frames"),
     (lambda n, p: synth_corpus(_TRUTH, n, 0, n_frames=p), "m_signs"),
     (lambda n, p: synth_corpus(_TRUTH, 3, 0, n_frames=n), "n_frames"),
-], ids=["gmm-signs", "gmm-frames", "lda-signs", "lda-frames", "synth-signs", "synth-frames"])
-def test_samplers_reject_sizes_below_one_before_drawing(monkeypatch, sampler, size, value):
+    (lambda n, p: sample(_TRUTH, n, n_frames=p), "n_signs"),
+    (lambda n, p: sample(_TRUTH, 3, n_frames=n), "n_frames"),
+], ids=["gmm-signs", "gmm-frames", "lda-signs", "lda-frames", "synth-signs", "synth-frames",
+        "sample-signs", "sample-frames"])
+def test_samplers_reject_sizes_below_one_before_drawing(monkeypatch, sampler, size, value,
+                                                        message):
     def no_draw(*args):
         raise AssertionError("drew before checking the sizes")
 
     monkeypatch.setattr(baselines, "draw_categorical", no_draw)
     monkeypatch.setattr(corpus_module, "markov_chain_sample", no_draw)
-    with pytest.raises(InvariantViolation, match=f"^{size} must be at least 1, got {value}$"):
+    with pytest.raises(InvariantViolation, match=f"^{size} {message}$"):
         sampler(value, 4)
 
 

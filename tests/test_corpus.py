@@ -666,13 +666,13 @@ def test_an_interrupted_npz_save_leaves_the_old_file(tmp_path):
     path = tmp_path / "c.npz"
     save_corpus(synth_corpus(make_truth_params(3, 4, seed=1), 41, seed=2)[0], path)
     before = file_bytes(tmp_path)
-    blocks = corpus_module._feature_blocks
+    write_npy = corpus_module._write_npy
 
-    def interrupted(corpus):
-        yield next(blocks(corpus))
+    def interrupted(zf, name, array):
+        write_npy(zf, name, array)  # the lengths member is written, the features are not
         raise KeyboardInterrupt
     new = synth_corpus(make_truth_params(3, 4, seed=3), 3000, seed=4)[0]
-    with mock.patch.object(corpus_module, "_feature_blocks", interrupted), \
+    with mock.patch.object(corpus_module, "_write_npy", interrupted), \
             pytest.raises(KeyboardInterrupt):
         save_corpus(new, path)
     assert file_bytes(tmp_path) == before
@@ -833,6 +833,33 @@ def test_the_companion_and_an_npz_give_exactly_what_the_jsonl_gives(tmp_path, ca
     _assert_identical(load_corpus(tmp_path / "c.npz"), decoded)
     if case == "negative-zero-padding":  # a JSONL load repads with +0.0
         assert not decoded.features[:, 3:].view(np.int64).any()
+
+
+def test_a_corpus_built_with_negative_zero_padding_loads_back_bit_for_bit(tmp_path):
+    feats = np.where(np.arange(4)[:, None] < 2, np.arange(1.0, 4.0), -0.0)[None].repeat(2, 0)
+    feats.flags.writeable = False  # adopted without a copy, its padding made +0.0 in place
+    corp = Corpus.from_arrays(feats, [2, 2], ["a", "b"], ["s", "s"], ["none", "low"])
+    assert corp.features is feats and not feats[:, 2:].view(np.int64).any()
+    path = tmp_path / "c.jsonl"
+    save_corpus(corp, path)
+    save_corpus(corp, tmp_path / "c.npz")
+    for loaded in (load_corpus(_without_companion(path)), _load_from_companion(path),
+                   load_corpus(tmp_path / "c.npz")):
+        _assert_identical(loaded, corp)
+    copied = _edge_corpus("negative-zero-padding")  # a writeable array is copied, then repadded
+    assert not copied.features[:, 3:].view(np.int64).any()
+
+
+def test_a_frozen_fortran_order_array_is_copied_to_c_order_and_saves(tmp_path):
+    want = _edge_corpus("d-3")
+    feats = np.asfortranarray(want.features)
+    feats.flags.writeable = False
+    assert feats.flags.owndata and not feats.flags.c_contiguous
+    corp = Corpus.from_arrays(feats, want.true_lengths, want.glosses, want.signers, want.noises)
+    assert corp.features is not feats and corp.features.flags.c_contiguous
+    _assert_identical(corp, want)
+    save_corpus(corp, tmp_path / "c.npz")
+    _assert_identical(load_corpus(tmp_path / "c.npz"), want)
 
 
 def test_a_corpus_round_trips_jsonl_npz_jsonl_byte_for_byte(tmp_path):
@@ -1052,6 +1079,10 @@ def test_signs_and_corpora_reject_a_true_length_that_is_not_an_integer():
     with pytest.raises(InvariantViolation,
                        match="^sign 1: true_length must be an integer, got float$"):
         Corpus.from_arrays(np.ones((2, 3, 2)), [3, 2.9], ["a", "b"], ["s", "s"], ["none"] * 2)
+    for true in (True, np.bool_(True)):
+        with pytest.raises(InvariantViolation,
+                           match="^sign 0: true_length must be an integer, got bool$"):
+            Corpus.from_arrays(np.ones((2, 3, 2)), [true, 3], ["a", "b"], ["s", "s"], ["none"] * 2)
     assert Corpus.from_arrays(feats, [np.int64(2)], ["g"], [""], ["none"]).true_lengths[0] == 2
 
 
