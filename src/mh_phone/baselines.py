@@ -17,39 +17,62 @@ from .corpus import DEFAULT_FRAMES, Corpus, check_sizes, sampled_corpus
 from .errors import InvariantViolation
 from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
 from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
-                         hard_em, map_log_joint, pair_counts, safe_log, seed_emissions)
+                         hard_em, map_log_joint, pair_counts, picked_terms, safe_log,
+                         seed_emissions, sweep_signs)
 from .model import emission_means, emission_sigma
 from .params import GmmLdaParams, GmmParams, Hyperparams
 
 
 def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
-            seed=0, *, max_iters=200, tol=1e-6):
+            seed=0, *, max_iters=200, tol=1e-6, threads=1):
     """Hard-EM MAP fit of a GMM over all frames. Returns (params, report).
 
     Each iteration labels every frame with its best component, then updates
-    weights, mu (with the previous sigma) and sigma, in that order.
+    weights, mu (with the previous sigma) and sigma, in that order. As in
+    `model.fit_em`, one sweep over sign blocks on `threads` worker threads
+    after seeding and after each M-step takes each block's emission table
+    once, for the objective's terms and the next labels (none on the last
+    allowed iteration).
     """
     if n_components < 1:
         raise InvariantViolation("n_components must be at least 1")
-    _, _, d = corpus.dims
-    frames = corpus.features.reshape(-1, d)
+    m, p, d = corpus.dims
+    features = corpus.features
+    frames = features.reshape(-1, d)
     mu, sigma = seed_emissions(np.random.default_rng(seed), frames, n_components)
     weights = np.full(n_components, 1.0 / n_components)
-    # the objective of one iteration and the E-step of the next share a table
-    loglik = emission_loglik(frames, mu, sigma)
+    labels = np.empty((m, p), dtype=np.int64)
+    iteration = 0
+
+    def sweep(picked, relabel):
+        """Each block's table under (mu, sigma, weights): its terms at the
+        current labels into `picked` (unless None), then, with relabel, the
+        next labels over the current ones."""
+        log_w = safe_log(weights)
+
+        def work(s):
+            table = emission_loglik(features[s], mu, sigma)
+            if picked is not None:
+                picked[s] = picked_terms(table, labels[s])
+            if relabel:
+                table += log_w
+                labels[s] = np.argmax(table, axis=2)
+
+        sweep_signs(m, p, work, threads)
+
+    sweep(None, True)
 
     def step():
-        nonlocal weights, mu, sigma, loglik
-        loglik += safe_log(weights)  # in place: the table is not read again
-        labels = np.argmax(loglik, axis=1)
-        loglik = None  # freed before the M-step and the next table are built
-        counts, mu = emission_means(frames, labels, n_components, sigma, hyper)
+        nonlocal weights, mu, sigma, iteration
+        iteration += 1
+        flat_labels = labels.reshape(-1)
+        counts, mu = emission_means(frames, flat_labels, n_components, sigma, hyper)
         weights = dirichlet_map(counts, hyper.alpha)
-        sigma = emission_sigma(frames, labels, mu, hyper)
-        loglik = emission_loglik(frames, mu, sigma)
-        return map_log_joint(hyper, mu, sigma, (weights,),
-                             (safe_log(weights)[labels],
-                              np.take_along_axis(loglik, labels[:, None], axis=1)))
+        sigma = emission_sigma(frames, flat_labels, mu, hyper)
+        weight_terms = safe_log(weights)[flat_labels]  # before the sweep relabels
+        picked = np.empty((m, p))
+        sweep(picked, iteration < max_iters)
+        return map_log_joint(hyper, mu, sigma, (weights,), (weight_terms, picked))
 
     report = hard_em(step, max_iters, tol)
     return GmmParams(weights=weights, mu=mu, sigma=sigma), report
@@ -57,55 +80,76 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
 
 def _lda_e_step(loglik, psi, tau):
     """Exact joint argmax (topics (M,), labels (M, P)) from the (M, P, N)
-    emission table. The (M, P, T) table of each frame's best prototype score
-    under every topic is a running maximum over a loop of the N prototypes,
-    so no (M, P, T, N) tensor is built and no reduction runs along the short
-    N axis."""
+    emission table. Each frame's best prototype score under every topic is
+    a running maximum over a loop of the N prototypes, taken for at most
+    N // 2 topics at a time, so no (M, P, T, N) tensor is built, the
+    (M, P, T) scores of a chunk of topics and their temporary take no more
+    room than the table, and no reduction runs along the short N axis."""
     log_psi = safe_log(psi)
-    best_frame = loglik[:, :, :1] + log_psi[:, 0]
-    for k in range(1, log_psi.shape[1]):
-        np.maximum(best_frame, loglik[:, :, k:k + 1] + log_psi[:, k], out=best_frame)
-    topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
+    n_topics, n = log_psi.shape
+    step = max(1, n // 2)
+    scores = np.empty((len(loglik), n_topics))
+    for a in range(0, n_topics, step):
+        chunk = log_psi[a:a + step]
+        best_frame = loglik[:, :, :1] + chunk[:, 0]
+        for k in range(1, n):
+            np.maximum(best_frame, loglik[:, :, k:k + 1] + chunk[:, k], out=best_frame)
+        scores[:, a:a + step] = best_frame.sum(axis=1)
+    topics = np.argmax(scores + safe_log(tau), axis=1)
     return topics, np.argmax(loglik + log_psi[topics][:, None, :], axis=2)
 
 
 def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyperparams(),
-                seed=0, *, max_iters=200, tol=1e-6):
+                seed=0, *, max_iters=200, tol=1e-6, threads=1):
     """Hard-EM MAP fit of the topic-mixture GMM. Returns (params, report).
 
     The E-step is an exact joint argmax: given the topic, frames decouple, so
     each sign scores every topic by the sum of its frames' best prototype
     scores and keeps the winner (`_lda_e_step`). Initial topics are drawn at
     random (seeded) to break the symmetry of the uniform topic_word rows.
+    Each E-step is one sweep over sign blocks on `threads` worker threads,
+    which takes each block's emission table once, for the new labels and
+    the objective's terms of them.
     """
     if n_components < 1 or n_topics < 1:
         raise InvariantViolation("n_components and n_topics must be at least 1")
-    m, _, d = corpus.dims
-    frames3 = corpus.features
-    frames = frames3.reshape(-1, d)
+    m, p, d = corpus.dims
+    features = corpus.features
+    frames = features.reshape(-1, d)
     rng = np.random.default_rng(seed)
     mu, sigma = seed_emissions(rng, frames, n_components)
 
-    labels = np.argmax(emission_loglik(frames3, mu, sigma), axis=2)
+    labels = np.empty((m, p), dtype=np.int64)
+
+    def first_labels(s):
+        labels[s] = np.argmax(emission_loglik(features[s], mu, sigma), axis=2)
+
+    sweep_signs(m, p, first_labels, threads)
     topics = rng.integers(0, n_topics, size=m)
     psi = tau = None
 
     def step():
-        nonlocal labels, topics, psi, tau, mu, sigma
+        nonlocal psi, tau, mu, sigma
         # M-step from the current hard assignment
         topic_counts = np.bincount(topics, minlength=n_topics).astype(float)
         tau = dirichlet_map(topic_counts, hyper.alpha)
         psi = dirichlet_map(pair_counts(topics[:, None], labels, n_topics, n_components),
                             hyper.alpha)
-        _, mu = emission_means(frames, labels.ravel(), n_components, sigma, hyper)
-        sigma = emission_sigma(frames, labels.ravel(), mu, hyper)
+        _, mu = emission_means(frames, labels.reshape(-1), n_components, sigma, hyper)
+        sigma = emission_sigma(frames, labels.reshape(-1), mu, hyper)
 
-        # E-step with the fresh parameters
-        loglik = emission_loglik(frames3, mu, sigma)
-        topics, labels = _lda_e_step(loglik, psi, tau)
+        # E-step with the fresh parameters, over the assignment in place
+        picked = np.empty((m, p))
+
+        def work(s):
+            table = emission_loglik(features[s], mu, sigma)
+            topics[s], labels[s] = _lda_e_step(table, psi, tau)
+            picked[s] = picked_terms(table, labels[s])
+
+        sweep_signs(m, p, work, threads)
         return map_log_joint(hyper, mu, sigma, (tau, psi),
                              (safe_log(tau)[topics], safe_log(psi)[topics[:, None], labels],
-                              np.take_along_axis(loglik, labels[:, :, None], axis=2)))
+                              picked))
 
     report = hard_em(step, max_iters, tol)
     params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=hyper.alpha,

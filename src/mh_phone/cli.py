@@ -145,11 +145,13 @@ def cmd_train(args):
                                          threads=args.threads)
     elif args.model == "gmm":
         fitted, report = baselines.fit_gmm(corp, args.n_states, hyper, seed=seed,
-                                           max_iters=args.max_iters, tol=args.tol)
+                                           max_iters=args.max_iters, tol=args.tol,
+                                           threads=args.threads)
     else:
         fitted, report = baselines.fit_gmm_lda(corp, args.n_states, args.topics,
                                                hyper, seed=seed,
-                                               max_iters=args.max_iters, tol=args.tol)
+                                               max_iters=args.max_iters, tol=args.tol,
+                                               threads=args.threads)
     final = report.log_joint_trace[-1]
     log.info("%s fit: %d iterations, converged=%s, final objective %.6f",
              args.model, report.iterations, report.converged, final)
@@ -268,7 +270,8 @@ def build_parser() -> _Parser:
     p.add_argument("--include-broken", action="store_true",
                    help="keep signs with noise level 'broken'")
     p.add_argument("--threads", type=_positive_int, default=usable_cores(),
-                   help="E-step worker threads; output does not depend on it")
+                   help="worker threads of every fit's sign-block sweeps; output does not "
+                        "depend on it")
     p.add_argument("--out", required=True, help="model JSON path")
     _add_hyper(p)
     p.set_defaults(func=cmd_train)

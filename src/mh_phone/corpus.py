@@ -112,25 +112,32 @@ def check_signs(features, lengths, noises):
                                                 noise=noises[sign]), sign=sign)
 
 
+def _integer_type(kind):
+    """Whether values of type `kind` are ints or numpy integers, and not bools."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
 def _is_integer(value):
     """Whether `value` is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return _integer_type(type(value))
 
 
-_TYPES = (("true_length", _is_integer, "an integer"),
-          ("gloss", lambda value: isinstance(value, str), "a string"),
-          ("signer", lambda value: isinstance(value, str), "a string"))
+_TYPES = (("true_length", _integer_type, "an integer"),
+          ("gloss", lambda kind: issubclass(kind, str), "a string"),
+          ("signer", lambda kind: issubclass(kind, str), "a string"))
 
 
 def _check_types(lengths, glosses, signers):
     """Check that every true length is an integer and every gloss and signer
-    a string, column by column; raises on the first bad value, with its
-    sign's index as the error's `sign`."""
+    a string, column by column, with one check per distinct type in a
+    column; raises on the first bad value, with its sign's index as the
+    error's `sign`."""
     for (what, accepts, name), column in zip(_TYPES, (lengths, glosses, signers)):
-        for sign, value in enumerate(column):
-            if not accepts(value):
-                raise InvariantViolation(f"{what} must be {name}, got {type(value).__name__}",
-                                         sign=sign)
+        bad = {kind for kind in set(map(type, column)) if not accepts(kind)}
+        if bad:
+            sign = next(i for i, value in enumerate(column) if type(value) in bad)
+            raise InvariantViolation(
+                f"{what} must be {name}, got {type(column[sign]).__name__}", sign=sign)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ emission Gaussian, and Dirichlet concentrations are scalar (symmetric).
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,6 +49,49 @@ def row_blocks(n_rows, d):
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+# Signs of an (M, P, D) corpus that one step of a sign-block sweep
+# (`sweep_signs`) takes. A multiple of 8, so every block's M * P rows start
+# where BLAS starts a group of rows in one call over the whole corpus, and
+# a block's emission table has the bits of those rows of the whole table.
+SIGN_BLOCK = 512
+
+
+def sign_blocks(m, p):
+    """Contiguous slices of SIGN_BLOCK signs covering range(m) in order. A
+    last block of one row (one sign with p = 1) joins the one before, as in
+    `row_blocks`."""
+    starts = list(range(0, m, SIGN_BLOCK))
+    if len(starts) > 1 and p == 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
+def sweep_signs(m, p, work, threads=1):
+    """Call work(s) for each slice s of `sign_blocks(m, p)`. The blocks go to
+    a pool of `threads` worker threads, but to no more workers than there
+    are full blocks, and to none when that leaves one: a worker with less
+    than a block to do costs more in thread starts and interpreter-lock
+    handoffs than it saves. Each call writes its results at s in the
+    caller's arrays, so they do not depend on `threads`; the first error
+    raised by a block is raised here."""
+    blocks = sign_blocks(m, p)
+    workers = min(threads, m // SIGN_BLOCK)
+    if workers < 2:
+        for s in blocks:
+            work(s)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(work, s) for s in blocks]:
+            future.result()
+
+
+def picked_terms(table, labels):
+    """The entries of an (..., N) table at (...) labels, as one array laid
+    out like the labels: the emission terms of an assignment, whose sum the
+    objective adds."""
+    return np.take_along_axis(table, labels[..., None], axis=-1)[..., 0]
 
 
 def block_scratch(blocks, d, extra=0):
@@ -182,9 +226,16 @@ def map_log_joint(hyper: Hyperparams, mu, sigma, tables, picked) -> float:
 
 
 def pair_counts(rows, cols, n_rows, n_cols):
-    """(n_rows, n_cols) counts of the label pairs of two broadcasting arrays."""
-    flat = (rows * n_cols + cols).ravel()
-    return np.bincount(flat, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+    """(n_rows, n_cols) counts of the label pairs of two broadcasting arrays,
+    taken about ROW_BLOCK pairs at a time along their first axis."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    step = max(1, ROW_BLOCK // max(1, math.prod(rows.shape[1:])))
+    counts = np.zeros(n_rows * n_cols, dtype=np.int64)
+    for a in range(0, len(rows), step):
+        flat = rows[a:a + step] * n_cols
+        flat += cols[a:a + step]
+        counts += np.bincount(flat.ravel(), minlength=n_rows * n_cols)
+    return counts.reshape(n_rows, n_cols)
 
 
 def map_means(sums, counts, sigma, mu_mu, sigma_mu):
@@ -231,15 +282,29 @@ def seed_emissions(rng, features, k, lengths=None):
     random start, sigma the per-dimension std of the data frames floored at
     SIGMA_INIT_FLOOR. Raises NotEnoughData when there are fewer than k.
 
-    The data frames are copied ROW_BLOCK at a time, never all at once, and
-    every distance and sum keeps the bits of the one-array formulas."""
+    The data frames are copied ROW_BLOCK at a time, never all at once, with
+    their rows found from the cumulative lengths a block at a time; only the
+    farthest-point distances take one value per data frame. Every distance
+    and sum keeps the bits of the one-array formulas."""
     d = features.shape[-1]
     flat = features.reshape(-1, d)
     if lengths is None:
-        rows_of = np.arange(len(flat))
-    else:  # the row of each data frame, in row order
-        rows_of = np.flatnonzero(np.arange(features.shape[1]) < lengths[:, None])
-    n = len(rows_of)
+        n = len(flat)
+
+        def rows_of(a, b):
+            return np.arange(a, b)
+    else:
+        ends = np.cumsum(lengths)  # data frames up to the end of each sign
+        starts = ends - lengths
+        n = int(ends[-1])
+
+        def rows_of(a, b):
+            """The rows of data frames a..b-1, from the signs they fall in."""
+            i, j = np.searchsorted(ends, [a, b - 1], side="right")
+            signs = slice(i, j + 1)
+            counts = np.minimum(ends[signs], b) - np.maximum(starts[signs], a)
+            shift = np.arange(i, j + 1) * features.shape[1] - starts[signs]
+            return np.arange(a, b) + np.repeat(shift, counts)
     if n < k:
         raise NotEnoughData(f"{n} frames cannot seed {k} prototypes")
     blocks = row_blocks(n, d)  # of data frames
@@ -249,14 +314,15 @@ def seed_emissions(rng, features, k, lengths=None):
         """Each block of data frames in turn, copied to scratch[1:]."""
         for s in blocks:
             rows = scratch[1:1 + s.stop - s.start]
-            np.take(flat, rows_of[s], axis=0, out=rows, mode="clip")  # clip: no buffering
+            np.take(flat, rows_of(s.start, s.stop), axis=0, out=rows,
+                    mode="clip")  # clip: no buffering
             yield s, rows
 
     # farthest-point picks; a picked frame's distance is -1, so it is never picked again
     chosen = [int(rng.integers(n))]
     d2 = np.full(n, np.inf)
     while len(chosen) < k:
-        x = flat[rows_of[chosen[-1]]]
+        x = flat[rows_of(chosen[-1], chosen[-1] + 1)[0]]
         for s, rows in data_blocks():
             rows -= x
             rows *= rows
@@ -277,7 +343,8 @@ def seed_emissions(rng, features, k, lengths=None):
 
     # numpy's std: the mean, then the mean squared deviation from it
     std = np.sqrt(column_sums(column_sums(None) / n) / n)
-    return flat[rows_of[chosen]], np.maximum(std, SIGMA_INIT_FLOOR)
+    return (flat[np.concatenate([rows_of(c, c + 1) for c in chosen])],
+            np.maximum(std, SIGMA_INIT_FLOOR))
 
 
 def draw_categorical(rng, probs, shape):

@@ -18,15 +18,13 @@ max_iters, at a non-finite objective, or converged once the relative change
 is at most tol) and the emission M-step (`emission_means`, `emission_sigma`).
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .corpus import DEFAULT_FRAMES, Corpus, check_sizes, synth_corpus
 from .errors import InvariantViolation
 from .estimation import (block_scratch, carried_sum, dirichlet_map, emission_loglik, hard_em,
-                         map_log_joint, map_means, map_sigma, pair_counts, row_blocks, safe_log,
-                         seed_emissions)
+                         map_log_joint, map_means, map_sigma, pair_counts, picked_terms,
+                         row_blocks, safe_log, seed_emissions, sweep_signs)
 from .params import Assignment, Hyperparams, ModelParams
 
 
@@ -60,15 +58,15 @@ def _greedy_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
 
 def _viterbi_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
     m, p, n = loglik.shape
-    log_t = safe_log(params.trans)
-    back = np.empty((m, p, n), dtype=np.int64)
+    log_t_next = safe_log(params.trans).T  # [next, previous]
+    back = np.empty((m, p, n), dtype=np.min_scalar_type(n - 1))  # uint8 up to 256 states
     alpha = safe_log(params.pi) + loglik[:, 0]
     for f in range(1, p):
-        cand = alpha[:, :, None] + log_t[None, :, :]
-        # argmax over the previous state; ties go to the lower index
-        best_prev = np.argmax(cand, axis=1)
+        cand = alpha[:, None, :] + log_t_next  # [sign, next, previous]
+        # argmax over the previous state, the contiguous axis; ties go to the lower index
+        best_prev = np.argmax(cand, axis=2)
         back[:, f] = best_prev
-        alpha = np.take_along_axis(cand, best_prev[:, None, :], axis=1)[:, 0, :] + loglik[:, f]
+        alpha = np.take_along_axis(cand, best_prev[:, :, None], axis=2)[:, :, 0] + loglik[:, f]
     labels = np.empty((m, p), dtype=np.int64)
     labels[:, -1] = np.argmax(alpha, axis=1)
     rows = np.arange(m)
@@ -77,34 +75,46 @@ def _viterbi_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _chunked(label_fn, params, loglik, threads):
-    """Assignment of every sign by label_fn over rows of the emission table."""
-    m = loglik.shape[0]
-    if threads <= 1 or m < 2 * threads:
-        return Assignment(labels=label_fn(params, loglik))
-    # contiguous slices, so each worker reads a view of the table, not a copy
-    blocks = [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), threads)]
-    out = np.empty(loglik.shape[:2], dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(block, pool.submit(label_fn, params, loglik[block])) for block in blocks]
-        for block, fut in futures:
-            out[block] = fut.result()
-    return Assignment(labels=out)
+_LABELS = {"greedy": _greedy_labels, "viterbi": _viterbi_labels}
+
+
+def _sweep(params: ModelParams, table_of, dims, labels=None, label_fn=None, threads=1):
+    """One pass over the sign blocks of an (M, P, ...) corpus (`sweep_signs`)
+    under params, reading each block's emission table from table_of(s).
+    Returns the emission terms of `labels` (`picked_terms`; None for
+    labels=None) and the labels that label_fn gives (None for
+    label_fn=None)."""
+    m, p = dims[:2]
+    picked = None if labels is None else np.empty((m, p))
+    out = None if label_fn is None else np.empty((m, p), dtype=np.int64)
+
+    def work(s):
+        table = table_of(s)
+        if picked is not None:
+            picked[s] = picked_terms(table, labels[s])
+        if out is not None:
+            out[s] = label_fn(params, table)
+
+    sweep_signs(m, p, work, threads)
+    return picked, out
 
 
 def e_step_greedy(params: ModelParams, loglik, threads=1) -> Assignment:
     """One-pass hard assignment: each frame takes the best state given the
     previous frame's choice (posterior score = emission density times pi or
     the incoming transition probability). loglik is the (M, P, N) table
-    `emission_loglik(corpus.features, params.mu, params.sigma)`."""
-    return _chunked(_greedy_labels, params, loglik, threads)
+    `emission_loglik(corpus.features, params.mu, params.sigma)`; its sign
+    blocks go to `threads` worker threads."""
+    return Assignment(labels=_sweep(params, loglik.__getitem__, loglik.shape,
+                                    label_fn=_greedy_labels, threads=threads)[1])
 
 
 def e_step_viterbi(params: ModelParams, loglik, threads=1) -> Assignment:
     """Exact most-probable state path per sign via dynamic programming,
-    O(M P N^2). Ties break toward the lower state index. loglik as in
-    `e_step_greedy`."""
-    return _chunked(_viterbi_labels, params, loglik, threads)
+    O(M P N^2). Ties break toward the lower state index. loglik and threads
+    as in `e_step_greedy`."""
+    return Assignment(labels=_sweep(params, loglik.__getitem__, loglik.shape,
+                                    label_fn=_viterbi_labels, threads=threads)[1])
 
 
 def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
@@ -165,15 +175,31 @@ def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
 
+def _chain_score(params: ModelParams, labels):
+    """The categorical terms of the state chains: pi at the first frame,
+    then each transition."""
+    score = safe_log(params.pi)[labels[:, 0]].sum()
+    return score + safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
+
+
+def _path_score(chain, picked) -> float:
+    """`joint_path_score` from the chains' categorical terms (`_chain_score`)
+    and the emission terms of their labels (`picked_terms`)."""
+    return float(picked.sum() + chain)
+
+
+def _objective(params: ModelParams, hyper: Hyperparams, path_score) -> float:
+    """`log_joint` given `joint_path_score`."""
+    return map_log_joint(hyper, params.mu[1:], params.sigma, (params.pi, params.trans),
+                         (path_score,))
+
+
 def joint_path_score(params: ModelParams, assignment: Assignment, loglik) -> float:
     """Assignment-dependent part of the log joint: categorical terms for the
     state chains plus the emission log densities. loglik as in
     `e_step_greedy`."""
     labels = assignment.labels
-    emission = np.take_along_axis(loglik, labels[:, :, None], axis=2).sum()
-    categorical = safe_log(params.pi)[labels[:, 0]].sum()
-    categorical += safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
-    return float(emission + categorical)
+    return _path_score(_chain_score(params, labels), picked_terms(loglik, labels))
 
 
 def log_joint(params: ModelParams, assignment: Assignment, hyper: Hyperparams,
@@ -181,8 +207,7 @@ def log_joint(params: ModelParams, assignment: Assignment, hyper: Hyperparams,
     """Log density of every factor (`map_log_joint`): priors on sigma, pi, T
     and mu[1:] (row 0 is the fixed end token), plus `joint_path_score` as one
     term. loglik as in `e_step_greedy`."""
-    return map_log_joint(hyper, params.mu[1:], params.sigma, (params.pi, params.trans),
-                         (joint_path_score(params, assignment, loglik),))
+    return _objective(params, hyper, joint_path_score(params, assignment, loglik))
 
 
 _E_STEPS = {"greedy": e_step_greedy, "viterbi": e_step_viterbi}
@@ -196,23 +221,36 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
     joint, or converged once its relative change is at most tol. The
     report's trace holds one log-joint value per iteration; with the exact
     Viterbi E-step it is non-decreasing.
+
+    No emission table of the whole corpus is built: one sweep over sign
+    blocks (`_sweep`, on `threads` worker threads) after seeding and one
+    after each M-step compute each block's table once, take the objective's
+    emission terms of the current labels from it and the next E-step's
+    labels. The last allowed iteration takes no next labels.
     """
     if e_step not in _E_STEPS:
         raise InvariantViolation(f"e_step must be one of {sorted(_E_STEPS)}, got '{e_step}'")
-    assign = _E_STEPS[e_step]
+    label_fn = _LABELS[e_step]
+    features = corpus.features
     params = init_params(n_states, corpus, seed=seed)
+
+    def sweep(labels, relabel):
+        return _sweep(params, lambda s: emission_loglik(features[s], params.mu, params.sigma),
+                      corpus.dims, labels, label_fn if relabel else None, threads)
+
+    _, labels = sweep(None, True)
     assignment = None
-    # the emission table under the current params: the objective of one
-    # iteration and the E-step of the next read the same table
-    loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+    iteration = 0
 
     def step():
-        nonlocal params, assignment, loglik
-        assignment = assign(params, loglik, threads=threads)
-        loglik = None  # the table goes before the M-step and the next table are built
+        nonlocal params, labels, assignment, iteration
+        iteration += 1
+        assignment, labels = Assignment(labels=labels), None  # the assignment holds a copy
         params = m_step(corpus, assignment, hyper, params)
-        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
-        return log_joint(params, assignment, hyper, loglik)
+        # the categorical terms first, so their temporaries go before the sweep's arrays
+        chain = _chain_score(params, assignment.labels)
+        picked, labels = sweep(assignment.labels, iteration < max_iters)
+        return _objective(params, hyper, _path_score(chain, picked))
 
     report = hard_em(step, max_iters, tol)
     return params, assignment, report

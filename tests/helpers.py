@@ -8,9 +8,13 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from mh_phone.baselines import _lda_e_step
 from mh_phone.corpus import Corpus, synth_corpus
-from mh_phone.estimation import SIGMA_INIT_FLOOR, emission_loglik, map_sigma
-from mh_phone.params import ModelParams, make_truth_params
+from mh_phone.estimation import (SIGMA_INIT_FLOOR, dirichlet_map, emission_loglik, hard_em,
+                                 map_log_joint, map_sigma, safe_log, seed_emissions)
+from mh_phone.model import emission_means, emission_sigma, init_params, m_step
+from mh_phone.params import (Assignment, GmmLdaParams, GmmParams, Hyperparams, ModelParams,
+                             make_truth_params)
 
 
 def file_bytes(directory):
@@ -189,3 +193,122 @@ def float_families(rng, n):
         "bits": bits[np.isfinite(bits)][:n],
         "beside-powers-of-ten": np.nextafter(powers, np.where(rng.random(n) < 0.5, 0.0, np.inf)),
     }
+
+
+def full_pair_counts(rows, cols, n_rows, n_cols):
+    """`estimation.pair_counts` as one bincount over every pair."""
+    flat = (rows * n_cols + cols).ravel()
+    return np.bincount(flat, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
+# The fitters as they were before the sign-block sweep: each iteration builds
+# the (M, P, N) emission table of the whole corpus, which the objective of
+# that iteration and the E-step of the next one read. The sweep must give
+# their labels, parameters and traces bit for bit.
+
+def full_greedy_labels(params, loglik):
+    """The greedy E-step's labels from the whole table."""
+    m, p, _ = loglik.shape
+    log_pi = safe_log(params.pi)
+    log_t = safe_log(params.trans)
+    labels = np.empty((m, p), dtype=np.int64)
+    labels[:, 0] = np.argmax(loglik[:, 0] + log_pi, axis=1)
+    for f in range(1, p):
+        labels[:, f] = np.argmax(loglik[:, f] + log_t[labels[:, f - 1]], axis=1)
+    return labels
+
+
+def full_viterbi_labels(params, loglik):
+    """The Viterbi E-step's labels from the whole table, with an int64 back
+    table and the argmax over the middle axis of (M, previous, next)."""
+    m, p, n = loglik.shape
+    log_t = safe_log(params.trans)
+    back = np.empty((m, p, n), dtype=np.int64)
+    alpha = safe_log(params.pi) + loglik[:, 0]
+    for f in range(1, p):
+        cand = alpha[:, :, None] + log_t[None, :, :]
+        best_prev = np.argmax(cand, axis=1)
+        back[:, f] = best_prev
+        alpha = np.take_along_axis(cand, best_prev[:, None, :], axis=1)[:, 0, :] + loglik[:, f]
+    labels = np.empty((m, p), dtype=np.int64)
+    labels[:, -1] = np.argmax(alpha, axis=1)
+    rows = np.arange(m)
+    for f in range(p - 1, 0, -1):
+        labels[:, f - 1] = back[rows, f, labels[:, f]]
+    return labels
+
+
+def full_fit_em(corpus, n_states, hyper=Hyperparams(), *, max_iters, tol, e_step, seed):
+    """`model.fit_em` over whole tables."""
+    label_fn = {"greedy": full_greedy_labels, "viterbi": full_viterbi_labels}[e_step]
+    params = init_params(n_states, corpus, seed=seed)
+    assignment = None
+    loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+
+    def step():
+        nonlocal params, assignment, loglik
+        assignment = Assignment(labels=label_fn(params, loglik))
+        params = m_step(corpus, assignment, hyper, params)
+        loglik = emission_loglik(corpus.features, params.mu, params.sigma)
+        labels = assignment.labels
+        emission = np.take_along_axis(loglik, labels[:, :, None], axis=2).sum()
+        categorical = safe_log(params.pi)[labels[:, 0]].sum()
+        categorical += safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
+        return map_log_joint(hyper, params.mu[1:], params.sigma, (params.pi, params.trans),
+                             (float(emission + categorical),))
+
+    report = hard_em(step, max_iters, tol)
+    return params, assignment, report
+
+
+def full_fit_gmm(corpus, n_components, hyper=Hyperparams(), *, max_iters, tol, seed):
+    """`baselines.fit_gmm` over whole (F, N) tables."""
+    frames = corpus.features.reshape(-1, corpus.dims[2])
+    mu, sigma = seed_emissions(np.random.default_rng(seed), frames, n_components)
+    weights = np.full(n_components, 1.0 / n_components)
+    loglik = emission_loglik(frames, mu, sigma)
+
+    def step():
+        nonlocal weights, mu, sigma, loglik
+        labels = np.argmax(loglik + safe_log(weights), axis=1)
+        counts, mu = emission_means(frames, labels, n_components, sigma, hyper)
+        weights = dirichlet_map(counts, hyper.alpha)
+        sigma = emission_sigma(frames, labels, mu, hyper)
+        loglik = emission_loglik(frames, mu, sigma)
+        return map_log_joint(hyper, mu, sigma, (weights,),
+                             (safe_log(weights)[labels],
+                              np.take_along_axis(loglik, labels[:, None], axis=1)))
+
+    report = hard_em(step, max_iters, tol)
+    return GmmParams(weights=weights, mu=mu, sigma=sigma), report
+
+
+def full_fit_gmm_lda(corpus, n_components, n_topics, hyper=Hyperparams(), *, max_iters, tol,
+                     seed):
+    """`baselines.fit_gmm_lda` over whole tables, with `_lda_e_step` reading
+    the whole table."""
+    m, _, d = corpus.dims
+    frames = corpus.features.reshape(-1, d)
+    rng = np.random.default_rng(seed)
+    mu, sigma = seed_emissions(rng, frames, n_components)
+    labels = np.argmax(emission_loglik(corpus.features, mu, sigma), axis=2)
+    topics = rng.integers(0, n_topics, size=m)
+    psi = tau = None
+
+    def step():
+        nonlocal labels, topics, psi, tau, mu, sigma
+        tau = dirichlet_map(np.bincount(topics, minlength=n_topics).astype(float), hyper.alpha)
+        psi = dirichlet_map(full_pair_counts(topics[:, None], labels, n_topics, n_components),
+                            hyper.alpha)
+        _, mu = emission_means(frames, labels.ravel(), n_components, sigma, hyper)
+        sigma = emission_sigma(frames, labels.ravel(), mu, hyper)
+        loglik = emission_loglik(corpus.features, mu, sigma)
+        topics, labels = _lda_e_step(loglik, psi, tau)
+        return map_log_joint(hyper, mu, sigma, (tau, psi),
+                             (safe_log(tau)[topics], safe_log(psi)[topics[:, None], labels],
+                              np.take_along_axis(loglik, labels[:, :, None], axis=2)))
+
+    report = hard_em(step, max_iters, tol)
+    params = GmmLdaParams(topic_word=psi, topic_freq=tau, doc_topic_prior=hyper.alpha,
+                          word_prior=hyper.alpha, mu=mu, sigma=sigma)
+    return params, report
