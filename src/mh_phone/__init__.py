@@ -13,14 +13,14 @@ from .interpret import (InterpretReport, expected_counts,
 from .io import load_model, save_model
 from .model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
                     log_joint, m_step, sample)
-from .params import (Assignment, FitReport, GmmLdaParams, GmmParams,
+from .params import (FitReport, GmmLdaParams, GmmParams,
                      Hyperparams, ModelParams, make_truth_params)
 from .seeding import component_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsorbingState", "Assignment", "Corpus", "DegenerateScale", "EmptyBatch",
+    "AbsorbingState", "Corpus", "DegenerateScale", "EmptyBatch",
     "EvalReport", "FitReport", "GmmLdaParams", "GmmParams", "GruNet",
     "Hyperparams", "InterpretReport", "InvariantViolation", "MhPhoneError",
     "ModelParams", "NotEnoughData", "ParseError", "RawSign", "TooLong",

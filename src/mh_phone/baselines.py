@@ -19,7 +19,7 @@ from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches basel
 from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
                          hard_em, map_log_joint, pair_counts, picked_terms, safe_log,
                          seed_emissions, sweep_signs)
-from .model import emission_means, emission_sigma
+from .model import emission_means, emission_sigma, emission_sweep
 from .params import GmmLdaParams, GmmParams, Hyperparams
 
 
@@ -29,10 +29,10 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
 
     Each iteration labels every frame with its best component, then updates
     weights, mu (with the previous sigma) and sigma, in that order. As in
-    `model.fit_em`, one sweep over sign blocks on `threads` worker threads
+    `model.fit_em`, one `model.emission_sweep` on `threads` worker threads
     after seeding and after each M-step takes each block's emission table
-    once, for the objective's terms and the next labels (none on the last
-    allowed iteration).
+    once, for the objective's terms and the next labels, which overwrite
+    the current ones in place (none on the last allowed iteration).
     """
     if n_components < 1:
         raise InvariantViolation("n_components must be at least 1")
@@ -42,36 +42,23 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
     mu, sigma = seed_emissions(np.random.default_rng(seed), frames, n_components)
     weights = np.full(n_components, 1.0 / n_components)
     labels = np.empty((m, p), dtype=np.int64)
-    iteration = 0
 
-    def sweep(picked, relabel):
-        """Each block's table under (mu, sigma, weights): its terms at the
-        current labels into `picked` (unless None), then, with relabel, the
-        next labels over the current ones."""
-        log_w = safe_log(weights)
+    def label_fn(table):
+        """Each frame's best component under the current weights."""
+        table += safe_log(weights)
+        return np.argmax(table, axis=2)
 
-        def work(s):
-            table = emission_loglik(features[s], mu, sigma)
-            if picked is not None:
-                picked[s] = picked_terms(table, labels[s])
-            if relabel:
-                table += log_w
-                labels[s] = np.argmax(table, axis=2)
+    emission_sweep(features, mu, sigma, threads, label_fn=label_fn, out=labels)
 
-        sweep_signs(m, p, work, threads)
-
-    sweep(None, True)
-
-    def step():
-        nonlocal weights, mu, sigma, iteration
-        iteration += 1
+    def step(last):
+        nonlocal weights, mu, sigma
         flat_labels = labels.reshape(-1)
         counts, mu = emission_means(frames, flat_labels, n_components, sigma, hyper)
         weights = dirichlet_map(counts, hyper.alpha)
         sigma = emission_sigma(frames, flat_labels, mu, hyper)
         weight_terms = safe_log(weights)[flat_labels]  # before the sweep relabels
-        picked = np.empty((m, p))
-        sweep(picked, iteration < max_iters)
+        picked = emission_sweep(features, mu, sigma, threads, labels=labels, label_fn=label_fn,
+                                out=None if last else labels)
         return map_log_joint(hyper, mu, sigma, (weights,), (weight_terms, picked))
 
     report = hard_em(step, max_iters, tol)
@@ -120,15 +107,12 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyp
     mu, sigma = seed_emissions(rng, frames, n_components)
 
     labels = np.empty((m, p), dtype=np.int64)
-
-    def first_labels(s):
-        labels[s] = np.argmax(emission_loglik(features[s], mu, sigma), axis=2)
-
-    sweep_signs(m, p, first_labels, threads)
+    emission_sweep(features, mu, sigma, threads, label_fn=lambda table: np.argmax(table, axis=2),
+                   out=labels)
     topics = rng.integers(0, n_topics, size=m)
     psi = tau = None
 
-    def step():
+    def step(last):
         nonlocal psi, tau, mu, sigma
         # M-step from the current hard assignment
         topic_counts = np.bincount(topics, minlength=n_topics).astype(float)

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
 from .estimation import gaussian_frames, markov_chain_sample
 from .io import output_file, special_file
-from .params import Assignment, ModelParams, json_numbers
+from .params import ModelParams, json_numbers
 
 KEYPOINTS = (
     "head",
@@ -533,8 +533,8 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
                  exact_end_token=True, gloss_prefix="synth"):
     """Ancestral sampling of a corpus from a known model.
 
-    Returns (corpus, assignment): the assignment holds the hidden state chain
-    of every sign, which keeps evolving under the transition matrix even
+    Returns (corpus, labels): the (M, P) int64 labels hold the hidden state
+    chain of every sign, which keeps evolving under the transition matrix even
     after the end state is first entered. With exact_end_token, emitted
     frames are zeroed from the first entry into state 0 onward so zero rows
     form a contiguous suffix; otherwise every frame is a Gaussian draw.
@@ -549,7 +549,7 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
         lengths = np.maximum(p - ended.sum(axis=1), 1)  # ended is a suffix of each sign
     else:
         lengths = np.full(m_signs, p)
-    return sampled_corpus(feats, lengths, gloss_prefix), Assignment(labels=labels)
+    return sampled_corpus(feats, lengths, gloss_prefix), labels
 
 
 def check_sizes(**sizes):

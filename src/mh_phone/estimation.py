@@ -392,11 +392,13 @@ def relative_change(new, old):
 def hard_em(step, max_iters, tol) -> FitReport:
     """The hard-EM loop of the sequence model and the baselines.
 
-    step() runs one iteration in the fitter's own order and returns the new
-    objective. The loop stops after max_iters iterations, at a non-finite
-    objective, or once the relative change from the previous objective is at
-    most tol; only the last stop reports converged=True. With no previous
-    objective, the first iteration stops only for tol = inf. NaN tol raises.
+    step(last) runs one iteration in the fitter's own order and returns the
+    new objective; last is True on the max_iters-th call only, so that step
+    can skip the work that only a further iteration reads. The loop stops
+    after max_iters iterations, at a non-finite objective, or once the
+    relative change from the previous objective is at most tol; only the
+    last stop reports converged=True. With no previous objective, the first
+    iteration stops only for tol = inf. NaN tol raises.
     """
     if max_iters < 1:
         raise InvariantViolation(f"max_iters must be at least 1, got {max_iters}")
@@ -405,7 +407,7 @@ def hard_em(step, max_iters, tol) -> FitReport:
     trace: list[float] = []
     converged = False
     while len(trace) < max_iters:
-        trace.append(step())
+        trace.append(step(len(trace) + 1 == max_iters))
         if not math.isfinite(trace[-1]):
             break
         rel = math.inf if len(trace) == 1 else relative_change(trace[-1], trace[-2])

@@ -25,7 +25,7 @@ from .errors import InvariantViolation
 from .estimation import (block_scratch, carried_sum, dirichlet_map, emission_loglik, hard_em,
                          map_log_joint, map_means, map_sigma, pair_counts, picked_terms,
                          row_blocks, safe_log, seed_emissions, sweep_signs)
-from .params import Assignment, Hyperparams, ModelParams
+from .params import Hyperparams, ModelParams
 
 
 def init_params(n_states, corpus: Corpus, seed=0) -> ModelParams:
@@ -45,7 +45,12 @@ def init_params(n_states, corpus: Corpus, seed=0) -> ModelParams:
     return ModelParams(pi=pi, trans=trans, mu=mu, sigma=sigma)
 
 
-def _greedy_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
+def e_step_greedy(params: ModelParams, loglik) -> np.ndarray:
+    """One-pass hard assignment: each frame takes the best state given the
+    previous frame's choice (posterior score = emission density times pi or
+    the incoming transition probability). loglik is an (M, P, N) emission
+    table, `emission_loglik(features, params.mu, params.sigma)` of (M, P, D)
+    features; returns the (M, P) int64 labels."""
     m, p, _ = loglik.shape
     log_pi = safe_log(params.pi)
     log_t = safe_log(params.trans)
@@ -56,7 +61,10 @@ def _greedy_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _viterbi_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
+def e_step_viterbi(params: ModelParams, loglik) -> np.ndarray:
+    """Exact most-probable state path per sign via dynamic programming,
+    O(M P N^2). Ties break toward the lower state index. loglik and the
+    result as in `e_step_greedy`."""
     m, p, n = loglik.shape
     log_t_next = safe_log(params.trans).T  # [next, previous]
     back = np.empty((m, p, n), dtype=np.min_scalar_type(n - 1))  # uint8 up to 256 states
@@ -75,46 +83,25 @@ def _viterbi_labels(params: ModelParams, loglik: np.ndarray) -> np.ndarray:
     return labels
 
 
-_LABELS = {"greedy": _greedy_labels, "viterbi": _viterbi_labels}
-
-
-def _sweep(params: ModelParams, table_of, dims, labels=None, label_fn=None, threads=1):
-    """One pass over the sign blocks of an (M, P, ...) corpus (`sweep_signs`)
-    under params, reading each block's emission table from table_of(s).
-    Returns the emission terms of `labels` (`picked_terms`; None for
-    labels=None) and the labels that label_fn gives (None for
-    label_fn=None)."""
-    m, p = dims[:2]
+def emission_sweep(features, mu, sigma, threads, *, labels=None, label_fn=None, out=None):
+    """One pass over the sign blocks of (M, P, D) features (`sweep_signs`,
+    on `threads` worker threads) that builds each block's emission table
+    under (mu, sigma) once. Returns the emission terms of the (M, P)
+    `labels` (`picked_terms`; None for labels=None), and writes
+    label_fn(table) of each block into `out` (unless None) after taking
+    them, so `out` may be `labels` itself."""
+    m, p = features.shape[:2]
     picked = None if labels is None else np.empty((m, p))
-    out = None if label_fn is None else np.empty((m, p), dtype=np.int64)
 
     def work(s):
-        table = table_of(s)
+        table = emission_loglik(features[s], mu, sigma)
         if picked is not None:
             picked[s] = picked_terms(table, labels[s])
         if out is not None:
-            out[s] = label_fn(params, table)
+            out[s] = label_fn(table)
 
     sweep_signs(m, p, work, threads)
-    return picked, out
-
-
-def e_step_greedy(params: ModelParams, loglik, threads=1) -> Assignment:
-    """One-pass hard assignment: each frame takes the best state given the
-    previous frame's choice (posterior score = emission density times pi or
-    the incoming transition probability). loglik is the (M, P, N) table
-    `emission_loglik(corpus.features, params.mu, params.sigma)`; its sign
-    blocks go to `threads` worker threads."""
-    return Assignment(labels=_sweep(params, loglik.__getitem__, loglik.shape,
-                                    label_fn=_greedy_labels, threads=threads)[1])
-
-
-def e_step_viterbi(params: ModelParams, loglik, threads=1) -> Assignment:
-    """Exact most-probable state path per sign via dynamic programming,
-    O(M P N^2). Ties break toward the lower state index. loglik and threads
-    as in `e_step_greedy`."""
-    return Assignment(labels=_sweep(params, loglik.__getitem__, loglik.shape,
-                                    label_fn=_viterbi_labels, threads=threads)[1])
+    return picked
 
 
 def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
@@ -145,21 +132,26 @@ def emission_sigma(frames, labels, mu, hyper: Hyperparams):
     return map_sigma(total, frames.shape[0], hyper.mu_sigma, hyper.sigma_sigma)
 
 
-def m_step(corpus: Corpus, assignment: Assignment, hyper: Hyperparams,
-           prev: ModelParams) -> ModelParams:
+def m_step(corpus: Corpus, labels, hyper: Hyperparams, prev: ModelParams) -> ModelParams:
     """Closed-form MAP coordinate updates in the order pi, T, mu, sigma.
 
-    pi and the rows of T are Dirichlet posterior modes of the assignment
-    counts (rows with no observations fall back to uniform). Prototype means
-    are conjugate precision-weighted averages using the previous sigma, with
-    row 0 pinned to zero; sigma maximizes the residual likelihood times its
-    LogNormal prior by golden-section search in log-variance.
+    labels is an integer (M, P) array of states in [0, N), one per frame of
+    the corpus; any other raises InvariantViolation. pi and the rows of T
+    are Dirichlet posterior modes of the label counts (rows with no
+    observations fall back to uniform). Prototype means are conjugate
+    precision-weighted averages using the previous sigma, with row 0 pinned
+    to zero; sigma maximizes the residual likelihood times its LogNormal
+    prior by golden-section search in log-variance.
     """
-    labels = assignment.labels
     m, p, d = corpus.dims
-    if labels.shape != (m, p):
-        raise InvariantViolation("assignment shape does not match the corpus")
     n = prev.n_states
+    labels = np.asarray(labels)
+    if labels.shape != (m, p) or not np.issubdtype(labels.dtype, np.integer):
+        raise InvariantViolation(f"labels must be an integer {(m, p)} array, got "
+                                 f"{labels.dtype} of shape {labels.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < n:
+        raise InvariantViolation(f"labels must be states in [0, {n})")
+    labels = labels.astype(np.int64, copy=False)
 
     first_counts = np.bincount(labels[:, 0], minlength=n).astype(float)
     pi = dirichlet_map(first_counts, hyper.alpha)
@@ -182,32 +174,25 @@ def _chain_score(params: ModelParams, labels):
     return score + safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
 
 
-def _path_score(chain, picked) -> float:
-    """`joint_path_score` from the chains' categorical terms (`_chain_score`)
-    and the emission terms of their labels (`picked_terms`)."""
-    return float(picked.sum() + chain)
-
-
-def _objective(params: ModelParams, hyper: Hyperparams, path_score) -> float:
-    """`log_joint` given `joint_path_score`."""
+def _objective(params: ModelParams, hyper: Hyperparams, chain, picked) -> float:
+    """`log_joint` from the chains' categorical terms (`_chain_score`) and
+    the emission terms of their labels (`picked_terms`)."""
     return map_log_joint(hyper, params.mu[1:], params.sigma, (params.pi, params.trans),
-                         (path_score,))
+                         (float(picked.sum() + chain),))
 
 
-def joint_path_score(params: ModelParams, assignment: Assignment, loglik) -> float:
-    """Assignment-dependent part of the log joint: categorical terms for the
-    state chains plus the emission log densities. loglik as in
-    `e_step_greedy`."""
-    labels = assignment.labels
-    return _path_score(_chain_score(params, labels), picked_terms(loglik, labels))
+def joint_path_score(params: ModelParams, labels, loglik) -> float:
+    """Label-dependent part of the log joint: categorical terms for the
+    state chains plus the emission log densities. labels is an (M, P) state
+    array and loglik an (M, P, N) table as in `e_step_greedy`."""
+    return float(picked_terms(loglik, labels).sum() + _chain_score(params, labels))
 
 
-def log_joint(params: ModelParams, assignment: Assignment, hyper: Hyperparams,
-              loglik) -> float:
+def log_joint(params: ModelParams, labels, hyper: Hyperparams, loglik) -> float:
     """Log density of every factor (`map_log_joint`): priors on sigma, pi, T
     and mu[1:] (row 0 is the fixed end token), plus `joint_path_score` as one
-    term. loglik as in `e_step_greedy`."""
-    return _objective(params, hyper, joint_path_score(params, assignment, loglik))
+    term. labels and loglik as in `joint_path_score`."""
+    return _objective(params, hyper, _chain_score(params, labels), picked_terms(loglik, labels))
 
 
 _E_STEPS = {"greedy": e_step_greedy, "viterbi": e_step_viterbi}
@@ -215,45 +200,51 @@ _E_STEPS = {"greedy": e_step_greedy, "viterbi": e_step_viterbi}
 
 def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
            max_iters=200, tol=1e-6, e_step="greedy", seed=0, threads=1):
-    """Hard-EM MAP estimation. Returns (params, assignment, report).
+    """Hard-EM MAP estimation. Returns (params, labels, report): the fitted
+    parameters, the (M, P) int64 labels they were fitted from, and the fit
+    report.
 
     Stops (in `hard_em`) after max_iters iterations, at a non-finite log
     joint, or converged once its relative change is at most tol. The
     report's trace holds one log-joint value per iteration; with the exact
     Viterbi E-step it is non-decreasing.
 
-    No emission table of the whole corpus is built: one sweep over sign
-    blocks (`_sweep`, on `threads` worker threads) after seeding and one
-    after each M-step compute each block's table once, take the objective's
-    emission terms of the current labels from it and the next E-step's
-    labels. The last allowed iteration takes no next labels.
+    No emission table of the whole corpus is built: one `emission_sweep`
+    after seeding and one after each M-step compute each block's table
+    once, take the objective's emission terms of the fitted labels from it
+    and the next E-step's labels. The last allowed iteration takes no next
+    labels.
     """
     if e_step not in _E_STEPS:
         raise InvariantViolation(f"e_step must be one of {sorted(_E_STEPS)}, got '{e_step}'")
-    label_fn = _LABELS[e_step]
+    # not through _E_STEPS, which callers may wrap
+    e_step_fn = e_step_viterbi if e_step == "viterbi" else e_step_greedy
     features = corpus.features
     params = init_params(n_states, corpus, seed=seed)
 
-    def sweep(labels, relabel):
-        return _sweep(params, lambda s: emission_loglik(features[s], params.mu, params.sigma),
-                      corpus.dims, labels, label_fn if relabel else None, threads)
+    def label_fn(table):
+        return e_step_fn(params, table)
 
-    _, labels = sweep(None, True)
-    assignment = None
-    iteration = 0
+    fitted, pending = None, np.empty(corpus.dims[:2], dtype=np.int64)
+    emission_sweep(features, params.mu, params.sigma, threads, label_fn=label_fn, out=pending)
 
-    def step():
-        nonlocal params, labels, assignment, iteration
-        iteration += 1
-        assignment, labels = Assignment(labels=labels), None  # the assignment holds a copy
-        params = m_step(corpus, assignment, hyper, params)
+    def step(last):
+        nonlocal params, fitted, pending
+        # the E-step's labels become the fitted ones; the old array takes the next
+        fitted, pending = pending, fitted
+        if last:
+            pending = None
+        elif pending is None:
+            pending = np.empty_like(fitted)
+        params = m_step(corpus, fitted, hyper, params)
         # the categorical terms first, so their temporaries go before the sweep's arrays
-        chain = _chain_score(params, assignment.labels)
-        picked, labels = sweep(assignment.labels, iteration < max_iters)
-        return _objective(params, hyper, _path_score(chain, picked))
+        chain = _chain_score(params, fitted)
+        picked = emission_sweep(features, params.mu, params.sigma, threads, labels=fitted,
+                                label_fn=label_fn, out=pending)
+        return _objective(params, hyper, chain, picked)
 
     report = hard_em(step, max_iters, tol)
-    return params, assignment, report
+    return params, fitted, report
 
 
 def sample(params: ModelParams, n_signs, n_frames=DEFAULT_FRAMES, seed=0,

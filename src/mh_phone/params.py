@@ -1,4 +1,4 @@
-"""Containers for model parameters, hyperparameters and hard assignments.
+"""Containers for model parameters, hyperparameters and fit reports.
 
 State 0 is the end state: its prototype is pinned to the zero vector, which
 is exactly the padding token appended to every sign. All probability vectors
@@ -21,8 +21,8 @@ def json_numbers(values) -> bool:
     return set(map(type, values)) <= {int, float}
 
 
-def _frozen_array(value, dtype=float):
-    arr = np.array(value, dtype=dtype)
+def _frozen_array(value):
+    arr = np.array(value, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -197,21 +197,6 @@ class GmmLdaParams(_Params):
 # The one place model kinds are named: the `kind` field of a model file and
 # the parameter class it loads into.
 MODEL_KINDS = {"dbn": ModelParams, "gmm": GmmParams, "gmm-lda": GmmLdaParams}
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Hard state labels, one per frame: labels[w, f] in [0, N)."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = _frozen_array(self.labels, dtype=np.int64)
-        if labels.ndim != 2:
-            raise InvariantViolation("labels must be a signs-by-frames matrix")
-        if np.any(labels < 0):
-            raise InvariantViolation("labels must be non-negative state indices")
-        object.__setattr__(self, "labels", labels)
 
 
 @dataclass

@@ -13,8 +13,7 @@ from mh_phone.corpus import Corpus, synth_corpus
 from mh_phone.estimation import (SIGMA_INIT_FLOOR, dirichlet_map, emission_loglik, hard_em,
                                  map_log_joint, map_sigma, safe_log, seed_emissions)
 from mh_phone.model import emission_means, emission_sigma, init_params, m_step
-from mh_phone.params import (Assignment, GmmLdaParams, GmmParams, Hyperparams, ModelParams,
-                             make_truth_params)
+from mh_phone.params import GmmLdaParams, GmmParams, Hyperparams, ModelParams, make_truth_params
 
 
 def file_bytes(directory):
@@ -242,15 +241,14 @@ def full_fit_em(corpus, n_states, hyper=Hyperparams(), *, max_iters, tol, e_step
     """`model.fit_em` over whole tables."""
     label_fn = {"greedy": full_greedy_labels, "viterbi": full_viterbi_labels}[e_step]
     params = init_params(n_states, corpus, seed=seed)
-    assignment = None
+    labels = None
     loglik = emission_loglik(corpus.features, params.mu, params.sigma)
 
-    def step():
-        nonlocal params, assignment, loglik
-        assignment = Assignment(labels=label_fn(params, loglik))
-        params = m_step(corpus, assignment, hyper, params)
+    def step(last):
+        nonlocal params, labels, loglik
+        labels = label_fn(params, loglik)
+        params = m_step(corpus, labels, hyper, params)
         loglik = emission_loglik(corpus.features, params.mu, params.sigma)
-        labels = assignment.labels
         emission = np.take_along_axis(loglik, labels[:, :, None], axis=2).sum()
         categorical = safe_log(params.pi)[labels[:, 0]].sum()
         categorical += safe_log(params.trans)[labels[:, :-1], labels[:, 1:]].sum()
@@ -258,7 +256,7 @@ def full_fit_em(corpus, n_states, hyper=Hyperparams(), *, max_iters, tol, e_step
                              (float(emission + categorical),))
 
     report = hard_em(step, max_iters, tol)
-    return params, assignment, report
+    return params, labels, report
 
 
 def full_fit_gmm(corpus, n_components, hyper=Hyperparams(), *, max_iters, tol, seed):
@@ -268,7 +266,7 @@ def full_fit_gmm(corpus, n_components, hyper=Hyperparams(), *, max_iters, tol, s
     weights = np.full(n_components, 1.0 / n_components)
     loglik = emission_loglik(frames, mu, sigma)
 
-    def step():
+    def step(last):
         nonlocal weights, mu, sigma, loglik
         labels = np.argmax(loglik + safe_log(weights), axis=1)
         counts, mu = emission_means(frames, labels, n_components, sigma, hyper)
@@ -295,7 +293,7 @@ def full_fit_gmm_lda(corpus, n_components, n_topics, hyper=Hyperparams(), *, max
     topics = rng.integers(0, n_topics, size=m)
     psi = tau = None
 
-    def step():
+    def step(last):
         nonlocal labels, topics, psi, tau, mu, sigma
         tau = dirichlet_map(np.bincount(topics, minlength=n_topics).astype(float), hyper.alpha)
         psi = dirichlet_map(full_pair_counts(topics[:, None], labels, n_topics, n_components),

@@ -21,7 +21,7 @@ from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO,
 from mh_phone.interpret import expected_counts, expected_hold_length
 from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em,
                             joint_path_score, m_step, sample)
-from mh_phone.params import Assignment, Hyperparams, make_truth_params
+from mh_phone.params import Hyperparams, make_truth_params
 
 from helpers import (align_states, corpus_from_features, emission_table, random_corpus,
                      random_params)
@@ -99,8 +99,8 @@ def test_e_steps_match_exhaustive_oracles():
         cov = np.diag(params.sigma)
         loglik = np.stack([stats.multivariate_normal.logpdf(frames[0], params.mu[j], cov)
                            for j in range(n)], axis=1).reshape(p, n)
-        vit = e_step_viterbi(params, emission_table(params, corpus)).labels[0]
-        greedy = e_step_greedy(params, emission_table(params, corpus)).labels[0]
+        vit = e_step_viterbi(params, emission_table(params, corpus))[0]
+        greedy = e_step_greedy(params, emission_table(params, corpus))[0]
         if not np.array_equal(vit, _enumerate_path(params, frames[0], loglik)):
             mismatches += 1
         if not np.array_equal(greedy, _stepwise_path(params, frames[0], loglik)):
@@ -161,7 +161,7 @@ def test_m_step_updates_match_numerical_maximization():
         corpus = corpus_from_features(rng.normal(size=(m, p, d)))
         labels = rng.integers(0, n, size=(m, p))
         labels[:n, 0] = np.arange(n)  # every state starts and leaves at least once
-        out = m_step(corpus, Assignment(labels=labels), hyper, prev)
+        out = m_step(corpus, labels, hyper, prev)
 
         first = np.bincount(labels[:, 0], minlength=n) + hyper.alpha - 1.0
         worst_cat = max(worst_cat, float(np.max(np.abs(out.pi - _simplex_argmax(first)))))

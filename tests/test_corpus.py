@@ -1187,9 +1187,9 @@ def test_synth_end_start_gives_all_zero_corpus():
     truth = ModelParams(pi=[1.0, 0.0, 0.0], trans=np.full((n, n), 1.0 / n),
                         mu=np.vstack([np.zeros(d), np.ones((n - 1, d))]),
                         sigma=np.full(d, 0.5))
-    corp, assign = synth_corpus(truth, 5, seed=0, n_frames=6)
+    corp, labels = synth_corpus(truth, 5, seed=0, n_frames=6)
     assert not corp.features.any()
-    assert np.array_equal(assign.labels[:, 0], np.zeros(5, dtype=int))
+    assert np.array_equal(labels[:, 0], np.zeros(5, dtype=int))
     assert list(corp.true_lengths) == [1] * 5
 
 
@@ -1198,7 +1198,7 @@ def test_synth_same_seed_identical():
     a, la = synth_corpus(truth, 12, seed=77)
     b, lb = synth_corpus(truth, 12, seed=77)
     assert np.array_equal(a.features, b.features)
-    assert np.array_equal(la.labels, lb.labels)
+    assert np.array_equal(la, lb)
     assert a.glosses.tolist() == b.glosses.tolist()
 
 
@@ -1211,8 +1211,8 @@ def test_synth_noisy_end_token_keeps_full_length():
 
 def test_synth_exact_end_token_zero_suffix():
     truth = make_truth_params(4, 6, seed=7, end_prob=0.3)
-    corp, assign = synth_corpus(truth, 60, seed=8, n_frames=12)
-    entered = np.cumsum(assign.labels == 0, axis=1) > 0
+    corp, labels = synth_corpus(truth, 60, seed=8, n_frames=12)
+    entered = np.cumsum(labels == 0, axis=1) > 0
     for i, (features, length) in enumerate(zip(corp.features, corp.true_lengths)):
         assert not features[length:].any()
         if entered[i].any():
@@ -1225,13 +1225,13 @@ def test_synth_state_frequencies_match_chain_power_oracle():
     # oracle: expected per-sign state counts over P frames are sum_i pi @ T^i
     truth = make_truth_params(5, 6, seed=4, end_prob=0.1)
     m, p = 500, 25
-    _, assign = synth_corpus(truth, m, seed=10, n_frames=p)
+    _, labels = synth_corpus(truth, m, seed=10, n_frames=p)
     expected = np.zeros(truth.n_states)
     occ = truth.pi.copy()
     for _ in range(p):
         expected += occ
         occ = occ @ truth.trans
-    per_sign = np.stack([(assign.labels == j).sum(axis=1)
+    per_sign = np.stack([(labels == j).sum(axis=1)
                          for j in range(truth.n_states)], axis=1).astype(float)
     mean = per_sign.mean(axis=0)
     se = per_sign.std(axis=0, ddof=1) / np.sqrt(m)
@@ -1240,8 +1240,8 @@ def test_synth_state_frequencies_match_chain_power_oracle():
 
 def test_synth_dims_follow_truth_and_request():
     truth = make_truth_params(3, 8, seed=0)
-    corp, assign = synth_corpus(truth, 4, seed=1, n_frames=9)
+    corp, labels = synth_corpus(truth, 4, seed=1, n_frames=9)
     assert corp.dims == (4, 9, 8)
-    assert assign.labels.shape == (4, 9)
+    assert labels.shape == (4, 9) and labels.dtype == np.int64
     with pytest.raises(InvariantViolation):
         synth_corpus(truth, 0, seed=1)

@@ -471,8 +471,8 @@ GUARD_BLOCK = 1024
 
 @pytest.fixture(scope="module")
 def fit_inputs():
-    corpus, assignment = synth_corpus(make_truth_params(5, n_features=14, seed=5), 2000, seed=6)
-    return corpus, assignment, init_params(5, corpus, seed=1)
+    corpus, labels = synth_corpus(make_truth_params(5, n_features=14, seed=5), 2000, seed=6)
+    return corpus, labels, init_params(5, corpus, seed=1)
 
 
 def _peak_over_features(fn, corpus):
@@ -489,11 +489,11 @@ def _peak_over_features(fn, corpus):
 @pytest.mark.parametrize("layer", ["init_params", "m_step", "emission_loglik"])
 def test_a_fit_layer_holds_the_table_and_one_block(monkeypatch, fit_inputs, layer):
     monkeypatch.setattr(estimation, "ROW_BLOCK", GUARD_BLOCK)
-    corpus, assignment, params = fit_inputs
+    corpus, labels, params = fit_inputs
     m, p, d = corpus.dims
     calls = {
         "init_params": lambda: init_params(5, corpus, seed=1),
-        "m_step": lambda: m_step(corpus, assignment, Hyperparams(), params),
+        "m_step": lambda: m_step(corpus, labels, Hyperparams(), params),
         "emission_loglik": lambda: emission_loglik(corpus.features, params.mu, params.sigma),
     }
     table = m * p * 5 * 8

@@ -31,9 +31,12 @@ FITTERS = {
 ])
 def test_hard_em_stop_rule(objectives, tol, iterations, converged):
     values = iter(objectives)
-    report = hard_em(lambda: next(values), 4, tol)
+    lasts = []
+    report = hard_em(lambda last: lasts.append(last) or next(values), 4, tol)
     assert report.iterations == len(report.log_joint_trace) == iterations
     assert report.converged is converged
+    # only the 4th call may be the last; a fit that stops earlier never sees it
+    assert lasts == [False] * min(iterations, 3) + [True] * (iterations == 4)
 
 
 def test_nan_tol_is_rejected_before_the_first_step():
@@ -41,8 +44,14 @@ def test_nan_tol_is_rejected_before_the_first_step():
     # iteration as if it had converged
     calls = []
     with pytest.raises(InvariantViolation, match="tol must not be NaN"):
-        hard_em(lambda: calls.append(1) or 1.0, 4, math.nan)
+        hard_em(lambda last: calls.append(1) or 1.0, 4, math.nan)
     assert calls == []
+
+
+def test_a_one_iteration_fit_is_last_on_its_first_call():
+    lasts = []
+    report = hard_em(lambda last: lasts.append(last) or 1.0, 1, -1.0)
+    assert report.iterations == 1 and lasts == [True]
 
 
 @pytest.mark.parametrize("kind", sorted(FITTERS))

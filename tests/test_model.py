@@ -13,7 +13,7 @@ from mh_phone.errors import InvariantViolation, NotEnoughData
 from mh_phone.estimation import SIGMA_INIT_FLOOR, emission_loglik, map_sigma
 from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
                             joint_path_score, log_joint, m_step, sample)
-from mh_phone.params import Assignment, Hyperparams, ModelParams, make_truth_params
+from mh_phone.params import Hyperparams, ModelParams, make_truth_params
 
 from helpers import (align_states, corpus_from_features, emission_table, params_digest,
                      pinned_corpus, random_corpus, random_params, trace_digest)
@@ -68,7 +68,7 @@ def test_greedy_prior_breaks_emission_ties():
     params = ModelParams(pi=[0.1, 0.2, 0.7], trans=np.full((3, 3), 1 / 3),
                          mu=np.zeros((3, 2)), sigma=[1.0, 1.0])
     corpus = corpus_from_features(np.ones((4, 5, 2)))
-    labels = e_step_greedy(params, emission_table(params, corpus)).labels
+    labels = e_step_greedy(params, emission_table(params, corpus))
     assert np.all(labels[:, 0] == 2)
     assert not labels[:, 1:].any()
 
@@ -80,7 +80,7 @@ def test_greedy_recovers_prototype_of_exact_frames():
                          sigma=np.full(3, 0.1))
     seq = rng.integers(1, 4, size=(3, 6))
     corpus = corpus_from_features(params.mu[seq])
-    labels = e_step_greedy(params, emission_table(params, corpus)).labels
+    labels = e_step_greedy(params, emission_table(params, corpus))
     np.testing.assert_array_equal(labels, seq)
 
 
@@ -109,7 +109,7 @@ def test_greedy_matches_per_step_oracle():
         d = int(rng.integers(1, 4))
         params = random_params(rng, n, d)
         corpus = corpus_from_features(rng.normal(size=(3, p, d)))
-        got = e_step_greedy(params, emission_table(params, corpus)).labels
+        got = e_step_greedy(params, emission_table(params, corpus))
         np.testing.assert_array_equal(got, _slow_greedy(params, corpus.features))
 
 
@@ -141,7 +141,7 @@ def test_viterbi_matches_exhaustive_enumeration():
         params = random_params(rng, n, 2)
         frames = rng.normal(size=(1, p, 2))
         corpus = corpus_from_features(frames)
-        got = e_step_viterbi(params, emission_table(params, corpus)).labels[0]
+        got = e_step_viterbi(params, emission_table(params, corpus))[0]
         np.testing.assert_array_equal(got, _enumerate_best_path(params, frames[0]))
 
 
@@ -167,33 +167,19 @@ def test_viterbi_follows_deterministic_chain():
     pi[1] = 1.0
     params = ModelParams(pi=pi, trans=trans, mu=np.zeros((n, 2)), sigma=[1.0, 1.0])
     corpus = corpus_from_features(np.ones((2, 7, 2)))
-    labels = e_step_viterbi(params, emission_table(params, corpus)).labels
+    labels = e_step_viterbi(params, emission_table(params, corpus))
     want = np.tile([1, 2, 3, 1, 2, 3, 1], (2, 1))
     np.testing.assert_array_equal(labels, want)
 
 
-def test_e_steps_invariant_to_thread_count():
-    rng = np.random.default_rng(8)
-    params = random_params(rng, 5, 4)
-    table = emission_table(params, random_corpus(rng, 40, 9, 4))
-    for step in (e_step_greedy, e_step_viterbi):
-        one = step(params, table, threads=1).labels
-        four = step(params, table, threads=4).labels
-        np.testing.assert_array_equal(one, four)
-
-
 # ---------------------------------------------------------------- M-step
-
-
-def _make_assignment(labels):
-    return Assignment(labels=np.asarray(labels, dtype=np.int64))
 
 
 def test_m_step_pi_is_first_frame_frequency():
     feats = np.random.default_rng(9).normal(size=(4, 3, 2))
     corpus = corpus_from_features(feats)
     prev = random_params(np.random.default_rng(10), 2, 2)
-    labels = _make_assignment([[0, 0, 0], [1, 0, 0], [1, 1, 1], [1, 1, 0]])
+    labels = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [1, 1, 0]])
     out = m_step(corpus, labels, Hyperparams(), prev)
     np.testing.assert_allclose(out.pi, [0.25, 0.75])
 
@@ -205,7 +191,7 @@ def test_m_step_trans_matches_hand_pair_counts():
     corpus = corpus_from_features(feats)
     prev = random_params(rng, n, 2)
     labels = rng.integers(0, n, size=(5, 6))
-    out = m_step(corpus, _make_assignment(labels), Hyperparams(), prev)
+    out = m_step(corpus, labels, Hyperparams(), prev)
     counts = np.zeros((n, n))
     for row in labels:
         for a, b in zip(row[:-1], row[1:]):
@@ -221,7 +207,7 @@ def test_m_step_unvisited_state_gets_uniform_row_and_prior_mean():
     feats = np.random.default_rng(12).normal(size=(2, 4, 3))
     corpus = corpus_from_features(feats)
     prev = random_params(np.random.default_rng(13), 3, 3)
-    labels = _make_assignment([[0, 1, 1, 0], [1, 1, 0, 0]])  # state 2 unused
+    labels = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])  # state 2 unused
     hyper = Hyperparams(mu_mu=0.5)
     out = m_step(corpus, labels, hyper, prev)
     np.testing.assert_allclose(out.trans[2], 1 / 3)
@@ -237,7 +223,7 @@ def test_m_step_mu_maximizes_posterior_with_previous_sigma():
     labels = rng.integers(0, 2, size=(3, 5))
     labels[0, 0] = 1  # make sure state 1 is non-empty
     hyper = Hyperparams(mu_mu=0.3, sigma_mu=4.0)
-    out = m_step(corpus, _make_assignment(labels), hyper, prev)
+    out = m_step(corpus, labels, hyper, prev)
     assigned = corpus.features.reshape(-1, 2)[labels.ravel() == 1]
     for d in range(2):
 
@@ -254,7 +240,7 @@ def test_m_step_mu_depends_on_previous_sigma():
     rng = np.random.default_rng(15)
     feats = rng.normal(size=(2, 4, 2))
     corpus = corpus_from_features(feats)
-    labels = _make_assignment(rng.integers(0, 2, size=(2, 4)))
+    labels = rng.integers(0, 2, size=(2, 4))
     base = random_params(np.random.default_rng(16), 2, 2)
     wide = ModelParams(pi=base.pi, trans=base.trans, mu=base.mu,
                        sigma=base.sigma * 50.0)
@@ -270,7 +256,7 @@ def test_m_step_sigma_uses_residuals_against_new_means():
     prev = random_params(rng, 3, 3)
     labels = rng.integers(0, 3, size=(4, 6))
     hyper = Hyperparams()
-    out = m_step(corpus, _make_assignment(labels), hyper, prev)
+    out = m_step(corpus, labels, hyper, prev)
     flat = corpus.features.reshape(-1, 3)
     resid = flat - out.mu[labels.ravel()]
     ssr = (resid ** 2).sum(axis=0)
@@ -298,8 +284,35 @@ def test_m_step_rejects_mismatched_assignment():
     corpus = corpus_from_features(rng.normal(size=(2, 3, 2)))
     prev = random_params(rng, 2, 2)
     with pytest.raises(InvariantViolation):
-        m_step(corpus, _make_assignment(np.zeros((2, 4), dtype=int)),
-               Hyperparams(), prev)
+        m_step(corpus, np.zeros((2, 4), dtype=int), Hyperparams(), prev)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1, 2], r"integer \(2, 3\) array, got int64 of shape \(3,\)"),
+    ([[0, 1, 1], [2, 1, 0], [0, 0, 0]], r"got int64 of shape \(3, 3\)"),
+    ([[0, 1, 2.7], [2, 1, 0]], r"integer \(2, 3\) array, got float64"),
+    ([[True, False, True], [False, True, True]], "got bool"),
+    ([[0, -1, 2], [2, 1, 0]], r"states in \[0, 3\)"),
+    ([[0, 1, 3], [2, 1, 0]], r"states in \[0, 3\)"),
+], ids=["1-D", "wrong-shape", "float", "bool", "negative", "equal-to-N"])
+def test_m_step_rejects_labels_that_are_not_states_of_the_corpus(labels, message):
+    # a label of N used to fail in numpy broadcasting, and 2.7 was cut to 2
+    rng = np.random.default_rng(18)
+    corpus = corpus_from_features(rng.normal(size=(2, 3, 2)))
+    with pytest.raises(InvariantViolation, match=message):
+        m_step(corpus, np.array(labels), Hyperparams(), random_params(rng, 3, 2))
+
+
+def test_m_step_takes_any_integer_labels():
+    # uint8 pair codes label * N + label would wrap at 20 states
+    rng = np.random.default_rng(18)
+    corpus = corpus_from_features(rng.normal(size=(4, 10, 2)))
+    prev = random_params(rng, 20, 2)
+    labels = rng.integers(0, 20, size=(4, 10))
+    want = m_step(corpus, labels, Hyperparams(), prev)
+    for dtype in (np.uint8, np.int32):
+        got = m_step(corpus, labels.astype(dtype), Hyperparams(), prev)
+        assert params_digest(got) == params_digest(want)
 
 
 # ---------------------------------------------------------------- objective
@@ -309,7 +322,7 @@ def test_log_joint_matches_hand_expansion():
     params = ModelParams(pi=[0.3, 0.7], trans=[[0.6, 0.4], [0.2, 0.8]],
                          mu=[[0.0], [1.5]], sigma=[0.5])
     corpus = corpus_from_features(np.array([[[0.4], [1.2]]]))
-    assignment = _make_assignment([[1, 1]])
+    labels = np.array([[1, 1]])
     hyper = Hyperparams(alpha=2.0, mu_mu=0.0, sigma_mu=10.0,
                         mu_sigma=1.0, sigma_sigma=10.0)
     want = stats.lognorm.logpdf(0.5, s=10.0, scale=math.exp(1.0))
@@ -320,7 +333,7 @@ def test_log_joint_matches_hand_expansion():
     want += math.log(0.7) + math.log(0.8)
     want += stats.norm.logpdf(0.4, 1.5, math.sqrt(0.5))
     want += stats.norm.logpdf(1.2, 1.5, math.sqrt(0.5))
-    got = log_joint(params, assignment, hyper, emission_table(params, corpus))
+    got = log_joint(params, labels, hyper, emission_table(params, corpus))
     assert got == pytest.approx(float(want), abs=1e-10)
 
 
@@ -328,11 +341,11 @@ def test_log_joint_sigma_prior_term_isolated():
     rng = np.random.default_rng(19)
     params = random_params(rng, 3, 2)
     corpus = corpus_from_features(rng.normal(size=(2, 4, 2)))
-    assignment = e_step_greedy(params, emission_table(params, corpus))
+    labels = e_step_greedy(params, emission_table(params, corpus))
     h1 = Hyperparams(sigma_sigma=10.0)
     h2 = Hyperparams(sigma_sigma=20.0)
     table = emission_table(params, corpus)
-    diff = log_joint(params, assignment, h2, table) - log_joint(params, assignment, h1, table)
+    diff = log_joint(params, labels, h2, table) - log_joint(params, labels, h1, table)
     want = float((stats.lognorm.logpdf(params.sigma, s=20.0, scale=math.e)
                   - stats.lognorm.logpdf(params.sigma, s=10.0, scale=math.e)).sum())
     assert diff == pytest.approx(want, abs=1e-10)
@@ -347,7 +360,7 @@ def test_joint_path_score_additive_over_signs():
     both = corpus_from_features(np.concatenate([f1, f2]))
     a1 = e_step_greedy(params, emission_table(params, c1))
     a2 = e_step_greedy(params, emission_table(params, c2))
-    ab = _make_assignment(np.concatenate([a1.labels, a2.labels]))
+    ab = np.concatenate([a1, a2])
     total = joint_path_score(params, ab, emission_table(params, both))
     parts = (joint_path_score(params, a1, emission_table(params, c1))
              + joint_path_score(params, a2, emission_table(params, c2)))
@@ -386,7 +399,7 @@ def test_fit_em_deterministic_and_thread_invariant():
         np.testing.assert_array_equal(a[0].trans, other[0].trans)
         np.testing.assert_array_equal(a[0].mu, other[0].mu)
         np.testing.assert_array_equal(a[0].sigma, other[0].sigma)
-        np.testing.assert_array_equal(a[1].labels, other[1].labels)
+        np.testing.assert_array_equal(a[1], other[1])
     assert a[2].log_joint_trace == b[2].log_joint_trace
 
 
@@ -409,8 +422,8 @@ def test_fit_em_builds_one_emission_table_per_iteration(monkeypatch, e_step):
 def test_fit_em_objective_is_the_log_joint_of_the_fit(e_step):
     # the shared table must be the one at the params the M-step returned
     corpus = random_corpus(np.random.default_rng(25), 12, 6, 3)
-    params, assignment, report = fit_em(corpus, 3, max_iters=4, tol=-1.0, e_step=e_step, seed=2)
-    assert report.log_joint_trace[-1] == log_joint(params, assignment, Hyperparams(),
+    params, labels, report = fit_em(corpus, 3, max_iters=4, tol=-1.0, e_step=e_step, seed=2)
+    assert report.log_joint_trace[-1] == log_joint(params, labels, Hyperparams(),
                                                    emission_table(params, corpus))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mh_phone.errors import InvariantViolation
-from mh_phone.params import (Assignment, FitReport, GmmLdaParams, GmmParams,
+from mh_phone.params import (FitReport, GmmLdaParams, GmmParams,
                              Hyperparams, ModelParams, make_truth_params)
 
 from helpers import random_params
@@ -107,18 +107,6 @@ def test_model_params_dict_round_trip():
     assert np.array_equal(back.trans, params.trans)
     assert np.array_equal(back.mu, params.mu)
     assert np.array_equal(back.sigma, params.sigma)
-
-
-def test_assignment_validation():
-    a = Assignment(labels=[[0, 1], [2, 0]])
-    assert a.labels.shape == (2, 2)
-    assert a.labels.dtype == np.int64
-    with pytest.raises(ValueError):
-        a.labels[0, 0] = 3
-    with pytest.raises(InvariantViolation):
-        Assignment(labels=[0, 1, 2])
-    with pytest.raises(InvariantViolation):
-        Assignment(labels=[[0, -1]])
 
 
 def test_fit_report_fields():

@@ -43,8 +43,8 @@ def _fit(kind, corpus, reference, threads=1):
     common = dict(max_iters=6, tol=-1.0, seed=2)
     if kind in ("greedy", "viterbi"):
         fit = full_fit_em if reference else functools.partial(fit_em, threads=threads)
-        params, assignment, report = fit(corpus, 3, e_step=kind, **common)
-        return params, assignment.labels, report.log_joint_trace
+        params, labels, report = fit(corpus, 3, e_step=kind, **common)
+        return params, labels, report.log_joint_trace
     if kind == "gmm":
         fit = full_fit_gmm if reference else functools.partial(fit_gmm, threads=threads)
         params, report = fit(corpus, 3, **common)
