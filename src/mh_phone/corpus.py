@@ -552,13 +552,19 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
     return sampled_corpus(feats, lengths, gloss_prefix), labels
 
 
+def check_integer(name, value):
+    """`value` as an int; raises InvariantViolation naming it unless it is an
+    int or a numpy integer, and not a bool."""
+    if not _is_integer(value):
+        raise InvariantViolation(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def check_sizes(**sizes):
     """A sampler's sizes as ints, in keyword order; raises InvariantViolation
     naming the first that is not an integer or is below 1, before any draw."""
     for name, value in sizes.items():
-        if not _is_integer(value):
-            raise InvariantViolation(f"{name} must be an integer, got {type(value).__name__}")
-        if value < 1:
+        if check_integer(name, value) < 1:
             raise InvariantViolation(f"{name} must be at least 1, got {value}")
     return tuple(map(int, sizes.values()))
 

@@ -28,15 +28,16 @@ operands and shape as a separate forward and backward would use, so the
 trained parameters, the trace and the reported losses are bit-for-bit those
 of that two-pass schedule.
 
-Both passes work in a time-major workspace (see `_Workspace`). A step's
-[frame, hidden] and [frame, r * hidden] inputs are rows of two buffers whose
-frame columns are filled once, and every matrix product and elementwise op,
-the logistic included, writes into the workspace's arrays, so a step
-allocates nothing. Each op keeps the operands, shapes and association order
-of the plain numpy expression it replaces, so every result is bit-for-bit
-that expression's. A training builds one workspace and reuses it in every
-pass; `bce_loss`, `gru_grad` and `gru_forward` each build one for their own
-batch.
+Both passes work in a time-major workspace (see `_Workspace`) that holds the
+hidden states and gates but no copy of the frames. Each step of either pass
+builds its [frame, hidden] and then its [frame, r * hidden] input in one
+contiguous row buffer, the frame read in place from the caller's batch, and
+every matrix product and elementwise op, the logistic included, writes into
+the workspace's arrays, so a step allocates nothing. Each op keeps the
+operands, shapes and association order of the plain numpy expression it
+replaces, so every result is bit-for-bit that expression's. A training
+builds one workspace and reuses it in every pass; `bce_loss`, `gru_grad`
+and `gru_forward` each build one for their own batch.
 """
 
 import logging
@@ -45,6 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .corpus import check_integer, check_sizes
 from .errors import EmptyBatch, InvariantViolation, NotEnoughData
 from .seeding import component_seed
 
@@ -87,11 +89,7 @@ class GruNet:
     w_out = _block("w_out")
 
     def __init__(self, theta, input_dim, hidden_dim):
-        d, h = int(input_dim), int(hidden_dim)
-        if h < 1:
-            raise InvariantViolation("hidden width must be at least 1")
-        if d < 1:
-            raise InvariantViolation("input width must be at least 1")
+        d, h = check_sizes(**{"input width": input_dim, "hidden width": hidden_dim})
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (_n_params(d, h),):
             raise InvariantViolation("parameter vector has the wrong length")
@@ -106,7 +104,7 @@ class GruNet:
 
     @classmethod
     def zeros(cls, input_dim, hidden_dim):
-        d, h = int(input_dim), int(hidden_dim)
+        d, h = check_sizes(**{"input width": input_dim, "hidden width": hidden_dim})
         return cls(np.zeros(_n_params(d, h)), d, h)
 
     @classmethod
@@ -144,38 +142,30 @@ def _sigmoid(x, out=None, mask=None):
 class _Workspace:
     """Every array `_forward` and `_backward` write for one (B, P, D) batch.
 
-    `joint` (P+1, B, D+H) holds [x_t, h_t] in row t: its hidden columns are
-    the hidden states, row 0's zero. `joint_c` (P, B, D+H) holds
-    [x_t, r_t * h_t]. The x columns of both are filled here, once, so each
-    step's matrix products read their left operand in place. `zs`, `rs` and
-    `hcs` (P, B, H) keep the gates and candidate states for the backward
-    pass. The rest is scratch that every step overwrites: five (B, H)
-    arrays and a (B, H) mask, `wide` (B, D+H) for products with a transposed
-    gate matrix, and `w_grad` (D+H, H) and `b_grad` (H,) for one step's share
-    of a gate's gradient."""
+    It copies no frames: `frames` is the batch itself, time-major, a view.
+    `hs` (P+1, B, H) holds the hidden states, row 0's zero, and `zs`, `rs`
+    and `hcs` (P, B, H) keep the gates and candidate states for the backward
+    pass. The rest is scratch that every step overwrites: `joint` (B, D+H),
+    the left operand of a step's products with a gate matrix, which holds
+    [x_t, h_t] for the z and r gates and [x_t, r_t * h_t] for the candidate;
+    five (B, H) arrays and a (B, H) mask; `wide` (B, D+H) for products with
+    a transposed gate matrix; and `w_grad` (D+H, H) and `b_grad` (H,) for
+    one step's share of a gate's gradient. The products read `joint`, a
+    contiguous array, as they always have: BLAS can round differently on a
+    strided operand."""
 
     def __init__(self, net: GruNet, batch):
         b, p, d = batch.shape
         h = net.hidden_dim
-        x = batch.transpose(1, 0, 2)
-        self.joint = np.zeros((p + 1, b, d + h))
-        self.joint[:p, :, :d] = x
-        self.joint_c = np.empty((p, b, d + h))
-        self.joint_c[:, :, :d] = x
+        self.frames = batch.transpose(1, 0, 2)
+        self.hs = np.empty((p + 1, b, h))
+        self.hs[0] = 0.0
         self.zs, self.rs, self.hcs = (np.empty((p, b, h)) for _ in range(3))
+        self.joint, self.wide = np.empty((b, d + h)), np.empty((b, d + h))
         self.scratch = tuple(np.empty((b, h)) for _ in range(5))
         self.mask = np.empty((b, h), dtype=bool)
-        self.wide = np.empty((b, d + h))
         self.w_grad = np.empty((d + h, h))
         self.b_grad = np.empty(h)
-
-
-def _last_hidden(ws, d, out):
-    """The final hidden states, copied into the (B, H) array `out`. BLAS
-    products with a strided operand can round differently from those with a
-    contiguous one, and the readout's products have always read the latter."""
-    np.copyto(out, ws.joint[-1, :, d:])
-    return out
 
 
 def _forward(net: GruNet, ws):
@@ -184,19 +174,22 @@ def _forward(net: GruNet, ws):
     logits."""
     d = net.input_dim
     w_z, w_r, w_c, b_z, b_r, b_c = net.w_z, net.w_r, net.w_c, net.b_z, net.b_r, net.b_c
+    joint = ws.joint
+    x, hidden = joint[:, :d], joint[:, d:]
     a, s1, s2 = ws.scratch[:3]
     for t in range(len(ws.zs)):
-        joint, joint_c = ws.joint[t], ws.joint_c[t]
-        h, z, r, hc = joint[:, d:], ws.zs[t], ws.rs[t], ws.hcs[t]
-        # z, r = sigmoid(joint @ w + b); hc = tanh([x, r * h] @ w_c + b_c);
+        h, z, r, hc = ws.hs[t], ws.zs[t], ws.rs[t], ws.hcs[t]
+        # z, r = sigmoid([x, h] @ w + b); hc = tanh([x, r * h] @ w_c + b_c);
         # next h = (1 - z) * hc + z * h
+        np.copyto(x, ws.frames[t])
+        np.copyto(hidden, h)
         _sigmoid(np.add(np.matmul(joint, w_z, out=a), b_z, out=a), z, ws.mask)
         _sigmoid(np.add(np.matmul(joint, w_r, out=a), b_r, out=a), r, ws.mask)
-        np.multiply(r, h, out=joint_c[:, d:])
-        np.tanh(np.add(np.matmul(joint_c, w_c, out=a), b_c, out=a), out=hc)
+        np.multiply(r, h, out=hidden)
+        np.tanh(np.add(np.matmul(joint, w_c, out=a), b_c, out=a), out=hc)
         np.multiply(np.subtract(1.0, z, out=s1), hc, out=s1)
-        np.add(s1, np.multiply(z, h, out=s2), out=ws.joint[t + 1, :, d:])
-    return _last_hidden(ws, d, s1) @ net.w_out + net.b_out
+        np.add(s1, np.multiply(z, h, out=s2), out=ws.hs[t + 1])
+    return ws.hs[-1] @ net.w_out + net.b_out
 
 
 def _bce_from_logits(logits, labels):
@@ -207,12 +200,25 @@ def _bce_from_logits(logits, labels):
                          + np.log1p(np.exp(-np.abs(logits)))))
 
 
+def _check_finite(values, what):
+    # A sum of finite terms is finite unless it overflows, so only a
+    # non-finite sum needs the elementwise test and its temporary.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not math.isfinite(total) and not np.isfinite(values).all():
+        raise InvariantViolation(f"{what} has non-finite frames")
+
+
 def _as_batch(data):
-    if hasattr(data, "features"):
-        data = data.features
-    batch = np.asarray(data, dtype=float)
+    """`data`, a Corpus or an array, as a (signs, frames, features) float
+    array. An array's frames must be finite; a Corpus's were checked when it
+    was built."""
+    is_corpus = hasattr(data, "features")
+    batch = np.asarray(data.features if is_corpus else data, dtype=float)
     if batch.ndim != 3:
         raise InvariantViolation("a batch must be (signs, frames, features)")
+    if not is_corpus:
+        _check_finite(batch, "batch")
     return batch
 
 
@@ -220,6 +226,13 @@ def _check_width(net, width):
     if width != net.input_dim:
         raise InvariantViolation(
             f"batch has {width} features per frame, the net takes {net.input_dim}")
+
+
+def _check_epochs(epochs):
+    epochs = check_integer("epochs", epochs)
+    if epochs < 0:
+        raise InvariantViolation(f"epochs must not be negative, got {epochs}")
+    return epochs
 
 
 def _check_lr(lr):
@@ -249,6 +262,7 @@ def gru_forward(net: GruNet, sequence) -> float:
     if seq.ndim != 2:
         raise InvariantViolation("sequence must be a (frames, features) matrix")
     _check_width(net, seq.shape[1])
+    _check_finite(seq, "sequence")
     prob = float(_sigmoid(_forward(net, _Workspace(net, seq[None])))[0])
     tiny = 1e-15
     return min(max(prob, tiny), 1.0 - tiny)
@@ -271,21 +285,24 @@ def _backward(net: GruNet, ws, logits, labels) -> np.ndarray:
     g_w_z, g_w_r, g_w_c = g["w_z"], g["w_r"], g["w_c"]
     g_b_z, g_b_r, g_b_c = g["b_z"], g["b_r"], g["b_c"]
     dh, dz, da_c, da_r, tmp = ws.scratch
-    wide, w_grad, b_grad = ws.wide, ws.w_grad, ws.b_grad
+    joint, wide, w_grad, b_grad = ws.joint, ws.wide, ws.w_grad, ws.b_grad
+    x, hidden = joint[:, :d], joint[:, d:]
     dq = wide[:, d:]
     dlogits = (_sigmoid(logits) - labels) / b
-    np.matmul(_last_hidden(ws, d, tmp).T, dlogits, out=g["w_out"])
+    np.matmul(ws.hs[-1].T, dlogits, out=g["w_out"])
     grad[-1] = dlogits.sum()
     np.outer(dlogits, net.w_out, out=dh)
 
     for t in reversed(range(len(ws.zs))):
-        joint, joint_c = ws.joint[t], ws.joint_c[t]
-        h_prev, z, r, hc = joint[:, d:], ws.zs[t], ws.rs[t], ws.hcs[t]
+        h_prev, z, r, hc = ws.hs[t], ws.zs[t], ws.rs[t], ws.hcs[t]
+        # joint = [x, r * h_prev] for w_c's gradient, then [x, h_prev] for w_r's and w_z's
+        np.copyto(x, ws.frames[t])
+        np.multiply(r, h_prev, out=hidden)
         # dz = dh * (h_prev - hc), da_c = dh * (1 - z) * (1 - hc * hc)
         np.multiply(dh, np.subtract(h_prev, hc, out=dz), out=dz)
         np.multiply(dh, np.subtract(1.0, z, out=da_c), out=da_c)
         np.multiply(da_c, np.subtract(1.0, np.multiply(hc, hc, out=tmp), out=tmp), out=da_c)
-        g_w_c += np.matmul(joint_c.T, da_c, out=w_grad)
+        g_w_c += np.matmul(joint.T, da_c, out=w_grad)
         g_b_c += np.sum(da_c, axis=0, out=b_grad)
         # dq = (da_c @ w_c.T)[:, d:], da_r = dq * h_prev * r * (1 - r)
         np.matmul(da_c, w_c.T, out=wide)
@@ -293,6 +310,7 @@ def _backward(net: GruNet, ws, logits, labels) -> np.ndarray:
         np.multiply(da_r, np.subtract(1.0, r, out=tmp), out=da_r)
         # da_z = dz * z * (1 - z), in dz's place
         np.multiply(np.multiply(dz, z, out=dz), np.subtract(1.0, z, out=tmp), out=dz)
+        np.copyto(hidden, h_prev)
         g_w_r += np.matmul(joint.T, da_r, out=w_grad)
         g_b_r += np.sum(da_r, axis=0, out=b_grad)
         g_w_z += np.matmul(joint.T, dz, out=w_grad)
@@ -330,9 +348,7 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
     pass behind step t+1's gradient, so training runs epochs + 1 forwards.
     """
     batch, labels = _as_labeled_batch(net, batch, labels, "train on")
-    epochs = int(epochs)
-    if epochs < 0:
-        raise InvariantViolation(f"epochs must not be negative, got {epochs}")
+    epochs = _check_epochs(epochs)
     lr = _check_lr(lr)
     theta = net.theta
     m = np.zeros_like(theta)
@@ -388,12 +404,8 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     test BCE. Returns mean and standard deviation over rounds; every draw is
     derived from `seed`, so results are bit-reproducible.
     """
-    if int(n_seeds) < 1:
-        raise InvariantViolation(f"n_seeds must be at least 1, got {n_seeds}")
-    if int(epochs) < 0:
-        raise InvariantViolation(f"epochs must not be negative, got {epochs}")
-    if int(hidden_dim) < 1:
-        raise InvariantViolation(f"hidden_dim must be at least 1, got {hidden_dim}")
+    n_seeds, hidden_dim = check_sizes(n_seeds=n_seeds, hidden_dim=hidden_dim)
+    epochs = _check_epochs(epochs)
     lr = _check_lr(lr)
     real_batch = _as_batch(real)
     n_real, _, d = real_batch.shape
@@ -402,7 +414,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     if not (0.0 < split < 1.0):
         raise InvariantViolation("split must be strictly between 0 and 1")
     per_seed = []
-    for k in range(int(n_seeds)):
+    for k in range(n_seeds):
         fake_batch = _as_batch(generator(n_real, component_seed(seed, f"generator/{k}")))
         if fake_batch.shape != real_batch.shape:
             raise InvariantViolation(
@@ -422,7 +434,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
                  k, trace[0], trace[-1], per_seed[-1])
     mean = float(np.mean(per_seed))
     std = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0
-    options = {"n_seeds": int(n_seeds), "split": float(split), "epochs": int(epochs),
-               "lr": lr, "hidden_dim": int(hidden_dim), "seed": int(seed)}
-    return EvalReport(bce_mean=mean, bce_std=std, n_seeds=int(n_seeds),
+    options = {"n_seeds": n_seeds, "split": float(split), "epochs": epochs,
+               "lr": lr, "hidden_dim": hidden_dim, "seed": int(seed)}
+    return EvalReport(bce_mean=mean, bce_std=std, n_seeds=n_seeds,
                       per_seed=per_seed, options=options)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mh_phone import discriminator
-from mh_phone.discriminator import (LN2, EvalReport, GruNet, _stratified_split,
+from mh_phone.discriminator import (LN2, EvalReport, GruNet, _n_params, _stratified_split,
                                     bce_loss, evaluate_generator, gru_forward, gru_grad,
                                     train_gru)
 from mh_phone.errors import EmptyBatch, InvariantViolation, NotEnoughData
@@ -443,6 +443,46 @@ def test_evaluate_generator_rejects_bad_counts_before_drawing(kwargs, message):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad, kind", [
+    (2.7, "float"), (2.0, "float"), ("2", "str"), (True, "bool"), (math.nan, "float"),
+])
+@pytest.mark.parametrize("call, name", [
+    (lambda real, gen, bad: evaluate_generator(real, gen, n_seeds=bad, epochs=1), "n_seeds"),
+    (lambda real, gen, bad: evaluate_generator(real, gen, n_seeds=1, epochs=bad), "epochs"),
+    (lambda real, gen, bad: evaluate_generator(real, gen, n_seeds=1, hidden_dim=bad),
+     "hidden_dim"),
+    (lambda real, gen, bad: train_gru(GruNet.random(3, 2, np.random.default_rng(0)),
+                                      real.features, np.arange(12) % 2, epochs=bad), "epochs"),
+    (lambda real, gen, bad: GruNet.zeros(3, bad), "hidden width"),
+    (lambda real, gen, bad: GruNet.zeros(bad, 2), "input width"),
+    (lambda real, gen, bad: GruNet(np.zeros(_n_params(3, 2)), bad, 2), "input width"),
+], ids=["evaluate-n_seeds", "evaluate-epochs", "evaluate-hidden_dim", "train_gru-epochs",
+        "zeros-hidden", "zeros-input", "init-input"])
+def test_integer_arguments_must_be_integers(call, name, bad, kind):
+    real = _real_corpus(93, m=12)
+    calls = []
+
+    def recording(n, gen_seed):
+        calls.append(gen_seed)
+        return np.zeros((n, 6, 3))
+
+    with pytest.raises(InvariantViolation, match=f"^{name} must be an integer, got {kind}$"):
+        call(real, recording, bad)
+    assert calls == []
+
+
+def test_numpy_integer_arguments_are_taken_as_ints():
+    real = _real_corpus(94, m=12)
+    report = evaluate_generator(real, lambda n, s: np.zeros((n, 6, 3)), n_seeds=np.int64(1),
+                                epochs=np.int32(0), hidden_dim=np.int16(2), seed=95)
+    assert report.options["n_seeds"] == 1 and type(report.options["n_seeds"]) is int
+    assert type(report.n_seeds) is int
+    assert type(report.options["epochs"]) is int
+    assert type(report.options["hidden_dim"]) is int
+    net = GruNet.zeros(np.int64(3), np.int64(2))
+    assert type(net.input_dim) is int and type(net.hidden_dim) is int
+
+
 def test_evaluate_generator_logs_each_seed(caplog):
     real = _real_corpus(78, m=12)
 
@@ -524,14 +564,36 @@ def test_one_workspace_serves_a_whole_training(monkeypatch):
     assert len(spaces) == 4
     assert all(ws is spaces[0] for ws in spaces)
     ws = spaces[0]
-    assert ws.joint.shape == (5, 5, 5)
-    assert ws.joint_c.shape == (4, 5, 5)
+    assert ws.hs.shape == (5, 5, 2)
     assert ws.zs.shape == ws.rs.shape == ws.hcs.shape == (4, 5, 2)
-    # the x columns hold the batch, time-major, after every pass; hidden row 0 is zero
-    frames = batch.transpose(1, 0, 2)
-    assert ws.joint[:4, :, :3].tobytes() == frames.tobytes()
-    assert ws.joint_c[:, :, :3].tobytes() == frames.tobytes()
-    assert not ws.joint[0, :, 3:].any()
+    assert ws.joint.shape == ws.wide.shape == (5, 5)
+    assert ws.joint.flags.c_contiguous
+    # the frames are the caller's batch, time-major, read in place; hidden row 0 is zero
+    assert ws.frames.shape == (4, 5, 3)
+    assert np.shares_memory(ws.frames, batch)
+    assert not ws.hs[0].any()
+    arrays = [a for a in (*vars(ws).values(), *ws.scratch) if isinstance(a, np.ndarray)]
+    assert [a for a in arrays if np.shares_memory(a, batch)] == [ws.frames]
+
+
+def test_a_training_workspace_holds_no_copy_of_the_frames():
+    # The hidden states, the gates and the candidate states, plus a few
+    # (B, D+H) buffers: about 12.4 MB at this size. Keeping every step's
+    # [x_t, h_t] and [x_t, r_t * h_t], as (P+1, B, D+H) and (P, B, D+H)
+    # arrays in place of the hidden states, would take 21.0 MB.
+    b, p, d, h = 960, 25, 14, 16
+    rng = np.random.default_rng(92)
+    batch = rng.normal(size=(b, p, d))
+    net = GruNet.random(d, h, rng)
+    tracemalloc.start()
+    try:
+        ws = discriminator._Workspace(net, batch)
+        held = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * (((p + 1) * h + 3 * p * h) * b + 8 * b * (d + h))
+    assert ws.hs.nbytes + ws.zs.nbytes + ws.rs.nbytes + ws.hcs.nbytes == (
+        8 * ((p + 1) * h + 3 * p * h) * b)
 
 
 def test_a_warm_step_allocates_nothing_per_frame():
@@ -574,6 +636,52 @@ def test_a_batch_of_the_wrong_width_is_rejected(monkeypatch, fn, width):
     with pytest.raises(InvariantViolation,
                        match=f"^batch has {width} features per frame, the net takes 3$"):
         fn(GruNet.random(3, 2, rng), batch, np.arange(4) % 2)
+
+
+@pytest.mark.parametrize("fn, what", [
+    (lambda net, batch, labels: bce_loss(net, batch, labels), "batch"),
+    (lambda net, batch, labels: gru_grad(net, batch, labels), "batch"),
+    (lambda net, batch, labels: train_gru(net, batch, labels, epochs=1), "batch"),
+    (lambda net, batch, labels: gru_forward(net, batch[2]), "sequence"),
+    (lambda net, batch, labels: evaluate_generator(
+        _real_corpus(96, m=12, p=5), lambda n, s: np.resize(batch, (n, 5, 3)), n_seeds=1),
+     "batch"),
+], ids=["bce_loss", "gru_grad", "train_gru", "gru_forward", "evaluate_generator"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_batch_with_a_non_finite_frame_is_rejected(monkeypatch, fn, what, bad):
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(discriminator, "_Workspace", no_workspace)
+    rng = np.random.default_rng(97)
+    batch = rng.normal(size=(4, 5, 3))
+    batch[2, 3, 1] = bad
+    with pytest.raises(InvariantViolation, match=f"^{what} has non-finite frames$"):
+        fn(GruNet.random(3, 2, rng), batch, np.arange(4) % 2)
+
+
+def test_finite_frames_whose_sum_overflows_are_accepted(monkeypatch):
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(discriminator, "_Workspace", no_workspace)
+    batch = np.full((4, 5, 3), 1e308)
+    with np.errstate(over="ignore"):
+        assert np.isinf(batch.sum())
+    with pytest.raises(AssertionError, match="a workspace was built"):
+        bce_loss(GruNet.random(3, 2, np.random.default_rng(98)), batch, np.arange(4) % 2)
+
+
+def test_a_corpus_is_not_scanned_again(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a corpus was scanned")
+
+    monkeypatch.setattr(discriminator, "_check_finite", no_scan)
+    rng = np.random.default_rng(99)
+    corpus = corpus_from_features(rng.normal(size=(4, 5, 3)))
+    net = GruNet.random(3, 2, rng)
+    bce_loss(net, corpus, np.arange(4) % 2)
+    gru_grad(net, corpus, np.arange(4) % 2)
 
 
 @pytest.mark.parametrize("fn, shape, message", [
