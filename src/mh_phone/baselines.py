@@ -13,14 +13,13 @@ prototypes (a mixture of unigrams).
 
 import numpy as np
 
-from .corpus import DEFAULT_FRAMES, Corpus, check_sizes, sampled_corpus
-from .errors import InvariantViolation
+from .corpus import DEFAULT_FRAMES, Corpus, sampled_corpus
 from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
 from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
                          hard_em, map_log_joint, pair_counts, picked_terms, safe_log,
                          seed_emissions, sweep_signs)
 from .model import emission_means, emission_sigma, emission_sweep
-from .params import GmmLdaParams, GmmParams, Hyperparams
+from .params import GmmLdaParams, GmmParams, Hyperparams, check_sizes
 
 
 def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
@@ -34,8 +33,8 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
     once, for the objective's terms and the next labels, which overwrite
     the current ones in place (none on the last allowed iteration).
     """
-    if n_components < 1:
-        raise InvariantViolation("n_components must be at least 1")
+    n_components, max_iters, threads = check_sizes(n_components=n_components,
+                                                    max_iters=max_iters, threads=threads)
     m, p, d = corpus.dims
     features = corpus.features
     frames = features.reshape(-1, d)
@@ -98,8 +97,8 @@ def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyp
     which takes each block's emission table once, for the new labels and
     the objective's terms of them.
     """
-    if n_components < 1 or n_topics < 1:
-        raise InvariantViolation("n_components and n_topics must be at least 1")
+    n_components, n_topics, max_iters, threads = check_sizes(
+        n_components=n_components, n_topics=n_topics, max_iters=max_iters, threads=threads)
     m, p, d = corpus.dims
     features = corpus.features
     frames = features.reshape(-1, d)

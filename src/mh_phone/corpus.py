@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DegenerateScale, InvariantViolation, ParseError, TooLong
 from .estimation import gaussian_frames, markov_chain_sample
 from .io import output_file, special_file
-from .params import ModelParams, json_numbers
+from .params import ModelParams, check_sizes, integer_type, json_numbers
 
 KEYPOINTS = (
     "head",
@@ -112,17 +112,7 @@ def check_signs(features, lengths, noises):
                                                 noise=noises[sign]), sign=sign)
 
 
-def _integer_type(kind):
-    """Whether values of type `kind` are ints or numpy integers, and not bools."""
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-
-
-def _is_integer(value):
-    """Whether `value` is an int or a numpy integer, and not a bool."""
-    return _integer_type(type(value))
-
-
-_TYPES = (("true_length", _integer_type, "an integer"),
+_TYPES = (("true_length", integer_type, "an integer"),
           ("gloss", lambda kind: issubclass(kind, str), "a string"),
           ("signer", lambda kind: issubclass(kind, str), "a string"))
 
@@ -550,23 +540,6 @@ def synth_corpus(truth: ModelParams, m_signs, seed, *, n_frames=DEFAULT_FRAMES,
     else:
         lengths = np.full(m_signs, p)
     return sampled_corpus(feats, lengths, gloss_prefix), labels
-
-
-def check_integer(name, value):
-    """`value` as an int; raises InvariantViolation naming it unless it is an
-    int or a numpy integer, and not a bool."""
-    if not _is_integer(value):
-        raise InvariantViolation(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
-
-
-def check_sizes(**sizes):
-    """A sampler's sizes as ints, in keyword order; raises InvariantViolation
-    naming the first that is not an integer or is below 1, before any draw."""
-    for name, value in sizes.items():
-        if check_integer(name, value) < 1:
-            raise InvariantViolation(f"{name} must be at least 1, got {value}")
-    return tuple(map(int, sizes.values()))
 
 
 def sampled_corpus(features, lengths, gloss_prefix) -> Corpus:

@@ -46,8 +46,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import check_integer, check_sizes
 from .errors import EmptyBatch, InvariantViolation, NotEnoughData
+from .params import check_integer, check_number, check_sizes
 from .seeding import component_seed
 
 LN2 = math.log(2.0)
@@ -228,20 +228,6 @@ def _check_width(net, width):
             f"batch has {width} features per frame, the net takes {net.input_dim}")
 
 
-def _check_epochs(epochs):
-    epochs = check_integer("epochs", epochs)
-    if epochs < 0:
-        raise InvariantViolation(f"epochs must not be negative, got {epochs}")
-    return epochs
-
-
-def _check_lr(lr):
-    lr = float(lr)
-    if not 0.0 < lr < math.inf:
-        raise InvariantViolation(f"lr must be positive and finite, got {lr}")
-    return lr
-
-
 def _as_labeled_batch(net, batch, labels, action):
     batch = _as_batch(batch)
     _check_width(net, batch.shape[2])
@@ -348,8 +334,8 @@ def train_gru(net: GruNet, batch, labels, *, epochs=50, lr=1e-2):
     pass behind step t+1's gradient, so training runs epochs + 1 forwards.
     """
     batch, labels = _as_labeled_batch(net, batch, labels, "train on")
-    epochs = _check_epochs(epochs)
-    lr = _check_lr(lr)
+    (epochs,) = check_sizes(least=0, epochs=epochs)
+    lr = check_number("lr", lr, lambda v: 0.0 < v < math.inf, "positive and finite")
     theta = net.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -405,14 +391,14 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
     derived from `seed`, so results are bit-reproducible.
     """
     n_seeds, hidden_dim = check_sizes(n_seeds=n_seeds, hidden_dim=hidden_dim)
-    epochs = _check_epochs(epochs)
-    lr = _check_lr(lr)
+    (epochs,) = check_sizes(least=0, epochs=epochs)
+    lr = check_number("lr", lr, lambda v: 0.0 < v < math.inf, "positive and finite")
+    split = check_number("split", split, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+    seed = check_integer("seed", seed)
     real_batch = _as_batch(real)
     n_real, _, d = real_batch.shape
     if n_real < 10:
         raise NotEnoughData("generator evaluation needs at least 10 real signs")
-    if not (0.0 < split < 1.0):
-        raise InvariantViolation("split must be strictly between 0 and 1")
     per_seed = []
     for k in range(n_seeds):
         fake_batch = _as_batch(generator(n_real, component_seed(seed, f"generator/{k}")))
@@ -434,7 +420,7 @@ def evaluate_generator(real, generator, *, n_seeds=5, split=0.8, epochs=50,
                  k, trace[0], trace[-1], per_seed[-1])
     mean = float(np.mean(per_seed))
     std = float(np.std(per_seed, ddof=1)) if len(per_seed) > 1 else 0.0
-    options = {"n_seeds": n_seeds, "split": float(split), "epochs": epochs,
-               "lr": lr, "hidden_dim": hidden_dim, "seed": int(seed)}
+    options = {"n_seeds": n_seeds, "split": split, "epochs": epochs,
+               "lr": lr, "hidden_dim": hidden_dim, "seed": seed}
     return EvalReport(bce_mean=mean, bce_std=std, n_seeds=n_seeds,
                       per_seed=per_seed, options=options)

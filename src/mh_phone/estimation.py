@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InvariantViolation, NotEnoughData
-from .params import FitReport, Hyperparams
+from .params import FitReport, Hyperparams, check_sizes
 
 SIGMA_INIT_FLOOR = 1e-3
 
@@ -398,10 +398,10 @@ def hard_em(step, max_iters, tol) -> FitReport:
     after max_iters iterations, at a non-finite objective, or once the
     relative change from the previous objective is at most tol; only the
     last stop reports converged=True. With no previous objective, the first
-    iteration stops only for tol = inf. NaN tol raises.
+    iteration stops only for tol = inf. max_iters must be a count of at
+    least 1 (`params.check_sizes`); NaN tol raises.
     """
-    if max_iters < 1:
-        raise InvariantViolation(f"max_iters must be at least 1, got {max_iters}")
+    (max_iters,) = check_sizes(max_iters=max_iters)
     if math.isnan(tol):
         raise InvariantViolation("tol must not be NaN")
     trace: list[float] = []

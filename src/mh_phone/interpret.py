@@ -4,6 +4,9 @@ Self-transition probabilities turn into expected hold lengths (geometric
 waiting times), the start distribution and transition matrix turn into
 expected per-sign prototype counts over a finite horizon, and the shared
 variances summarize how tightly each joint is held.
+
+The state, the horizon (at least 1) and frame_ms are checked by the rules
+in `params` (`check_integer`, `check_sizes`, `check_number`) before any work.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +15,7 @@ import numpy as np
 
 from .corpus import KEYPOINTS
 from .errors import AbsorbingState, InvariantViolation
-from .params import ModelParams
+from .params import ModelParams, check_integer, check_number, check_sizes
 
 DEFAULT_FRAME_MS = 98.0
 DEFAULT_HORIZON = 20
@@ -24,6 +27,7 @@ def expected_hold_length(params: ModelParams, state) -> float:
     Raises AbsorbingState when the state never leaves itself.
     """
     n = params.n_states
+    state = check_integer("state", state)
     if not (0 <= state < n):
         raise InvariantViolation(f"state must be in [0, {n}), got {state}")
     stay = float(params.trans[state, state])
@@ -38,9 +42,7 @@ def expected_counts(params: ModelParams, horizon=DEFAULT_HORIZON) -> np.ndarray:
     The sum over i = 0..horizon-1 of pi @ T^i; its entries add up to the
     horizon exactly.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InvariantViolation("horizon must be at least 1")
+    (horizon,) = check_sizes(horizon=horizon)
     occupancy = params.pi.astype(float).copy()
     counts = np.zeros(params.n_states)
     for _ in range(horizon):
@@ -90,8 +92,8 @@ def summarize(params: ModelParams, *, frame_ms=DEFAULT_FRAME_MS,
     averages each joint's two variance dimensions and is only available when
     the feature count matches 2 * len(KEYPOINTS).
     """
-    if not 0 < frame_ms < np.inf:
-        raise InvariantViolation(f"frame_ms must be positive and finite, got {frame_ms}")
+    frame_ms = check_number("frame_ms", frame_ms, lambda v: 0 < v < np.inf, "positive and finite")
+    (horizon,) = check_sizes(horizon=horizon)
     n = params.n_states
     hold = np.empty(n)
     notes = []
@@ -125,8 +127,8 @@ def summarize(params: ModelParams, *, frame_ms=DEFAULT_FRAME_MS,
         start_ranking=ranking,
         end_prob=end_prob,
         dispersion_by_joint=dispersion,
-        horizon=int(horizon),
-        frame_ms=float(frame_ms),
+        horizon=horizon,
+        frame_ms=frame_ms,
         notes=notes,
     )
 

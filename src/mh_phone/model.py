@@ -20,12 +20,12 @@ is at most tol) and the emission M-step (`emission_means`, `emission_sigma`).
 
 import numpy as np
 
-from .corpus import DEFAULT_FRAMES, Corpus, check_sizes, synth_corpus
+from .corpus import DEFAULT_FRAMES, Corpus, synth_corpus
 from .errors import InvariantViolation
 from .estimation import (block_scratch, carried_sum, dirichlet_map, emission_loglik, hard_em,
                          map_log_joint, map_means, map_sigma, pair_counts, picked_terms,
                          row_blocks, safe_log, seed_emissions, sweep_signs)
-from .params import Hyperparams, ModelParams
+from .params import Hyperparams, ModelParams, check_sizes
 
 
 def init_params(n_states, corpus: Corpus, seed=0) -> ModelParams:
@@ -35,8 +35,7 @@ def init_params(n_states, corpus: Corpus, seed=0) -> ModelParams:
     farthest-point seeding; sigma starts at the per-dimension empirical std
     of the non-padding frames, floored at SIGMA_INIT_FLOOR (`seed_emissions`).
     """
-    if n_states < 2:
-        raise InvariantViolation("n_states must be at least 2 (end state plus one prototype)")
+    (n_states,) = check_sizes(least=2, n_states=n_states)
     protos, sigma = seed_emissions(np.random.default_rng(seed), corpus.features,
                                    n_states - 1, corpus.true_lengths)
     mu = np.vstack([np.zeros(corpus.dims[2]), protos])
@@ -215,6 +214,7 @@ def fit_em(corpus: Corpus, n_states, hyper: Hyperparams = Hyperparams(), *,
     and the next E-step's labels. The last allowed iteration takes no next
     labels.
     """
+    max_iters, threads = check_sizes(max_iters=max_iters, threads=threads)
     if e_step not in _E_STEPS:
         raise InvariantViolation(f"e_step must be one of {sorted(_E_STEPS)}, got '{e_step}'")
     # not through _E_STEPS, which callers may wrap

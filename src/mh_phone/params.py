@@ -1,9 +1,14 @@
-"""Containers for model parameters, hyperparameters and fit reports.
+"""Containers for model parameters, hyperparameters and fit reports, and
+the library's rules for the counts and numbers it takes.
 
 State 0 is the end state: its prototype is pinned to the zero vector, which
 is exactly the padding token appended to every sign. All probability vectors
 must sum to 1 within 1e-9 and the shared `sigma` holds per-dimension
 variances of the diagonal emission Gaussian.
+
+Every count the library takes goes through `check_sizes` (an int or numpy
+integer, not a bool, and at least a minimum) and every other number through
+`check_number`, before any work; both raise InvariantViolation naming it.
 """
 
 from dataclasses import dataclass, field, fields
@@ -19,6 +24,43 @@ _EXPECTED = {np.ndarray: "a rectangular array of numbers", float: "a number"}
 def json_numbers(values) -> bool:
     """Whether every value is a JSON number: an int or a float, never a bool or a str."""
     return set(map(type, values)) <= {int, float}
+
+
+def integer_type(kind):
+    """Whether values of type `kind` are ints or numpy integers, and not bools."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def check_integer(name, value):
+    """`value` as an int; raises InvariantViolation("<name> must be an integer,
+    got <type>") unless it is an int or a numpy integer, and not a bool."""
+    if not integer_type(type(value)):
+        raise InvariantViolation(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def check_sizes(*, least=1, **sizes):
+    """The counts as ints, in keyword order; raises InvariantViolation naming
+    the first that is not an integer (`check_integer`) or else is below
+    `least`: "<name> must be at least <least>, got <value>"."""
+    for name, value in sizes.items():
+        if check_integer(name, value) < least:
+            raise InvariantViolation(f"{name} must be at least {least}, got {value}")
+    return tuple(map(int, sizes.values()))
+
+
+def check_number(name, value, ok, rule):
+    """`value` as a float; raises InvariantViolation("<name> must be <rule>, got
+    ...") unless float() converts it, it is not a bool and ok(number) holds."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantViolation(f"{name} must be {rule}, got {value!r}") from None
+    if not ok(number):
+        raise InvariantViolation(f"{name} must be {rule}, got {number}")
+    return number
 
 
 def _frozen_array(value):
@@ -217,12 +259,8 @@ def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
     prototype, is at least `separation`. The first two feature dimensions
     are pinned to zero, matching normalized real data.
     """
-    if n_states < 2:
-        raise InvariantViolation("need the end state plus at least one prototype")
-    if n_features < 1:
-        raise InvariantViolation("need at least one feature dimension")
+    n, d = check_sizes(least=2, n_states=n_states) + check_sizes(n_features=n_features)
     rng = np.random.default_rng(seed)
-    n, d = n_states, n_features
 
     spread = max(float(separation), 1.0)
     for _ in range(1000):

@@ -348,9 +348,9 @@ def test_samplers_reject_sizes_below_one_before_drawing(monkeypatch, sampler, si
 
 
 @pytest.mark.parametrize("fit, message", [
-    (lambda c: fit_gmm(c, 0), "n_components must be at least 1"),
-    (lambda c: fit_gmm_lda(c, 0, 2), "n_components and n_topics must be at least 1"),
-    (lambda c: fit_gmm_lda(c, 2, 0), "n_components and n_topics must be at least 1"),
+    (lambda c: fit_gmm(c, 0), "n_components must be at least 1, got 0"),
+    (lambda c: fit_gmm_lda(c, 0, 2), "n_components must be at least 1, got 0"),
+    (lambda c: fit_gmm_lda(c, 2, 0), "n_topics must be at least 1, got 0"),
 ], ids=["gmm-components", "lda-components", "lda-topics"])
 def test_mixture_fits_need_a_component_and_a_topic(fit, message):
     corpus = corpus_from_features(np.ones((2, 3, 1)))

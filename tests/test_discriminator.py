@@ -1,6 +1,7 @@
 """GRU discriminator: forward pass, exact gradients, training, evaluation."""
 
 import hashlib
+import json
 import logging
 import math
 import re
@@ -417,14 +418,14 @@ def test_labels_must_have_one_entry_per_sign(fn, labels, message):
 def test_train_gru_rejects_negative_epochs():
     rng = np.random.default_rng(76)
     batch = rng.normal(size=(4, 3, 2))
-    with pytest.raises(InvariantViolation, match="epochs must not be negative, got -3"):
+    with pytest.raises(InvariantViolation, match="epochs must be at least 0, got -3"):
         train_gru(GruNet.random(2, 2, rng), batch, np.arange(4) % 2, epochs=-3)
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_seeds": 0}, "n_seeds must be at least 1, got 0"),
     ({"n_seeds": -1}, "n_seeds must be at least 1, got -1"),
-    ({"epochs": -2}, "epochs must not be negative, got -2"),
+    ({"epochs": -2}, "epochs must be at least 0, got -2"),
     ({"lr": 0}, "lr must be positive and finite, got 0.0"),
     ({"lr": -0.5}, "lr must be positive and finite, got -0.5"),
     ({"lr": math.nan}, "lr must be positive and finite, got nan"),
@@ -481,6 +482,67 @@ def test_numpy_integer_arguments_are_taken_as_ints():
     assert type(report.options["hidden_dim"]) is int
     net = GruNet.zeros(np.int64(3), np.int64(2))
     assert type(net.input_dim) is int and type(net.hidden_dim) is int
+
+
+@pytest.mark.parametrize("bad, kind", [(2.7, "float"), ("3", "str"), (True, "bool")])
+def test_evaluate_generator_seed_must_be_an_integer(bad, kind):
+    real = _real_corpus(98, m=12)
+    calls = []
+
+    def recording(n, gen_seed):
+        calls.append(gen_seed)
+        return np.zeros((n, 6, 3))
+
+    with pytest.raises(InvariantViolation, match=f"^seed must be an integer, got {kind}$"):
+        evaluate_generator(real, recording, n_seeds=1, epochs=1, seed=bad)
+    assert calls == []
+
+
+def test_evaluate_generator_reports_the_seed_it_drew_from():
+    real = _real_corpus(99, m=12)
+
+    def gen(n, gen_seed):
+        return np.random.default_rng(gen_seed).normal(size=(n, 6, 3))
+
+    def report_bytes(seed):
+        report = evaluate_generator(real, gen, n_seeds=1, epochs=2, seed=seed)
+        return json.dumps(report.to_dict()).encode()
+
+    assert report_bytes(np.int64(3)) == report_bytes(3)
+    # a seed has no minimum
+    assert json.loads(report_bytes(-1))["options"]["seed"] == -1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"split": "half"}, "split must be strictly between 0 and 1, got 'half'"),
+    ({"split": None}, "split must be strictly between 0 and 1, got None"),
+    ({"split": True}, "split must be strictly between 0 and 1, got True"),
+    ({"split": 1.5}, "split must be strictly between 0 and 1, got 1.5"),
+    ({"split": math.nan}, "split must be strictly between 0 and 1, got nan"),
+    ({"lr": "abc"}, "lr must be positive and finite, got 'abc'"),
+    ({"lr": None}, "lr must be positive and finite, got None"),
+    ({"lr": True}, "lr must be positive and finite, got True"),
+], ids=["split-text", "split-none", "split-bool", "split-1.5", "split-nan", "lr-text",
+        "lr-none", "lr-bool"])
+def test_evaluate_generator_rejects_numbers_before_drawing(kwargs, message):
+    real = _real_corpus(100, m=12)
+    calls = []
+
+    def recording(n, gen_seed):
+        calls.append(gen_seed)
+        return np.zeros((n, 6, 3))
+
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        evaluate_generator(real, recording, n_seeds=1, epochs=1, **kwargs)
+    assert calls == []
+
+
+def test_a_split_given_as_text_is_taken_as_its_number():
+    real = _real_corpus(101, m=12)
+    reports = [evaluate_generator(real, lambda n, s: np.zeros((n, 6, 3)), n_seeds=1, epochs=2,
+                                  split=split).to_dict() for split in ("0.5", 0.5)]
+    assert reports[0] == reports[1]
+    assert type(reports[0]["options"]["split"]) is float
 
 
 def test_evaluate_generator_logs_each_seed(caplog):

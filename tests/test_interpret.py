@@ -176,6 +176,22 @@ def test_summarize_rejects_bad_frame_ms():
         summarize(params, frame_ms=0.0)
 
 
+@pytest.mark.parametrize("frame_ms, shown", [
+    ("x", "'x'"), (None, "None"), (True, "True"), (-1, "-1.0"), (math.inf, "inf"),
+], ids=["text", "none", "bool", "negative", "inf"])
+def test_summarize_names_a_frame_ms_it_cannot_use(frame_ms, shown):
+    params = random_params(np.random.default_rng(77), 2, 2)
+    with pytest.raises(InvariantViolation,
+                       match=f"^frame_ms must be positive and finite, got {shown}$"):
+        summarize(params, frame_ms=frame_ms)
+
+
+def test_summarize_takes_a_frame_ms_that_float_converts():
+    params = random_params(np.random.default_rng(78), 2, 2)
+    report = summarize(params, frame_ms="98").to_dict()
+    assert report == summarize(params, frame_ms=98.0).to_dict()
+
+
 def test_summarize_hold_ms_scaling():
     trans = np.array([[0.5, 0.5], [0.2, 0.8]])
     params = _chain_params([0.5, 0.5], trans)

@@ -1,17 +1,24 @@
-"""Parameter container validation and the synthetic ground-truth builder."""
+"""Parameter container validation, the synthetic ground-truth builder and
+the count and number rules."""
 
 import hashlib
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+from mh_phone import baselines, model
+from mh_phone.baselines import fit_gmm, fit_gmm_lda
 from mh_phone.errors import InvariantViolation
-from mh_phone.params import (FitReport, GmmLdaParams, GmmParams,
-                             Hyperparams, ModelParams, make_truth_params)
+from mh_phone.estimation import hard_em
+from mh_phone.interpret import expected_counts, expected_hold_length, summarize
+from mh_phone.model import fit_em, init_params
+from mh_phone.params import (FitReport, GmmLdaParams, GmmParams, Hyperparams, ModelParams,
+                             check_number, make_truth_params)
 
-from helpers import random_params
+from helpers import random_corpus, random_params
 
 
 def test_hyperparams_defaults():
@@ -183,7 +190,7 @@ def test_make_truth_keeps_its_bytes(args, digest):
 
 
 @pytest.mark.parametrize("args, options, message", [
-    ((4, 0), {}, "need at least one feature dimension"),
+    ((4, 0), {}, "n_features must be at least 1, got 0"),
     ((10, 3), dict(seed=8, separation=1.0),
      "could not place prototypes at the requested separation"),
 ], ids=["no-features", "unplaceable"])
@@ -241,3 +248,100 @@ def test_from_dict_takes_integers_as_numbers():
 def test_emission_needs_at_least_one_feature():
     with pytest.raises(InvariantViolation, match="sigma must have one entry for each of D >= 1"):
         GmmParams(weights=[1.0], mu=[[]], sigma=[])
+
+
+_CORPUS = random_corpus(np.random.default_rng(96), 12, 5, 2)
+_PARAMS = random_params(np.random.default_rng(97), 3, 2)
+
+# (argument, least, valid, call): call(value, steps) passes value as the
+# argument and a valid value for every other count; hard_em's step records
+# its `last` flags in steps
+_COUNTS = [
+    ("max_iters", 1, 2, lambda v, steps: hard_em(lambda last: steps.append(last) or 1.0, v, 0.0)),
+    ("n_states", 2, 3, lambda v, steps: init_params(v, _CORPUS, seed=1)),
+    ("n_states", 2, 3, lambda v, steps: fit_em(_CORPUS, v, max_iters=2, seed=1)),
+    ("max_iters", 1, 2, lambda v, steps: fit_em(_CORPUS, 3, max_iters=v, seed=1)),
+    ("threads", 1, 2, lambda v, steps: fit_em(_CORPUS, 3, max_iters=2, seed=1, threads=v)),
+    ("n_components", 1, 3, lambda v, steps: fit_gmm(_CORPUS, v, seed=1, max_iters=2)),
+    ("max_iters", 1, 2, lambda v, steps: fit_gmm(_CORPUS, 3, seed=1, max_iters=v)),
+    ("threads", 1, 2, lambda v, steps: fit_gmm(_CORPUS, 3, seed=1, max_iters=2, threads=v)),
+    ("n_components", 1, 3, lambda v, steps: fit_gmm_lda(_CORPUS, v, 2, seed=1, max_iters=2)),
+    ("n_topics", 1, 2, lambda v, steps: fit_gmm_lda(_CORPUS, 3, v, seed=1, max_iters=2)),
+    ("max_iters", 1, 2, lambda v, steps: fit_gmm_lda(_CORPUS, 3, 2, seed=1, max_iters=v)),
+    ("threads", 1, 2,
+     lambda v, steps: fit_gmm_lda(_CORPUS, 3, 2, seed=1, max_iters=2, threads=v)),
+    ("n_states", 2, 3, lambda v, steps: make_truth_params(v, 3)),
+    ("n_features", 1, 3, lambda v, steps: make_truth_params(3, v)),
+    ("horizon", 1, 5, lambda v, steps: expected_counts(_PARAMS, v)),
+    ("horizon", 1, 5, lambda v, steps: summarize(_PARAMS, horizon=v)),
+    ("state", 0, 1, lambda v, steps: expected_hold_length(_PARAMS, v)),
+]
+_COUNT_IDS = ["hard_em", "init_params", "fit_em-n_states", "fit_em-max_iters", "fit_em-threads",
+              "gmm-n_components", "gmm-max_iters", "gmm-threads", "lda-n_components",
+              "lda-n_topics", "lda-max_iters", "lda-threads", "truth-n_states",
+              "truth-n_features", "expected_counts", "summarize", "expected_hold_length"]
+
+
+def _plain(result):
+    """A fit, report or array result as plain values that compare with ==."""
+    if isinstance(result, tuple):
+        return tuple(map(_plain, result))
+    if hasattr(result, "to_dict"):
+        return result.to_dict()
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "must be an integer, got bool"), (2.7, "must be an integer, got float"),
+    ("5", "must be an integer, got str"), (math.nan, "must be an integer, got float"),
+    (None, "must be at least {least}, got {below}"),
+], ids=["bool", "2.7", "str", "nan", "below"])
+@pytest.mark.parametrize("name, least, valid, call", _COUNTS, ids=_COUNT_IDS)
+def test_every_count_is_checked_by_one_rule_before_any_work(monkeypatch, name, least, valid,
+                                                            call, bad, message):
+    work = []
+
+    def spy(*args, **kwargs):
+        work.append(args)
+        raise AssertionError("worked before checking the counts")
+
+    for module in (model, baselines):
+        monkeypatch.setattr(module, "seed_emissions", spy)
+        monkeypatch.setattr(module, "emission_loglik", spy)
+    if bad is None:  # one below the minimum
+        bad = least - 1
+        if name == "state":
+            message = "must be in [0, 3), got -1"
+    with pytest.raises(InvariantViolation,
+                       match=f"^{name} {re.escape(message.format(least=least, below=bad))}$"):
+        call(bad, work)
+    assert work == []
+
+
+@pytest.mark.parametrize("name, least, valid, call", _COUNTS, ids=_COUNT_IDS)
+def test_numpy_integer_counts_run_as_the_int(name, least, valid, call):
+    as_int, as_numpy = [], []
+    expected = _plain(call(valid, as_int))
+    assert _plain(call(np.int64(valid), as_numpy)) == expected
+    assert as_numpy == as_int
+
+
+def test_a_numpy_integer_horizon_is_reported_as_an_int():
+    assert type(summarize(_PARAMS, horizon=np.int64(5)).horizon) is int
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "x must be positive, got True"), (np.bool_(True), "x must be positive, got "),
+    ("abc", "x must be positive, got 'abc'"), (None, "x must be positive, got None"),
+    ([1.0, 2.0], "x must be positive, got [1.0, 2.0]"), (10 ** 400, "x must be positive, got 1"),
+    (-1, "x must be positive, got -1.0"), (math.nan, "x must be positive, got nan"),
+], ids=["bool", "numpy-bool", "text", "none", "list", "too-big", "negative", "nan"])
+def test_check_number_names_what_it_refuses(value, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}"):
+        check_number("x", value, lambda v: v > 0, "positive")
+
+
+def test_check_number_takes_what_float_converts():
+    for value in (2, 2.0, "2", np.float32(2.0), np.int64(2)):
+        number = check_number("x", value, lambda v: v > 0, "positive")
+        assert number == 2.0 and type(number) is float
