@@ -8,7 +8,10 @@ stop rule (`estimation.hard_em`) are the sequence model's own code paths.
 
 The GMM draws every frame's component independently. The GMM-LDA draws one
 topic per sign and then frames i.i.d. from that topic's distribution over
-prototypes (a mixture of unigrams).
+prototypes (a mixture of unigrams). Its exact E-step runs state-major,
+as the sequence model's Viterbi E-step does: over a contiguous (N, P, M)
+copy of each sign block's table, so each step of its loop over the N
+prototypes is one numpy operation over every frame of every sign.
 """
 
 import numpy as np
@@ -16,8 +19,8 @@ import numpy as np
 from .corpus import DEFAULT_FRAMES, Corpus, sampled_corpus
 from .estimation import map_sigma  # noqa: F401 -- bench/tracer.py patches baselines.map_sigma
 from .estimation import (dirichlet_map, draw_categorical, emission_loglik, gaussian_frames,
-                         hard_em, map_log_joint, pair_counts, picked_terms, safe_log,
-                         seed_emissions, sweep_signs)
+                         hard_em, map_log_joint, pair_counts, picked_terms, running_max,
+                         safe_log, seed_emissions, sweep_signs)
 from .model import emission_means, emission_sigma, emission_sweep
 from .params import GmmLdaParams, GmmParams, Hyperparams, check_sizes
 
@@ -66,23 +69,46 @@ def fit_gmm(corpus: Corpus, n_components, hyper: Hyperparams = Hyperparams(),
 
 def _lda_e_step(loglik, psi, tau):
     """Exact joint argmax (topics (M,), labels (M, P)) from the (M, P, N)
-    emission table. Each frame's best prototype score under every topic is
-    a running maximum over a loop of the N prototypes, taken for at most
-    N // 2 topics at a time, so no (M, P, T, N) tensor is built, the
-    (M, P, T) scores of a chunk of topics and their temporary take no more
-    room than the table, and no reduction runs along the short N axis."""
+    emission table, with the bits of the (M, P, T, N) tensor form.
+
+    It runs state-major, over a contiguous (N, P, M) copy of the table.
+    Each topic's best prototype score per frame is a `running_max` over
+    the N prototypes of (P, M) arrays, summed over the frames in order; the
+    frame labels are the same running argmax under each sign's topic. So
+    every step is a whole-array numpy operation, no reduction runs along
+    the short N axis, and no array beyond the copy is larger than (P, M).
+    Where a frame's scores hold a NaN, its label is numpy's argmax, which
+    takes the first NaN."""
     log_psi = safe_log(psi)
     n_topics, n = log_psi.shape
-    step = max(1, n // 2)
-    scores = np.empty((len(loglik), n_topics))
-    for a in range(0, n_topics, step):
-        chunk = log_psi[a:a + step]
-        best_frame = loglik[:, :, :1] + chunk[:, 0]
-        for k in range(1, n):
-            np.maximum(best_frame, loglik[:, :, k:k + 1] + chunk[:, k], out=best_frame)
-        scores[:, a:a + step] = best_frame.sum(axis=1)
+    cols = np.ascontiguousarray(loglik.transpose(2, 1, 0))  # [state, frame, sign]
+    best = np.empty(cols.shape[1:])
+    scores = np.empty((cols.shape[2], n_topics))
+    for t, row in enumerate(log_psi):
+        running_max(lambda k, out: np.add(cols[k], row[k], out=out), n, best)
+        scores[:, t] = _frame_sums(best)
     topics = np.argmax(scores + safe_log(tau), axis=1)
-    return topics, np.argmax(loglik + log_psi[topics][:, None, :], axis=2)
+
+    word = np.ascontiguousarray(log_psi[topics].T)  # [state, sign]
+
+    def candidate(k, out):
+        np.add(cols[k], word[k], out=out)
+
+    labels = np.empty(best.shape, dtype=np.int64)
+    running_max(candidate, n, best, labels)
+    if np.isnan(best).any():
+        running_max(candidate, n, best, labels, nan_first=True)
+    return topics, np.ascontiguousarray(labels.T)
+
+
+def _frame_sums(best):
+    """The sums over the frames of a (P, M) array, added frame after frame
+    as the tensor form's sum over its (M, P, T) axis 1 adds them. numpy
+    adds the rows of a C-order array in order, but sums a single column
+    pairwise, so one sign's column is accumulated instead."""
+    if best.shape[1] == 1:
+        return np.add.accumulate(best[:, 0])[-1:]
+    return best.sum(axis=0)
 
 
 def fit_gmm_lda(corpus: Corpus, n_components, n_topics, hyper: Hyperparams = Hyperparams(),

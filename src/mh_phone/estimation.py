@@ -94,6 +94,35 @@ def picked_terms(table, labels):
     return np.take_along_axis(table, labels[..., None], axis=-1)[..., 0]
 
 
+def running_max(candidate, n, best, arg=None, nan_first=False):
+    """Running maximum over n states of state-major candidates.
+    candidate(k, out) writes state k's candidates into `out`, an array
+    shaped like `best`; `best` ends as their elementwise maximum and `arg`,
+    if given, as the first state that reaches it, as np.argmax over a
+    stacked state axis picks it: ties go to the lower state. Each step is a
+    few numpy operations over the whole array, where an argmax over a short
+    state axis runs one tiny loop per element. The index write is a maximum
+    of k * (candidate > best), since the last state that raised the maximum
+    is the largest such k. A NaN candidate makes `best` NaN; `arg` then
+    keeps the state before it unless nan_first, which takes the first NaN
+    as np.argmax does, at two more passes per state."""
+    candidate(0, best)
+    cand = np.empty_like(best)
+    if arg is not None:
+        arg.fill(0)
+        moved = np.empty(best.shape, dtype=bool)
+        index = np.empty_like(arg)
+    for k in range(1, n):
+        candidate(k, cand)
+        if arg is not None:
+            np.greater(cand, best, out=moved)
+            if nan_first:
+                moved |= np.isnan(cand) & ~np.isnan(best)
+            np.multiply(moved, arg.dtype.type(k), out=index)
+            np.maximum(arg, index, out=arg)
+        np.maximum(best, cand, out=best)
+
+
 def block_scratch(blocks, d, extra=0):
     """An uninitialised (rows, d) buffer with room for the longest of
     `blocks` plus `extra` rows."""

@@ -16,6 +16,12 @@ assignments and frames under the priors:
 The baselines share the hard-EM loop (`estimation.hard_em`: stop at
 max_iters, at a non-finite objective, or converged once the relative change
 is at most tol) and the emission M-step (`emission_means`, `emission_sigma`).
+
+The Viterbi E-step runs state-major: over a contiguous (P, N, M) copy of
+each sign block's table, with a Python loop over the N states in which
+every add, compare and maximum is one numpy operation over all M signs.
+An argmax over the short state axis would run one N-wide inner loop per
+sign and state instead, which took most of the E-step's time.
 """
 
 import numpy as np
@@ -24,7 +30,7 @@ from .corpus import DEFAULT_FRAMES, Corpus, synth_corpus
 from .errors import InvariantViolation
 from .estimation import (block_scratch, carried_sum, dirichlet_map, emission_loglik, hard_em,
                          map_log_joint, map_means, map_sigma, pair_counts, picked_terms,
-                         row_blocks, safe_log, seed_emissions, sweep_signs)
+                         row_blocks, running_max, safe_log, seed_emissions, sweep_signs)
 from .params import Hyperparams, ModelParams, check_sizes
 
 
@@ -63,23 +69,44 @@ def e_step_greedy(params: ModelParams, loglik) -> np.ndarray:
 def e_step_viterbi(params: ModelParams, loglik) -> np.ndarray:
     """Exact most-probable state path per sign via dynamic programming,
     O(M P N^2). Ties break toward the lower state index. loglik and the
-    result as in `e_step_greedy`."""
-    m, p, n = loglik.shape
-    log_t_next = safe_log(params.trans).T  # [next, previous]
-    back = np.empty((m, p, n), dtype=np.min_scalar_type(n - 1))  # uint8 up to 256 states
-    alpha = safe_log(params.pi) + loglik[:, 0]
-    for f in range(1, p):
-        cand = alpha[:, None, :] + log_t_next  # [sign, next, previous]
-        # argmax over the previous state, the contiguous axis; ties go to the lower index
-        best_prev = np.argmax(cand, axis=2)
-        back[:, f] = best_prev
-        alpha = np.take_along_axis(cand, best_prev[:, :, None], axis=2)[:, :, 0] + loglik[:, f]
-    labels = np.empty((m, p), dtype=np.int64)
-    labels[:, -1] = np.argmax(alpha, axis=1)
-    rows = np.arange(m)
+    result as in `e_step_greedy`.
+
+    The program runs state-major, over a contiguous (P, N, M) copy of the
+    table: each frame's best previous state is a `running_max` over the N
+    previous states of (N, M) arrays, so every step is a whole-array numpy
+    operation rather than one N-wide argmax per sign and state. A sign
+    whose scores hold a NaN gets the path of numpy's argmax, which takes
+    the first NaN."""
+    cols = np.ascontiguousarray(loglik.transpose(1, 2, 0))  # [frame, state, sign]
+    log_pi = safe_log(params.pi)[:, None]
+    log_t = safe_log(params.trans)[:, :, None]  # [previous, next, 1]
+    back, alpha = _viterbi_back(cols, log_pi, log_t)
+    if np.isnan(alpha).any():  # a NaN score anywhere on a sign reaches its last alpha
+        back, alpha = _viterbi_back(cols, log_pi, log_t, nan_first=True)
+    p, _, m = cols.shape
+    path = np.empty((p, m), dtype=np.int64)
+    path[-1] = np.argmax(alpha, axis=0)
+    signs = np.arange(m)
     for f in range(p - 1, 0, -1):
-        labels[:, f - 1] = back[rows, f, labels[:, f]]
-    return labels
+        path[f - 1] = back[f, path[f], signs]
+    return np.ascontiguousarray(path.T)
+
+
+def _viterbi_back(cols, log_pi, log_t, nan_first=False):
+    """The (P, N, M) back pointers (uint8 up to 256 states) and the last
+    frame's (N, M) path scores of a state-major (P, N, M) table."""
+    p, n, m = cols.shape
+    back = np.empty((p, n, m), dtype=np.min_scalar_type(n - 1))
+    alpha = cols[0] + log_pi
+    best = np.empty((n, m))
+
+    def from_state(k, out):
+        np.add(alpha[k], log_t[k], out=out)  # [next, sign]
+
+    for f in range(1, p):
+        running_max(from_state, n, best, back[f], nan_first)
+        np.add(best, cols[f], out=alpha)
+    return back, alpha
 
 
 def emission_sweep(features, mu, sigma, threads, *, labels=None, label_fn=None, out=None):
@@ -106,11 +133,29 @@ def emission_sweep(features, mu, sigma, threads, *, labels=None, label_fn=None, 
 def emission_means(frames, labels, n, sigma, hyper: Hyperparams):
     """Emission M-step, first half: frame counts (n,) and MAP means (n, D)
     of n prototypes from (F, D) frames, their (F,) labels and the previous
-    sigma. A prototype with no frames lands exactly on mu_mu."""
+    sigma. A prototype with no frames lands exactly on mu_mu.
+
+    The sums are taken ROW_BLOCK frames at a time: each block is written
+    transposed into a (D, N + B) scratch whose first N columns carry the
+    sums so far, under the labels 0..N-1, and one weighted `bincount` per
+    contiguous feature row adds it all. bincount adds in index order from
+    0.0, so the carried sums continue one bincount over every frame bit for
+    bit, without a bincount over each strided feature column."""
     counts = np.bincount(labels, minlength=n).astype(float)
-    # one weighted bincount per feature column; bincount adds in index order
-    sums = np.stack([np.bincount(labels, weights=col, minlength=n) for col in frames.T], axis=1)
-    return counts, map_means(sums, counts, sigma, hyper.mu_mu, hyper.sigma_mu)
+    d = frames.shape[1]
+    blocks = row_blocks(len(frames), d)
+    # [feature, carried + frame]
+    scratch = np.empty((d, n + max((s.stop - s.start for s in blocks), default=0)))
+    scratch[:, :n] = 0.0
+    keys = np.empty(scratch.shape[1], dtype=np.intp)
+    keys[:n] = np.arange(n)
+    for s in blocks:
+        end = n + s.stop - s.start
+        scratch[:, n:end] = frames[s].T
+        keys[n:end] = labels[s]
+        for row in scratch:
+            row[:n] = np.bincount(keys[:end], weights=row[:end], minlength=n)
+    return counts, map_means(scratch[:, :n].T, counts, sigma, hyper.mu_mu, hyper.sigma_mu)
 
 
 def emission_sigma(frames, labels, mu, hyper: Hyperparams):

@@ -257,7 +257,8 @@ def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
     State 0 is absorbing (signs end and stay ended). Prototype rows are drawn
     until every pairwise distance, including the distance to the zero end
     prototype, is at least `separation`. The first two feature dimensions
-    are pinned to zero, matching normalized real data.
+    are pinned to zero, matching normalized real data, when a third is left
+    free to place the prototypes in.
     """
     n, d = check_sizes(least=2, n_states=n_states) + check_sizes(n_features=n_features)
     rng = np.random.default_rng(seed)
@@ -265,7 +266,7 @@ def make_truth_params(n_states, n_features=14, seed=0, *, self_stick=0.85,
     spread = max(float(separation), 1.0)
     for _ in range(1000):
         cand = rng.normal(0.0, spread, size=(n - 1, d))
-        if d >= 2:
+        if d > 2:
             cand[:, :2] = 0.0
         mu = np.vstack([np.zeros(d), cand])
         with np.errstate(over="ignore", invalid="ignore"):

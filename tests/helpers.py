@@ -11,7 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from mh_phone.baselines import _lda_e_step
 from mh_phone.corpus import Corpus, synth_corpus
 from mh_phone.estimation import (SIGMA_INIT_FLOOR, dirichlet_map, emission_loglik, hard_em,
-                                 map_log_joint, map_sigma, safe_log, seed_emissions)
+                                 map_log_joint, map_means, map_sigma, safe_log, seed_emissions)
 from mh_phone.model import emission_means, emission_sigma, init_params, m_step
 from mh_phone.params import GmmLdaParams, GmmParams, Hyperparams, ModelParams, make_truth_params
 
@@ -164,6 +164,14 @@ def full_emission_loglik(frames, mu, sigma):
     return out.reshape(x.shape[:-1] + mu.shape[:1])
 
 
+def full_emission_means(frames, labels, n, sigma, hyper):
+    """`model.emission_means` with one weighted bincount per strided feature
+    column of every frame."""
+    counts = np.bincount(labels, minlength=n).astype(float)
+    sums = np.stack([np.bincount(labels, weights=col, minlength=n) for col in frames.T], axis=1)
+    return counts, map_means(sums, counts, sigma, hyper.mu_mu, hyper.sigma_mu)
+
+
 def full_emission_sigma(frames, labels, mu, hyper):
     """`model.emission_sigma` with one (F, D) array of squared residuals."""
     residuals = mu[labels]
@@ -235,6 +243,70 @@ def full_viterbi_labels(params, loglik):
     for f in range(p - 1, 0, -1):
         labels[:, f - 1] = back[rows, f, labels[:, f]]
     return labels
+
+
+def label_table(rng, shape, *, ties=False, minus_inf=0.0, nan=0.0):
+    """A random emission table for the label kernels: whole numbers with
+    ties=True, so that scores tie, and a share of -inf and of NaN entries."""
+    table = rng.normal(0.0, 3.0, size=shape)
+    if ties:
+        table = np.round(table)
+    table[rng.random(shape) < minus_inf] = -np.inf
+    table[rng.random(shape) < nan] = np.nan
+    return table
+
+
+def distributions(rng, k, n, *, uniform=False, zeros=0.0):
+    """k distributions over n states, Dirichlet or uniform over what is
+    left, with a share of zero entries (-inf logs); each keeps one state."""
+    rows = np.ones((k, n)) if uniform else rng.dirichlet(np.ones(n), size=k)
+    zero = rng.random((k, n)) < zeros
+    zero[np.arange(k), rng.integers(0, n, size=k)] = False
+    rows[zero] = 0.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def chain_params(rng, n, *, uniform=False, zeros=0.0):
+    """Parameters whose pi and T rows are `distributions`, for the E-steps
+    over a given table (mu and sigma are placeholders)."""
+    rows = distributions(rng, n + 1, n, uniform=uniform, zeros=zeros)
+    return ModelParams(pi=rows[0], trans=rows[1:], mu=np.zeros((n, 1)), sigma=np.ones(1))
+
+
+# Tables on which the state-major label kernels must give their references'
+# labels: name -> (M, P, N), `label_table` options, `distributions` options
+# for the chain or topic rows, and the index set to NaN, if any: an entry,
+# a whole frame or a whole first frame.
+LABEL_CASES = {
+    "random": ((40, 12, 5), {}, {}, None),
+    "ties": ((40, 10, 4), dict(ties=True), dict(uniform=True), None),
+    "zero-rows": ((30, 9, 6), dict(ties=True, minus_inf=0.05), dict(zeros=0.4), None),
+    "two-states": ((20, 15, 2), dict(ties=True), {}, None),
+    "one-frame": ((20, 1, 5), dict(ties=True), {}, None),
+    "one-sign": ((1, 20, 7), dict(ties=True), dict(zeros=0.3), None),
+    "nan-entry": ((40, 12, 5), {}, {}, (7, 5, 2)),
+    "nan-frame": ((40, 12, 5), {}, {}, (7, 5)),
+    "nan-first-frame": ((40, 12, 5), {}, {}, (7, 0)),
+}
+
+
+def label_case(name, seed):
+    """(rng, table, row options) of a `LABEL_CASES` entry."""
+    shape, table_options, row_options, nan_at = LABEL_CASES[name]
+    rng = np.random.default_rng(seed)
+    table = label_table(rng, shape, **table_options)
+    if nan_at is not None:
+        table[nan_at] = np.nan
+    return rng, table, row_options
+
+
+def tensor_lda_e_step(loglik, psi, tau):
+    """The GMM-LDA E-step through the full (M, P, T, N) score tensor."""
+    scored = loglik[:, :, None, :] + safe_log(psi)[None, None, :, :]
+    best_frame = scored.max(axis=3)
+    topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
+    labels = np.argmax(scored[np.arange(len(topics)), :, topics, :], axis=2)
+    return topics, labels
 
 
 def full_fit_em(corpus, n_states, hyper=Hyperparams(), *, max_iters, tol, e_step, seed):

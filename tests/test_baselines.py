@@ -1,5 +1,8 @@
 """Frame-mixture baselines: GMM and the topic-mixture GMM."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -8,13 +11,14 @@ from mh_phone import corpus as corpus_module
 from mh_phone.baselines import (GmmLdaParams, GmmParams, _lda_e_step, fit_gmm, fit_gmm_lda,
                                 sample_gmm, sample_gmm_lda)
 from mh_phone.errors import InvariantViolation, NotEnoughData
-from mh_phone.estimation import dirichlet_map, emission_loglik, safe_log
+from mh_phone.estimation import dirichlet_map, emission_loglik
 from mh_phone.model import emission_means, emission_sigma, m_step, sample
 from mh_phone.corpus import synth_corpus
 from mh_phone.params import Hyperparams, make_truth_params
 
-from helpers import (corpus_from_features, label_digest, params_digest, pinned_corpus,
-                     random_params, trace_digest)
+from helpers import (LABEL_CASES, corpus_from_features, distributions, label_case,
+                     label_digest, params_digest, pinned_corpus, random_params,
+                     tensor_lda_e_step, trace_digest)
 
 
 def _gmm_update(frames, labels, n_components, sigma_prev, hyper):
@@ -180,15 +184,6 @@ def test_fit_gmm_lda_trace_is_monotone_and_deterministic():
     np.testing.assert_array_equal(a.mu, b.mu)
 
 
-def _tensor_lda_e_step(loglik, psi, tau):
-    """The GMM-LDA E-step through the full (M, P, T, N) score tensor."""
-    scored = loglik[:, :, None, :] + safe_log(psi)[None, None, :, :]
-    best_frame = scored.max(axis=3)
-    topics = np.argmax(best_frame.sum(axis=1) + safe_log(tau), axis=1)
-    labels = np.argmax(scored[np.arange(len(topics)), :, topics, :], axis=2)
-    return topics, labels
-
-
 @pytest.mark.parametrize("ties", [False, True])
 def test_lda_e_step_per_topic_equals_tensor_form(ties):
     # zero word and topic probabilities give -inf scores; with ties, integer
@@ -205,9 +200,49 @@ def test_lda_e_step_per_topic_equals_tensor_form(ties):
             loglik = np.round(loglik)
             psi[2] = psi[3]
         topics, labels = _lda_e_step(loglik, psi, tau)
-        want_topics, want_labels = _tensor_lda_e_step(loglik, psi, tau)
+        want_topics, want_labels = tensor_lda_e_step(loglik, psi, tau)
         np.testing.assert_array_equal(topics, want_topics)
         np.testing.assert_array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("n_topics", [1, 3, 12])
+@pytest.mark.parametrize("case", LABEL_CASES)
+def test_lda_e_step_gives_the_tensor_labels(case, n_topics):
+    rng, table, rows = label_case(case, seed=n_topics)
+    psi = distributions(rng, n_topics, table.shape[2], **rows)
+    tau = distributions(rng, 1, n_topics, **rows)[0]
+    topics, labels = _lda_e_step(table, psi, tau)
+    want_topics, want_labels = tensor_lda_e_step(table, psi, tau)
+    assert labels.dtype == np.int64 and labels.flags.c_contiguous
+    assert topics.tobytes() == want_topics.tobytes()
+    assert labels.tobytes() == want_labels.tobytes()
+
+
+def test_lda_ties_go_to_the_lower_topic_and_state():
+    uniform = np.full((3, 4), 0.25)
+    topics, labels = _lda_e_step(np.zeros((5, 6, 4)), uniform, np.full(3, 1 / 3))
+    assert not topics.any() and not labels.any()
+
+
+# Nine frame scores that come to 237.83200000000005 added frame after
+# frame, as the tensor form adds them, but to 237.83200000000002 summed
+# pairwise, as numpy sums one contiguous run or one column. Topic 0 takes
+# them and topic 1 their total in its first frame, so the topics tie and
+# topic 0 wins, unless a pairwise sum puts it below topic 1.
+IN_ORDER_FRAMES = [0.0, 0.001, 330.437, -130.316, 90.536, 0.446, -53.695, 0.058, 0.365]
+
+
+@pytest.mark.parametrize("signs", [1, 3])
+def test_lda_topic_scores_add_the_frames_in_order(signs):
+    frames = np.array(IN_ORDER_FRAMES)
+    total = functools.reduce(operator.add, IN_ORDER_FRAMES)
+    assert frames.sum() < total and frames[0] + frames[1:].sum() < total
+    table = np.zeros((signs, len(frames), 2))
+    table[:, :, 0] = frames
+    table[:, 0, 1] = total
+    for e_step in (_lda_e_step, tensor_lda_e_step):
+        topics, labels = e_step(table, np.eye(2), np.array([0.5, 0.5]))
+        assert not topics.any() and not labels.any()
 
 
 @pytest.mark.parametrize("fit", [

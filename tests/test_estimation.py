@@ -15,13 +15,15 @@ from mh_phone.estimation import (LOG_SIGMA_HI, LOG_SIGMA_LO, SIGMA_INIT_FLOOR,
                                  golden_section_max, lognormal_logpdf,
                                  map_log_joint, map_means, map_sigma,
                                  markov_chain_sample, normal_logpdf, pair_counts,
-                                 relative_change, row_blocks, safe_log, seed_emissions)
-from mh_phone.model import emission_sigma, init_params, m_step
+                                 relative_change, row_blocks, running_max, safe_log,
+                                 seed_emissions)
+from mh_phone.model import emission_means, emission_sigma, init_params, m_step
 from mh_phone.params import Hyperparams, make_truth_params
 
 import helpers
-from helpers import (broadcast_emission_loglik, full_emission_loglik, full_emission_sigma,
-                     full_gaussian_frames, full_init_seeds, full_seed_emissions, label_digest)
+from helpers import (broadcast_emission_loglik, full_emission_loglik, full_emission_means,
+                     full_emission_sigma, full_gaussian_frames, full_init_seeds,
+                     full_seed_emissions, label_digest, label_table)
 
 
 def test_golden_section_finds_quadratic_vertex():
@@ -460,6 +462,36 @@ def test_emission_sigma_keeps_the_bits_of_one_array(small_blocks, monkeypatch, r
     hyper = Hyperparams()
     assert _same_bits(emission_sigma(frames, labels, mu, hyper),
                       full_emission_sigma(frames, labels, mu, hyper))
+
+
+@pytest.mark.parametrize("d", [1, 2, 14])
+@pytest.mark.parametrize("rows", (0,) + ROW_COUNTS)
+def test_emission_means_keeps_the_bits_of_one_array(small_blocks, monkeypatch, rows, d):
+    # the sums themselves; state 3 takes no frame and state 2 only -0.0 weights
+    for module in (model, helpers):
+        monkeypatch.setattr(module, "map_means", lambda sums, *_: sums)
+    rng = np.random.default_rng(rows * d)
+    frames = _spread_rows(rng, (rows, d))
+    labels = rng.choice([0, 1, 2, 4], size=rows)
+    frames[labels == 2] = -0.0
+    frames[rng.random((rows, d)) < 0.2] = -0.0
+    got = emission_means(frames, labels, 5, np.ones(d), Hyperparams())
+    want = full_emission_means(frames, labels, 5, np.ones(d), Hyperparams())
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_running_max_is_numpy_max_and_first_argmax(nan_first):
+    stack = label_table(np.random.default_rng(21), (6, 30, 20), ties=True, minus_inf=0.1,
+                        nan=0.02)
+    best, arg = np.empty((30, 20)), np.empty((30, 20), dtype=np.uint8)
+    running_max(lambda k, out: np.copyto(out, stack[k]), 6, best, arg, nan_first)
+    np.testing.assert_array_equal(best, stack.max(axis=0))
+    want = np.argmax(stack, axis=0)
+    numbers = ~np.isnan(stack).any(axis=0)
+    assert not numbers.all()
+    np.testing.assert_array_equal(arg[numbers], want[numbers])
+    assert nan_first == np.array_equal(arg, want)
 
 
 # Peak memory of the fit's layers, as a share of the features. Each holds the

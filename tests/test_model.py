@@ -15,7 +15,8 @@ from mh_phone.model import (e_step_greedy, e_step_viterbi, fit_em, init_params,
                             joint_path_score, log_joint, m_step, sample)
 from mh_phone.params import Hyperparams, ModelParams, make_truth_params
 
-from helpers import (align_states, corpus_from_features, emission_table, params_digest,
+from helpers import (LABEL_CASES, align_states, chain_params, corpus_from_features,
+                     emission_table, full_viterbi_labels, label_case, params_digest,
                      pinned_corpus, random_corpus, random_params, trace_digest)
 
 
@@ -170,6 +171,22 @@ def test_viterbi_follows_deterministic_chain():
     labels = e_step_viterbi(params, emission_table(params, corpus))
     want = np.tile([1, 2, 3, 1, 2, 3, 1], (2, 1))
     np.testing.assert_array_equal(labels, want)
+
+
+@pytest.mark.parametrize("case", LABEL_CASES)
+def test_viterbi_gives_the_reference_labels(case):
+    # the state-major kernel against the sign-major one it replaced, which
+    # takes numpy's argmax: ties to the lower state, the first NaN
+    rng, table, rows = label_case(case, seed=31)
+    params = chain_params(rng, table.shape[2], **rows)
+    got = e_step_viterbi(params, table)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.tobytes() == full_viterbi_labels(params, table).tobytes()
+
+
+def test_viterbi_ties_go_to_the_lower_state():
+    params = chain_params(np.random.default_rng(32), 4, uniform=True)
+    assert not e_step_viterbi(params, np.zeros((3, 6, 4))).any()
 
 
 # ---------------------------------------------------------------- M-step

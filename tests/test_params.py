@@ -142,6 +142,16 @@ def test_make_truth_separation_and_pinned_dims():
     assert np.allclose(truth.sigma, 0.05)
 
 
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (2, 1), (2, 3)])
+def test_make_truth_places_prototypes_in_few_features(n, d):
+    # with two features neither is pinned: pinned, they left no room
+    truth = make_truth_params(n, d, seed=1)
+    dists = np.linalg.norm(truth.mu[:, None] - truth.mu[None, :], axis=-1)
+    np.fill_diagonal(dists, np.inf)
+    assert truth.mu.shape == (n, d) and dists.min() >= 2.0
+    assert (d > 2) == (not truth.mu[:, :2].any())
+
+
 @pytest.mark.parametrize("separation", [1e200, 1e300, 1e308])
 def test_make_truth_rejects_a_separation_whose_distances_overflow(separation):
     with warnings.catch_warnings():

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from mh_phone import estimation
-from mh_phone.baselines import fit_gmm, fit_gmm_lda
+from mh_phone.baselines import _lda_e_step, fit_gmm, fit_gmm_lda
 from mh_phone.corpus import Corpus, synth_corpus
 from mh_phone.estimation import emission_loglik, pair_counts, sign_blocks, sweep_signs
 from mh_phone.io import save_model
-from mh_phone.model import fit_em
+from mh_phone.model import e_step_viterbi, fit_em
 from mh_phone.params import Hyperparams, make_truth_params
 
-from helpers import (full_fit_em, full_fit_gmm, full_fit_gmm_lda, full_pair_counts,
-                     params_digest)
+from helpers import (chain_params, distributions, full_fit_em, full_fit_gmm, full_fit_gmm_lda,
+                     full_pair_counts, full_viterbi_labels, label_table, params_digest,
+                     tensor_lda_e_step)
 
 FITS = ("greedy", "viterbi", "gmm", "gmm-lda")
 
@@ -109,6 +110,29 @@ def test_block_tables_are_rows_of_the_whole_table(monkeypatch, block):
 
     sweep_signs(203, 25, work, threads=2)
     assert got.tobytes() == whole.tobytes()
+
+
+# The state-major label kernels on each block against their references on
+# the whole table: 33 signs end in a block of one sign for blocks of 8 and 16.
+@pytest.mark.parametrize("block", [8, 16])
+def test_block_label_kernels_give_the_whole_table_reference_labels(monkeypatch, block):
+    monkeypatch.setattr(estimation, "SIGN_BLOCK", block)
+    rng = np.random.default_rng(block)
+    m, p, n = 33, 11, 5
+    table = label_table(rng, (m, p, n), ties=True, minus_inf=0.05)
+    params = chain_params(rng, n, zeros=0.3)
+    psi, tau = distributions(rng, 4, n, zeros=0.3), distributions(rng, 1, 4)[0]
+    labels, topics, words = (np.empty((m, p), np.int64), np.empty(m, np.int64),
+                             np.empty((m, p), np.int64))
+
+    def work(s):
+        labels[s] = e_step_viterbi(params, table[s])
+        topics[s], words[s] = _lda_e_step(table[s], psi, tau)
+
+    sweep_signs(m, p, work, threads=2)
+    assert labels.tobytes() == full_viterbi_labels(params, table).tobytes()
+    want_topics, want_words = tensor_lda_e_step(table, psi, tau)
+    assert topics.tobytes() == want_topics.tobytes() and words.tobytes() == want_words.tobytes()
 
 
 def test_sign_blocks_cover_the_signs_in_order_without_a_lone_last_row(monkeypatch):
